@@ -47,7 +47,7 @@ using namespace gcube;
 // reference container: packets/sec delivered at threads=1 by the SoA
 // hot/cold packet lanes with the batched word-at-a-time advance, all
 // kernels scalar (PR 7 state). The current threads=1 cell — SIMD classify,
-// gathered fabric lookups, batched counter-RNG keying behind runtime ISA
+// gathered fabric lookups behind runtime ISA
 // dispatch — is judged against this. Re-measure with `git checkout <PR 7>`
 // if the hardware changes.
 constexpr double kBaselineHeadlinePacketsPerSec = 1590808.0;
@@ -65,8 +65,6 @@ struct CellSpec {
   bool quick_only_shrink = true;
   std::uint32_t threads = 1;      // SimConfig::threads (exact worker count)
   std::string scaling_base;       // name of the threads=1 cell to divide by
-  bool legacy = false;            // run with fabric + active_set disabled
-  std::string legacy_base;        // legacy twin cell: emit speedup_vs_legacy
   bool simd_scalar = false;       // pin SimdLevel::kScalar for this cell
   std::string simd_base;          // scalar twin: emit speedup_vs_simd_scalar
 };
@@ -140,8 +138,6 @@ CellResult run_cell(const CellSpec& spec, int reps) {
   // The scaling companions need their exact worker counts even on boxes
   // with fewer cores, so the curve stays comparable across machines.
   cfg.allow_oversubscribe = true;
-  cfg.fabric = !spec.legacy;
-  cfg.active_set = !spec.legacy;
 
   CellResult result;
   result.spec = spec;
@@ -251,9 +247,7 @@ void write_json(const std::string& path, const std::vector<CellResult>& cells,
         << "      \"warmup_cycles\": " << c.spec.warmup << ",\n"
         << "      \"measure_cycles\": " << c.spec.measure << ",\n"
         << "      \"threads\": " << c.spec.threads << ",\n"
-        << "      \"fabric\": " << (c.spec.legacy ? "false" : "true") << ",\n"
-        << "      \"active_set\": " << (c.spec.legacy ? "false" : "true")
-        << ",\n"
+        << "      \"fabric\": true,\n"
         << "      \"simd\": \"" << to_string(c.simd) << "\",\n"
         << "      \"seconds\": " << json_double(c.seconds) << ",\n"
         << "      \"timed_seconds\": " << json_double(c.timed_seconds)
@@ -290,13 +284,6 @@ void write_json(const std::string& path, const std::vector<CellResult>& cells,
             << json_double(c.packets_per_sec() / base);
       }
     }
-    if (!c.spec.legacy_base.empty()) {
-      const double base = cell_packets_per_sec(cells, c.spec.legacy_base);
-      if (base > 0.0) {
-        out << ",\n      \"speedup_vs_legacy\": "
-            << json_double(c.packets_per_sec() / base);
-      }
-    }
     if (!c.spec.simd_base.empty()) {
       const double base = cell_packets_per_sec(cells, c.spec.simd_base);
       if (base > 0.0) {
@@ -323,39 +310,35 @@ int main(int argc, char** argv) {
 
   std::vector<CellSpec> specs{
       {"gc8x2_ffgcr_faultfree", 8, 2, "FFGCR", 0, 0.05, 300, 4000, false,
-       true, 1, "", false, "", false, ""},
+       true, 1, "", false, ""},
       {"gc10x4_ffgcr_faultfree", 10, 4, "FFGCR", 0, 0.05, 300, 4000, false,
-       true, 1, "", false, "", false, ""},
+       true, 1, "", false, ""},
       {"gc10x4_ftgcr_static", 10, 4, "FTGCR", 12, 0.05, 300, 4000, true,
-       true, 1, "", false, "", false, "gc10x4_ftgcr_static_simd_scalar"},
-      // SIMD twin of the headline cell (same role as the _legacy twin for
-      // the active-set loop): identical workload with every kernel pinned
-      // to the scalar reference, so speedup_vs_simd_scalar on the headline
-      // attributes the vectorization win separately from the baseline
-      // trajectory. Metrics are bit-identical by the dispatch contract.
+       true, 1, "", false, "gc10x4_ftgcr_static_simd_scalar"},
+      // SIMD twin of the headline cell: identical workload with every
+      // kernel pinned to the scalar reference, so speedup_vs_simd_scalar on
+      // the headline attributes the vectorization win separately from the
+      // baseline trajectory. Metrics are bit-identical by the dispatch
+      // contract.
       {"gc10x4_ftgcr_static_simd_scalar", 10, 4, "FTGCR", 12, 0.05, 300,
-       4000, false, true, 1, "", false, "", true, ""},
+       4000, false, true, 1, "", true, ""},
       // Thread-scaling companions of the headline cell: identical workload,
       // exact worker counts. Metrics are bit-identical across all three by
       // the determinism contract; only wall time may differ.
       {"gc10x4_ftgcr_static_t2", 10, 4, "FTGCR", 12, 0.05, 300, 4000, false,
-       true, 2, "gc10x4_ftgcr_static", false, "", false, ""},
+       true, 2, "gc10x4_ftgcr_static", false, ""},
       {"gc10x4_ftgcr_static_t4", 10, 4, "FTGCR", 12, 0.05, 300, 4000, false,
-       true, 4, "gc10x4_ftgcr_static", false, "", false, ""},
+       true, 4, "gc10x4_ftgcr_static", false, ""},
       {"gc10x1_ecube_faultfree", 10, 1, "ECUBE", 0, 0.05, 300, 4000, false,
-       true, 1, "", false, "", false, ""},
+       true, 1, "", false, ""},
       {"gc12x4_ftgcr_static", 12, 4, "FTGCR", 16, 0.02, 300, 1500, false,
-       false, 1, "", false, "", false, ""},
-      // Low-injection pair: at 1% load most nodes idle most cycles, which
-      // is where the active-set worklist (skip idle nodes entirely) pays;
-      // the _legacy twin runs the identical workload with fabric and
-      // active_set disabled and speedup_vs_legacy is their ratio. Fault-free
-      // on purpose: the pair isolates the cycle-loop change, and faults
-      // would mix steering-adoption costs (a fabric property) into it.
+       false, 1, "", false, ""},
+      // Low injection: at 1% load most nodes idle most cycles, the regime
+      // where the active-set worklist (skip idle nodes entirely) pays.
+      // Fault-free on purpose, so steering-adoption costs near faults do
+      // not mix into the cycle-loop cost.
       {"gc10x4_ftgcr_lowinj", 10, 4, "FTGCR", 0, 0.01, 300, 4000, false,
-       true, 1, "", false, "gc10x4_ftgcr_lowinj_legacy", false, ""},
-      {"gc10x4_ftgcr_lowinj_legacy", 10, 4, "FTGCR", 0, 0.01, 300, 4000,
-       false, true, 1, "", true, "", false, ""},
+       true, 1, "", false, ""},
   };
   if (quick) {
     std::vector<CellSpec> trimmed;
@@ -423,14 +406,6 @@ int main(int argc, char** argv) {
         std::cout << "scaling " << c.spec.name << ": "
                   << fmt_double(c.packets_per_sec() / base, 2)
                   << "x vs threads=1\n";
-      }
-    }
-    if (!c.spec.legacy_base.empty()) {
-      const double base = cell_packets_per_sec(cells, c.spec.legacy_base);
-      if (base > 0.0) {
-        std::cout << "active-set " << c.spec.name << ": "
-                  << fmt_double(c.packets_per_sec() / base, 2)
-                  << "x vs legacy scan\n";
       }
     }
     if (!c.spec.simd_base.empty()) {

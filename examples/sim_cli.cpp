@@ -88,9 +88,8 @@ int main(int argc, char** argv) {
                 "fault-schedule", "fault-rate", "fault-repair", "flap-links",
                 "mttf", "mttr", "retry-limit", "retry-backoff",
                 "retry-budget", "retransmit-timeout", "threads",
-                "oversubscribe", "no-fabric", "no-active-set", "no-batch",
-                "simd", "checkpoint-every", "checkpoint-path", "resume",
-                "crash-at-cycle", "help"});
+                "oversubscribe", "no-fabric", "simd", "checkpoint-every",
+                "checkpoint-path", "resume", "crash-at-cycle", "help"});
     if (args.get_bool("help")) {
       std::cout
           << "usage: sim_cli [--n N] [--modulus M] [--rate R] [--cycles C]\n"
@@ -103,8 +102,7 @@ int main(int argc, char** argv) {
           << "               [--retry-backoff B] [--retry-budget R]\n"
           << "               [--retransmit-timeout T]\n"
           << "               [--threads T] [--oversubscribe]\n"
-          << "               [--no-fabric] [--no-active-set] [--no-batch]\n"
-          << "               [--simd scalar|sse|avx2]\n"
+          << "               [--no-fabric] [--simd scalar|avx2]\n"
           << "               [--checkpoint-every N] [--checkpoint-path F]\n"
           << "               [--resume F] [--crash-at-cycle N]\n"
           << "--fault-schedule/--fault-rate enable dynamic-fault mode:\n"
@@ -124,17 +122,11 @@ int main(int argc, char** argv) {
           << "--oversubscribe is given.\n"
           << "--no-fabric: disable table-driven next-hop steering (plan\n"
           << "each route at injection instead).\n"
-          << "--no-active-set: disable the active-set cycle loop (scan\n"
-          << "every node each cycle, per-cycle Bernoulli injection).\n"
-          << "--no-batch: disable the batched word-at-a-time advance and\n"
-          << "serve active nodes one at a time (metrics are bit-identical\n"
-          << "either way; escape hatch for A/B timing and debugging —\n"
-          << "GCUBE_SIM_NO_BATCH=1 does the same for any binary).\n"
-          << "--simd: pin the vector-kernel dispatch level (default: best\n"
-          << "the CPU supports; requests above it are clamped). Metrics\n"
-          << "are bit-identical at every level — escape hatch for A/B\n"
-          << "timing and equivalence checks, like --no-batch;\n"
-          << "GCUBE_SIMD=scalar|sse|avx2 does the same for any binary.\n"
+          << "--simd: pin the vector-kernel dispatch level (default: avx2\n"
+          << "when the CPU supports it; requests above that are clamped).\n"
+          << "Metrics are bit-identical at both levels — escape hatch for\n"
+          << "A/B timing and equivalence checks;\n"
+          << "GCUBE_SIMD=scalar|avx2 does the same for any binary.\n"
           << "--checkpoint-path F: save the full run state to F (atomic\n"
           << "write, previous generation kept as F.1); --checkpoint-every\n"
           << "N writes it entering every Nth cycle, and a SIGINT/SIGTERM\n"
@@ -151,7 +143,7 @@ int main(int argc, char** argv) {
       const auto level = parse_simd_level(simd);
       if (!level) {
         throw std::invalid_argument("unknown --simd level '" + simd +
-                                    "' (scalar|sse|avx2)");
+                                    "' (scalar|avx2)");
       }
       set_simd_level(*level);
     }
@@ -192,8 +184,6 @@ int main(int argc, char** argv) {
     spec.sim.threads = static_cast<std::uint32_t>(args.get_int("threads", 0));
     spec.sim.allow_oversubscribe = args.get_bool("oversubscribe");
     spec.sim.fabric = !args.get_bool("no-fabric");
-    spec.sim.active_set = !args.get_bool("no-active-set");
-    spec.sim.batch = !args.get_bool("no-batch");
     spec.sim.checkpoint_every =
         static_cast<Cycle>(args.get_int("checkpoint-every", 0));
     spec.sim.checkpoint_path = args.get_string("checkpoint-path", "");

@@ -7,7 +7,7 @@ gated is that the benchmark produced a well-formed report. The file's
 "bench" field selects the checker:
 
   perf_simcore   the headline cell exists and carries its speedup field,
-                 scaling and legacy-twin cells carry theirs, per-cell
+                 scaling and simd_scalar-twin cells carry theirs, per-cell
                  counters are internally consistent (delivered can never
                  exceed offered load, throughput must match
                  delivered / seconds), and every scaling cell's packet
@@ -68,9 +68,9 @@ import sys
 
 REQUIRED_CELL_FIELDS = (
     "name", "topology", "router", "static_faults", "injection_rate",
-    "warmup_cycles", "measure_cycles", "threads", "fabric", "active_set",
-    "seconds", "cycles_per_sec", "generated", "delivered",
-    "carryover_delivered", "total_hops", "packets_per_sec", "hops_per_sec",
+    "warmup_cycles", "measure_cycles", "threads", "fabric", "seconds",
+    "cycles_per_sec", "generated", "delivered", "carryover_delivered",
+    "total_hops", "packets_per_sec", "hops_per_sec",
 )
 
 REQUIRED_RECOVERY_FIELDS = (
@@ -89,7 +89,7 @@ THROUGHPUT_REL_TOL = 0.02
 
 PHASE_BREAKDOWN_FIELDS = ("drain_ns", "inject_ns", "advance_ns", "commit_ns")
 
-SIMD_LEVELS = ("scalar", "sse", "avx2")
+SIMD_LEVELS = ("scalar", "avx2")
 
 # cycles_per_sec must reproduce (warmup + measure) / seconds; both come
 # from the same run so only float-formatting slack applies.
@@ -235,11 +235,7 @@ def check_perf_simcore(report, min_scaling=None, min_throughput_ratio=None):
              f"{min_throughput_ratio:.3f}")
 
     for name, cell in by_name.items():
-        # A cell with a <name>_legacy twin is an active-set comparison pair
-        # and must report the measured ratio.
-        if f"{name}_legacy" in by_name and "speedup_vs_legacy" not in cell:
-            fail(f"cell {name}: has a legacy twin but no speedup_vs_legacy")
-        # Likewise a <name>_simd_scalar twin: same workload with kernels
+        # A <name>_simd_scalar twin runs the same workload with kernels
         # pinned scalar. The vectorized cell must report the attribution
         # ratio, and the twin's packet counters must match bit for bit —
         # SIMD dispatch may change wall time, never a decision.

@@ -77,8 +77,8 @@ class NextHopFabric {
   /// the AVX2 path doing the pending-mask test, tzcnt (via the float
   /// exponent of the isolated low bit — exact for any power of two below
   /// 2^31, and labels stop at kMaxDimension = 26) and both table loads as
-  /// 8-lane gathers. SSE has no gathers, so levels below AVX2 run the
-  /// scalar reference. Bit-identical at every level.
+  /// 8-lane gathers; the scalar level runs the loop above. Bit-identical
+  /// at both levels.
   void fault_free_hops(SimdLevel level, std::size_t count, const NodeId* cur,
                        const NodeId* dst, Dim* out) const noexcept;
 

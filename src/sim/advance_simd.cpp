@@ -123,78 +123,6 @@ __attribute__((target("avx2"))) ClassifyMasks classify_avx2(
   return m;
 }
 
-// ---- SSE4.2: 4 records per group ------------------------------------------
-
-__attribute__((target("sse4.2"))) ClassifyMasks classify_sse(
-    unsigned count, const PacketHot* const* hot, const NodeId* nodes,
-    NodeId base, std::uint64_t clean, std::uint32_t hop_limit) noexcept {
-  ClassifyMasks m;
-  const __m128i zero = _mm_setzero_si128();
-  const __m128i vpos = _mm_set1_epi32(static_cast<int>(kPositional));
-  const __m128i vsel = _mm_set1_epi32(static_cast<int>(kFastSelect));
-  const __m128i vsteer = _mm_set1_epi32(static_cast<int>(kPktSteered));
-  const __m128i bias = _mm_set1_epi32(static_cast<int>(0x80000000u));
-  const __m128i vlimit =
-      _mm_xor_si128(_mm_set1_epi32(static_cast<int>(hop_limit)), bias);
-  unsigned i = 0;
-  for (; i + 4 <= count; i += 4) {
-    const __m128i r0 =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(hot[i + 0]));
-    const __m128i r1 =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(hot[i + 1]));
-    const __m128i r2 =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(hot[i + 2]));
-    const __m128i r3 =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(hot[i + 3]));
-    const __m128i lo01 = _mm_unpacklo_epi32(r0, r1);
-    const __m128i hi01 = _mm_unpackhi_epi32(r0, r1);
-    const __m128i lo23 = _mm_unpacklo_epi32(r2, r3);
-    const __m128i hi23 = _mm_unpackhi_epi32(r2, r3);
-    const __m128i dstv = _mm_unpacklo_epi64(lo01, lo23);
-    const __m128i hopsv = _mm_unpackhi_epi64(lo01, lo23);
-    const __m128i plv = _mm_unpacklo_epi64(hi01, hi23);
-    const __m128i flv = _mm_unpackhi_epi64(hi01, hi23);
-    const __m128i uv =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(nodes + i));
-
-    const auto not_positional =
-        static_cast<std::uint32_t>(_mm_movemask_ps(_mm_castsi128_ps(
-            _mm_cmpeq_epi32(_mm_and_si128(flv, vpos), zero))));
-    const auto at_dst = static_cast<std::uint32_t>(
-        _mm_movemask_ps(_mm_castsi128_ps(_mm_cmpeq_epi32(uv, dstv))));
-    const auto plan_done = static_cast<std::uint32_t>(
-        _mm_movemask_ps(_mm_castsi128_ps(_mm_cmpeq_epi32(hopsv, plv))));
-    const std::uint32_t arrived =
-        (at_dst & ~not_positional) | (plan_done & not_positional);
-
-    const auto steer_only = static_cast<std::uint32_t>(
-        _mm_movemask_ps(_mm_castsi128_ps(
-            _mm_cmpeq_epi32(_mm_and_si128(flv, vsel), vsteer))));
-    const auto under = static_cast<std::uint32_t>(
-        _mm_movemask_ps(_mm_castsi128_ps(
-            _mm_cmpgt_epi32(vlimit, _mm_xor_si128(hopsv, bias)))));
-    // No per-lane variable shifts below AVX2: the 4 clean bits come from
-    // scalar window reads.
-    std::uint32_t clean_ok = 0;
-    for (unsigned j = 0; j < 4; ++j) {
-      clean_ok |= static_cast<std::uint32_t>(
-                      (clean >> (nodes[i + j] - base)) & 1)
-                  << j;
-    }
-
-    const std::uint32_t fast = steer_only & under & clean_ok & ~arrived;
-    m.arrived |= static_cast<std::uint64_t>(arrived) << i;
-    m.fast |= static_cast<std::uint64_t>(fast) << i;
-  }
-  if (i < count) {
-    const ClassifyMasks tail = classify_scalar(count - i, hot + i, nodes + i,
-                                               base, clean, hop_limit);
-    m.arrived |= tail.arrived << i;
-    m.fast |= tail.fast << i;
-  }
-  return m;
-}
-
 #endif  // __x86_64__
 
 }  // namespace
@@ -207,9 +135,6 @@ ClassifyMasks classify_front_packets(SimdLevel level, unsigned count,
 #if defined(__x86_64__)
   if (level >= SimdLevel::kAvx2) {
     return classify_avx2(count, hot, nodes, base, clean, hop_limit);
-  }
-  if (level >= SimdLevel::kSse) {
-    return classify_sse(count, hot, nodes, base, clean, hop_limit);
   }
 #else
   (void)level;

@@ -12,12 +12,12 @@
 //             livelock hop guard, and not arrived — i.e. eligible for the
 //             batched NextHopFabric::fault_free_hops lookup.
 //
-// as two bitmasks over the (<= 64) entries. The vector paths load 4 (SSE)
-// or 8 (AVX2) hot records per group — two 16-byte records per 128-bit
-// lane half — transpose them into per-field lane vectors, and evaluate
-// every predicate as integer compares; there is no arithmetic that could
-// reassociate, so all levels are bit-identical to the scalar reference by
-// construction (and the determinism suite sweeps them to prove it).
+// as two bitmasks over the (<= 64) entries. The AVX2 path loads 8 hot
+// records per group — two 16-byte records per 128-bit lane half —
+// transposes them into per-field lane vectors, and evaluates every
+// predicate as integer compares; there is no arithmetic that could
+// reassociate, so it is bit-identical to the scalar reference by
+// construction (and the determinism suite sweeps both levels to prove it).
 #pragma once
 
 #include <cstdint>

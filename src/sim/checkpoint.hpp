@@ -10,9 +10,9 @@
 // SimMetrics. The counter RNG needs no stream state — every draw is a pure
 // function of (seed, node, cycle) — so RNG identity is just the seed plus
 // the resume cycle. Resuming from a checkpoint therefore reproduces the
-// uninterrupted run's metrics bit for bit, for ANY thread count, SIMD
-// level, or batch toggle on either side of the crash (the same contract
-// the live simulator already enforces across those knobs).
+// uninterrupted run's metrics bit for bit, for ANY thread count or SIMD
+// level on either side of the crash (the same contract the live simulator
+// already enforces across those knobs).
 //
 // On-disk format (little-endian):
 //
@@ -116,7 +116,7 @@ struct CheckpointProvenance {
 
 /// The semantic simulation parameters a resume MUST match: any difference
 /// here changes the simulated trajectory, so the loader refuses with an
-/// error naming the mismatched field. threads / SIMD level / batch are
+/// error naming the mismatched field. threads / SIMD level are
 /// deliberately absent — metrics are bit-identical across them.
 struct CheckpointConfig {
   std::uint64_t seed = 0;
@@ -132,7 +132,9 @@ struct CheckpointConfig {
   std::uint32_t retry_budget = 0;
   Cycle retransmit_timeout = 0;
   std::uint8_t steer = 0;       // effective fabric steering
-  std::uint8_t active_set = 0;  // injection realization differs across this
+  /// Always 1 when written; kept so the format is unchanged. 0 marks a
+  /// checkpoint of the removed full-scan loop, which resume refuses.
+  std::uint8_t active_set = 0;
   std::uint64_t node_count = 0;
   std::uint32_t dims = 0;
   std::uint64_t traffic_fingerprint = 0;

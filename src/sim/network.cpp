@@ -47,12 +47,6 @@ NetworkSim::NetworkSim(const Topology& topo, const Router& router,
   const NextHopFabric* fabric = router_.fabric();
   if (fabric != nullptr && fabric->supported()) fabric_ = fabric;
   steer_ = config_.fabric && fabric_ != nullptr;
-  active_set_ = config_.active_set;
-  // The scalar escape hatch: --no-batch / SimConfig::batch = false, or the
-  // process-wide environment override the CI equivalence leg uses to force
-  // every simulation in a test binary onto the scalar scan.
-  batch_ = config_.batch && active_set_ &&
-           std::getenv("GCUBE_SIM_NO_BATCH") == nullptr;
   timing_ = config_.phase_timing;
   simd_ = simd_level();
 }
@@ -127,12 +121,10 @@ void NetworkSim::configure_shards(unsigned shard_count) {
     sh.end = begin + range_base_ + (s < range_rem_ ? 1 : 0);
     for (auto& parity : sh.outbox) parity.resize(count);
     for (auto& parity : sh.released) parity.resize(count);
-    if (active_set_) {
-      sh.active.reset(sh.end - sh.begin);
-      sh.wheel.assign(kWheelSize, {});
-      sh.far_fires = {};
-      sh.armed.assign(sh.end - sh.begin, 0);
-    }
+    sh.active.reset(sh.end - sh.begin);
+    sh.wheel.assign(kWheelSize, {});
+    sh.far_fires = {};
+    sh.armed.assign(sh.end - sh.begin, 0);
     begin = sh.end;
   }
   queues_.assign(nodes, {});
@@ -231,9 +223,9 @@ void NetworkSim::apply_fault_events(Cycle now, bool measuring) {
         if (live_faults_->repair_node(e.node)) {
           if (measuring) ++metrics_.repairs_applied;
           // The node's injection fire may have been consumed while it was
-          // dead (gap-scheduled mode deschedules ineligible nodes); give
-          // it a fresh one so traffic resumes.
-          if (active_set_) rearm_injection(e.node, now);
+          // dead (ineligible nodes are descheduled); give it a fresh one so
+          // traffic resumes.
+          rearm_injection(e.node, now);
         }
         break;
     }
@@ -348,10 +340,8 @@ void NetworkSim::wake_parked(Cycle now, bool measuring) {
     // Re-entry bypasses buffer_limit: the packet never left the network,
     // so blocking it here would leak it from the accounting.
     queues_[pk.node].push_back(pk.ref);
-    if (active_set_) {
-      Shard& sh = shards_[shard_of(pk.node)];
-      sh.active.set(pk.node - sh.begin);
-    }
+    Shard& sh = shards_[shard_of(pk.node)];
+    sh.active.set(pk.node - sh.begin);
   }
 }
 
@@ -397,25 +387,28 @@ void NetworkSim::admit_packet(unsigned w, NodeId u, NodeId dst, Cycle now,
   c.retry_attempts = 0;
   c.retransmits_used = 0;
   queues_[u].push_back(make_packet_ref(w, slot));
-  if (active_set_) sh.active.set(u - sh.begin);
+  sh.active.set(u - sh.begin);
   ++sh.injected;
 }
 
 void NetworkSim::fire_injection(unsigned w, NodeId u, Cycle now,
-                                std::uint64_t key, bool measuring) {
+                                bool measuring) {
   shards_[w].armed[u - shards_[w].begin] = 0;  // this fire is consumed
   // A node that became ineligible since scheduling is descheduled; if a
   // later repair-node event makes it eligible again, rearm_injection gives
   // it a fresh fire.
   if (!traffic_.eligible(u)) return;
   // Per-(node, cycle) draw stream: destination and the next gap are pure
-  // functions of (seed, u, now), never of pop or thread order. The key was
-  // batched across the fire bucket by the caller.
-  CounterRng rng(key);
+  // functions of (seed, u, now), never of pop or thread order.
+  CounterRng rng(counter_key(config_.seed, u, now));
+  // The destination draw happens before the buffer check so that offered
+  // load (`generated`, and the draw stream behind it) is identical across
+  // buffer_limit settings; a blocked injection differs only in being
+  // counted in injections_blocked instead of entering the network.
   const NodeId dst = traffic_.pick_destination(u, rng);
   admit_packet(w, u, dst, now, measuring);
-  // The gap is drawn whether or not the buffer admitted the packet, so
-  // offered load is independent of buffer_limit, as in the scan path.
+  // The gap is drawn whether or not the buffer admitted the packet, for
+  // the same reason.
   const std::uint64_t gap = traffic_.injection_gap(u, rng);
   if (gap == TrafficModel::kNeverGap || gap >= total_cycles_ - now) return;
   schedule_fire(shards_[w], now, now + gap, u);
@@ -464,7 +457,7 @@ void NetworkSim::phase_inject(unsigned w, Cycle now, bool measuring) {
       }
       const Arrival a = box.at(i);
       queues_[a.node].push_back(a.ref);
-      if (active_set_) sh.active.set(a.node - sh.begin);
+      sh.active.set(a.node - sh.begin);
     }
     box.clear();
   }
@@ -472,97 +465,35 @@ void NetworkSim::phase_inject(unsigned w, Cycle now, bool measuring) {
     t1 = std::chrono::steady_clock::now();
     sh.metrics.phase_drain_ns += ns_between(t0, t1);
   }
-  if (active_set_) {
-    // Event-driven injection: only nodes whose fire time is due do any
-    // work this cycle. Far-heap stragglers join the wheel bucket, which is
-    // then fired in ascending node order — the canonical injection order.
-    // Fires reschedule into later buckets (or the far heap), never the one
-    // being drained.
-    std::vector<NodeId>& bucket = sh.wheel[now & (kWheelSize - 1)];
-    while (!sh.far_fires.empty() &&
-           (sh.far_fires.top() >> kFireNodeBits) <= now) {
-      bucket.push_back(static_cast<NodeId>(sh.far_fires.top() &
-                                           kFireNodeMask));
-      sh.far_fires.pop();
-    }
-    std::sort(bucket.begin(), bucket.end());
-    // The per-(node, cycle) counter keys are a pure lane-parallel function
-    // of the sorted bucket; batch them, then fire in ascending node order.
-    const std::size_t due = bucket.size();
-    std::uint64_t keys[64];
-    for (std::size_t off = 0; off < due; off += 64) {
-      const std::size_t chunk = std::min<std::size_t>(64, due - off);
-      counter_keys(simd_, config_.seed, now, bucket.data() + off, chunk,
-                   keys);
-      for (std::size_t j = 0; j < chunk; ++j) {
-        fire_injection(w, bucket[off + j], now, keys[j], measuring);
+  // Event-driven injection: only nodes whose fire time is due do any work
+  // this cycle. Far-heap stragglers join the wheel bucket, which is then
+  // fired in ascending node order — the canonical injection order. Fires
+  // reschedule into later buckets (or the far heap), never the one being
+  // drained.
+  std::vector<NodeId>& bucket = sh.wheel[now & (kWheelSize - 1)];
+  while (!sh.far_fires.empty() &&
+         (sh.far_fires.top() >> kFireNodeBits) <= now) {
+    bucket.push_back(static_cast<NodeId>(sh.far_fires.top() & kFireNodeMask));
+    sh.far_fires.pop();
+  }
+  std::sort(bucket.begin(), bucket.end());
+  for (const NodeId u : bucket) fire_injection(w, u, now, measuring);
+  bucket.clear();
+  if (config_.buffer_limit != 0) {
+    // Maintenance scan over live bits only: retire nodes whose queue
+    // emptied last cycle, publish committed occupancy for the rest. (With
+    // unbounded buffers there is no occupancy to publish and phase B
+    // retires emptied nodes itself, so no scan at all.)
+    sh.active.for_each_set([&](std::uint64_t bit) {
+      const NodeId u = sh.begin + static_cast<NodeId>(bit);
+      const std::size_t depth = queues_[u].size();
+      if (depth == 0) {
+        sh.active.clear(bit);
+        occ_[u] = 0;
+      } else {
+        occ_[u] = static_cast<std::uint32_t>(depth);
       }
-    }
-    bucket.clear();
-    if (config_.buffer_limit != 0) {
-      // Maintenance scan over live bits only: retire nodes whose queue
-      // emptied last cycle, publish committed occupancy for the rest.
-      // (With unbounded buffers there is no occupancy to publish and
-      // phase B retires emptied nodes itself, so no scan at all.)
-      sh.active.for_each_set([&](std::uint64_t bit) {
-        const NodeId u = sh.begin + static_cast<NodeId>(bit);
-        const std::size_t depth = queues_[u].size();
-        if (depth == 0) {
-          sh.active.clear(bit);
-          occ_[u] = 0;
-        } else {
-          occ_[u] = static_cast<std::uint32_t>(depth);
-        }
-      });
-    }
-  } else {
-    if (const std::optional<double> rate = traffic_.bernoulli_rate()) {
-      // Batched Bernoulli sweep: one SIMD predicate pass answers "does
-      // node u inject this cycle" for 64 nodes at a time. Drawing for an
-      // ineligible node has no side effects (every node's stream is an
-      // independent pure function of (seed, node, cycle)), so discarding
-      // those lanes reproduces the scalar scan — which skips them before
-      // drawing — exactly. Hit nodes replay their stream from the key:
-      // should_inject consumes the predicate draw (true by construction),
-      // then the destination draws follow as in the scalar loop.
-      for (NodeId blk = sh.begin; blk < sh.end; blk += 64) {
-        const auto cnt =
-            static_cast<unsigned>(std::min<NodeId>(64, sh.end - blk));
-        std::uint64_t mask = counter_bernoulli_mask(simd_, config_.seed,
-                                                    now, blk, cnt, *rate);
-        for (; mask != 0; mask &= mask - 1) {
-          const NodeId u =
-              blk + static_cast<NodeId>(std::countr_zero(mask));
-          if (!traffic_.eligible(u)) continue;
-          CounterRng rng(counter_key(config_.seed, u, now));
-          if (!traffic_.should_inject(u, rng)) continue;
-          const NodeId dst = traffic_.pick_destination(u, rng);
-          admit_packet(w, u, dst, now, measuring);
-        }
-      }
-    } else {
-      for (NodeId u = sh.begin; u < sh.end; ++u) {
-        if (!traffic_.eligible(u)) continue;
-        // Per-(node, cycle) draw stream: injection and destination choice
-        // are pure functions of (seed, u, now), never of sweep or thread
-        // order.
-        CounterRng rng(counter_key(config_.seed, u, now));
-        if (!traffic_.should_inject(u, rng)) continue;
-        // The destination draw happens before the buffer check so that
-        // offered load (`generated`, and the draw stream behind it) is
-        // identical across buffer_limit settings; a blocked injection
-        // differs only in being counted in injections_blocked instead of
-        // entering the network.
-        const NodeId dst = traffic_.pick_destination(u, rng);
-        admit_packet(w, u, dst, now, measuring);
-      }
-    }
-    if (config_.buffer_limit != 0) {
-      // Publish committed occupancy for this cycle's backpressure checks.
-      for (NodeId u = sh.begin; u < sh.end; ++u) {
-        occ_[u] = static_cast<std::uint32_t>(queues_[u].size());
-      }
-    }
+    });
   }
   if (timing_) {
     sh.metrics.phase_inject_ns +=
@@ -917,34 +848,17 @@ void NetworkSim::phase_forward(unsigned w, Cycle now, bool measuring) {
   bool moved = false;
   std::chrono::steady_clock::time_point t0;
   if (timing_) t0 = std::chrono::steady_clock::now();
-  if (active_set_) {
-    // Only nodes whose bit is set can hold packets (phase-A invariant), so
-    // the ascending scan serves exactly the canonical node order the full
-    // sweep would. With unbounded buffers an emptied node is retired here
-    // on the spot; with finite ones the phase-A maintenance scan does it
-    // (occ_ is read cross-shard during this phase and may only be written
-    // at the phase-A serial-equivalent point).
-    const bool retire = config_.buffer_limit == 0;
-    if (batch_) {
-      const std::size_t words = sh.active.word_count();
-      for (std::size_t wd = 0; wd < words; ++wd) {
-        if (sh.active.word(wd) != 0) {
-          serve_word(w, wd, now, measuring, moved, retire);
-        }
-      }
-    } else {
-      sh.active.for_each_set([&](std::uint64_t bit) {
-        const NodeId u = sh.begin + static_cast<NodeId>(bit);
-        const bool clean =
-            steer_ && (no_faults_ || overlay_.node_clean(u));
-        serve_node(w, u, now, measuring, moved, clean, kHintNone);
-        if (retire && queues_[u].empty()) sh.active.clear(bit);
-      });
-    }
-  } else {
-    for (NodeId u = sh.begin; u < sh.end; ++u) {
-      const bool clean = steer_ && (no_faults_ || overlay_.node_clean(u));
-      serve_node(w, u, now, measuring, moved, clean, kHintNone);
+  // Only nodes whose bit is set can hold packets (phase-A invariant), so
+  // the ascending word scan serves exactly the canonical node order. With
+  // unbounded buffers an emptied node is retired here on the spot; with
+  // finite ones the phase-A maintenance scan does it (occ_ is read
+  // cross-shard during this phase and may only be written at the phase-A
+  // serial-equivalent point).
+  const bool retire = config_.buffer_limit == 0;
+  const std::size_t words = sh.active.word_count();
+  for (std::size_t wd = 0; wd < words; ++wd) {
+    if (sh.active.word(wd) != 0) {
+      serve_word(w, wd, now, measuring, moved, retire);
     }
   }
   sh.moved = moved;
@@ -1006,30 +920,19 @@ SimMetrics NetworkSim::run() {
   }
   overlay_.refresh(faults_);
   no_faults_ = faults_.empty();
-  if (active_set_ && start == 0) {
+  if (start == 0) {
     // Seed every node's first fire from a dedicated pre-run draw stream
     // (cycle key ~0 cannot collide with a real cycle). First fire at
     // gap - 1 so cycle 0 fires with the same probability as any other.
-    // The keys batch in SIMD lanes like the per-cycle fire buckets; the
-    // geometric gap draw itself stays scalar (libm log1p).
     for (Shard& sh : shards_) {
-      NodeId ids[64];
-      std::uint64_t keys[64];
-      for (NodeId blk = sh.begin; blk < sh.end; blk += 64) {
-        const auto cnt =
-            static_cast<unsigned>(std::min<NodeId>(64, sh.end - blk));
-        for (unsigned j = 0; j < cnt; ++j) ids[j] = blk + j;
-        counter_keys(simd_, config_.seed, ~Cycle{0}, ids, cnt, keys);
-        for (unsigned j = 0; j < cnt; ++j) {
-          const NodeId u = blk + j;
-          if (!traffic_.eligible(u)) continue;
-          CounterRng rng(keys[j]);
-          const std::uint64_t gap = traffic_.injection_gap(u, rng);
-          if (gap == TrafficModel::kNeverGap || gap - 1 >= total_cycles_) {
-            continue;
-          }
-          schedule_fire(sh, 0, gap - 1, u);
+      for (NodeId u = sh.begin; u < sh.end; ++u) {
+        if (!traffic_.eligible(u)) continue;
+        CounterRng rng(counter_key(config_.seed, u, ~Cycle{0}));
+        const std::uint64_t gap = traffic_.injection_gap(u, rng);
+        if (gap == TrafficModel::kNeverGap || gap - 1 >= total_cycles_) {
+          continue;
         }
+        schedule_fire(sh, 0, gap - 1, u);
       }
     }
   }
@@ -1337,7 +1240,7 @@ SimCheckpoint NetworkSim::capture_checkpoint(Cycle next) {
   cc.retry_budget = config_.retry_budget;
   cc.retransmit_timeout = config_.retransmit_timeout;
   cc.steer = steer_ ? 1 : 0;
-  cc.active_set = active_set_ ? 1 : 0;
+  cc.active_set = 1;
   cc.node_count = node_count_;
   cc.dims = dims_;
   cc.traffic_fingerprint = traffic_.state_fingerprint();
@@ -1384,40 +1287,38 @@ SimCheckpoint NetworkSim::capture_checkpoint(Cycle next) {
     ck.parked.push_back(std::move(cp));
   }
 
-  if (active_set_) {
-    // Pending fires as absolute cycles. Wheel buckets are unambiguous
-    // within (now, now + kWheelSize); whether an entry sat in the wheel
-    // or the far heap is unobservable and re-derived at restore. The heap
-    // has no iterator, so it is drained and re-pushed (serial point, and
-    // far fires are rare by construction). At most one fire per node
-    // exists, so sorting by node is a canonical total order.
-    const Cycle now = next - 1;
-    const Cycle base = now & ~(kWheelSize - 1);
-    for (Shard& sh : shards_) {
-      for (std::uint64_t b = 0; b < kWheelSize; ++b) {
-        for (const NodeId u : sh.wheel[b]) {
-          Cycle at = base | b;
-          if (at <= now) at += kWheelSize;
-          ck.fires.push_back({at, u});
-        }
-      }
-      std::vector<std::uint64_t> far;
-      far.reserve(sh.far_fires.size());
-      while (!sh.far_fires.empty()) {
-        far.push_back(sh.far_fires.top());
-        sh.far_fires.pop();
-      }
-      for (const std::uint64_t key : far) {
-        ck.fires.push_back({key >> kFireNodeBits,
-                            static_cast<NodeId>(key & kFireNodeMask)});
-        sh.far_fires.push(key);
+  // Pending fires as absolute cycles. Wheel buckets are unambiguous
+  // within (now, now + kWheelSize); whether an entry sat in the wheel or
+  // the far heap is unobservable and re-derived at restore. The heap has no
+  // iterator, so it is drained and re-pushed (serial point, and far fires
+  // are rare by construction). At most one fire per node exists, so
+  // sorting by node is a canonical total order.
+  const Cycle now = next - 1;
+  const Cycle base = now & ~(kWheelSize - 1);
+  for (Shard& sh : shards_) {
+    for (std::uint64_t b = 0; b < kWheelSize; ++b) {
+      for (const NodeId u : sh.wheel[b]) {
+        Cycle at = base | b;
+        if (at <= now) at += kWheelSize;
+        ck.fires.push_back({at, u});
       }
     }
-    std::sort(ck.fires.begin(), ck.fires.end(),
-              [](const CheckpointFire& a, const CheckpointFire& b) {
-                return a.node < b.node;
-              });
+    std::vector<std::uint64_t> far;
+    far.reserve(sh.far_fires.size());
+    while (!sh.far_fires.empty()) {
+      far.push_back(sh.far_fires.top());
+      sh.far_fires.pop();
+    }
+    for (const std::uint64_t key : far) {
+      ck.fires.push_back({key >> kFireNodeBits,
+                          static_cast<NodeId>(key & kFireNodeMask)});
+      sh.far_fires.push(key);
+    }
   }
+  std::sort(ck.fires.begin(), ck.fires.end(),
+            [](const CheckpointFire& a, const CheckpointFire& b) {
+              return a.node < b.node;
+            });
 
   ck.link_stamps = link_busy_;
 
@@ -1432,10 +1333,10 @@ SimCheckpoint NetworkSim::capture_checkpoint(Cycle next) {
 
 void NetworkSim::apply_checkpoint(const SimCheckpoint& ck) {
   // Semantic-parameter guard: any mismatch here would change the
-  // simulated trajectory, so refuse with the field's name. threads /
-  // SIMD / batch are deliberately NOT checked — metrics are bit-identical
-  // across them, which is the whole point of resuming under whatever
-  // execution shape the new host offers.
+  // simulated trajectory, so refuse with the field's name. threads / SIMD
+  // level are deliberately NOT checked — metrics are bit-identical across
+  // them, which is the whole point of resuming under whatever execution
+  // shape the new host offers.
   const auto match = [](bool ok, const char* field) {
     if (!ok) {
       throw CheckpointError(
@@ -1460,7 +1361,9 @@ void NetworkSim::apply_checkpoint(const SimCheckpoint& ck) {
   match(cc.retransmit_timeout == config_.retransmit_timeout,
         "retransmit_timeout");
   match((cc.steer != 0) == steer_, "fabric steering");
-  match((cc.active_set != 0) == active_set_, "active_set");
+  // 0 marks a checkpoint of the removed full-scan loop, whose per-cycle
+  // injection draws cannot continue on the gap-scheduled realization.
+  match(cc.active_set != 0, "active_set");
   match(cc.node_count == node_count_, "node_count");
   match(cc.dims == dims_, "dims");
   match(cc.traffic_fingerprint == traffic_.state_fingerprint(),
@@ -1507,7 +1410,7 @@ void NetworkSim::apply_checkpoint(const SimCheckpoint& ck) {
       queues_[u].push_back(restore_packet(w, p, "packets"));
       ++queued;
     }
-    if (active_set_ && !ck.queues[u].empty()) {
+    if (!ck.queues[u].empty()) {
       Shard& sh = shards_[w];
       sh.active.set(u - sh.begin);
     }
@@ -1533,23 +1436,18 @@ void NetworkSim::apply_checkpoint(const SimCheckpoint& ck) {
         "globals", "in_flight does not equal queued + parked packets");
   }
 
-  if (active_set_) {
-    for (const CheckpointFire& f : ck.fires) {
-      if (f.node >= node_count_) {
-        throw CheckpointError("fires", "fire node out of range");
-      }
-      if (f.at < ck.resume_cycle) {
-        throw CheckpointError("fires", "fire due in the past");
-      }
-      Shard& sh = shards_[shard_of(f.node)];
-      if (sh.armed[f.node - sh.begin] != 0) {
-        throw CheckpointError("fires", "duplicate fire for one node");
-      }
-      schedule_fire(sh, ck.resume_cycle - 1, f.at, f.node);
+  for (const CheckpointFire& f : ck.fires) {
+    if (f.node >= node_count_) {
+      throw CheckpointError("fires", "fire node out of range");
     }
-  } else if (!ck.fires.empty()) {
-    throw CheckpointError("fires",
-                          "fires recorded without active_set mode");
+    if (f.at < ck.resume_cycle) {
+      throw CheckpointError("fires", "fire due in the past");
+    }
+    Shard& sh = shards_[shard_of(f.node)];
+    if (sh.armed[f.node - sh.begin] != 0) {
+      throw CheckpointError("fires", "duplicate fire for one node");
+    }
+    schedule_fire(sh, ck.resume_cycle - 1, f.at, f.node);
   }
 
   if (ck.link_stamps.size() != link_busy_.size()) {

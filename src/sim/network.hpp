@@ -76,8 +76,29 @@
 // thread count, including 1. That contract is enforced by the determinism
 // test and lets the threads knob be a pure wall-clock choice.
 //
-// Hot-path machinery (both on by default, SimConfig toggles):
+// Hot-path machinery. There is one cycle loop; what varies is the routing
+// mode (SimConfig::fabric) and the kernel tier, which never changes a
+// metric:
 //
+//  * Active-set cycle loop: each shard keeps a bitmap of nodes holding or
+//    receiving packets plus a timing wheel of pending injection fire times
+//    drawn from TrafficModel::injection_gap, so a cycle costs
+//    O(active nodes + handoffs + due injections) instead of O(all nodes).
+//    Draws stay pure per-(node, cycle) functions and the bitmap scan is
+//    ascending, preserving the determinism contract.
+//  * Batched advance: phase B consumes the active bitmap a word at a time.
+//    Each 64-node window is harvested with its front packets' 16-byte hot
+//    records prefetched, classified (arrived / steered fast path /
+//    everything else), fed to NextHopFabric::fault_free_hops as one tight
+//    lookup batch with the clean-node test answered from a single
+//    FaultOverlay::clean_window word — and then APPLIED strictly in
+//    ascending node order, because outbox push order is the canonical
+//    order the determinism contract rests on. Within phase B node services
+//    are mutually independent (per-(node, dim) link stamps; every handoff
+//    — intra-shard included — travels through the parity mailboxes), so
+//    the read-only harvest/classify passes commute with the applies. The
+//    classify and lookup passes have scalar and AVX2 kernels
+//    (util/simd.hpp), bit-identical by construction.
 //  * Next-hop fabric steering (SimConfig::fabric, effective when the
 //    router exposes a supported NextHopFabric): packets are injected with
 //    NO precomputed plan. At service time, a node the FaultOverlay calls
@@ -89,29 +110,10 @@
 //    the per-injection plan-cache lookup + shared_ptr traffic and the
 //    per-hop virtual topology/fault-hash queries from the fault-free
 //    common case. The overlay is refreshed at the serial points, so
-//    dynamic fault schedules work unchanged.
-//  * Active-set cycle loop (SimConfig::active_set): each shard keeps a
-//    bitmap of nodes holding or receiving packets plus a timing wheel of
-//    pending injection fire times drawn from TrafficModel::injection_gap,
-//    so a cycle costs O(active nodes + handoffs + due injections) instead
-//    of O(all nodes). Draws stay pure per-(node, cycle) functions and the
-//    bitmap scan is ascending, preserving the determinism contract; the
-//    gap-scheduled injection realization differs from the per-cycle
-//    Bernoulli scan (same distribution, different draw-stream layout), so
-//    metrics are comparable but not bit-equal across the toggle itself.
-//  * Batched advance (SimConfig::batch, rides on the active set): phase B
-//    consumes the active bitmap a word at a time. Each 64-node window is
-//    harvested with its front packets' 16-byte hot records prefetched,
-//    classified (arrived / steered fast path / everything else), fed to
-//    NextHopFabric::fault_free_hops as one tight lookup batch with the
-//    clean-node test answered from a single FaultOverlay::clean_window
-//    word — and then APPLIED strictly in ascending node order, because
-//    outbox push order is the canonical order the determinism contract
-//    rests on. Within phase B node services are mutually independent
-//    (per-(node, dim) link stamps; every handoff — intra-shard included —
-//    travels through the parity mailboxes), so the read-only
-//    harvest/classify passes commute with the applies and the batched
-//    loop is BIT-IDENTICAL to the scalar scan for any thread count.
+//    dynamic fault schedules work unchanged. With fabric off, every packet
+//    carries the router's plan from injection ("planned mode"); the test
+//    suite checks planned mode against a plain serial reference simulator
+//    (tests/reference_sim.hpp) metric for metric.
 //
 // Two deliberate semantic refinements versus the old serial-only core,
 // both required for order-independence (and covered by the contract):
@@ -125,7 +127,6 @@
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <exception>
 #include <functional>
 #include <map>
@@ -143,114 +144,13 @@
 #include "sim/packet.hpp"
 #include "sim/packet_pool.hpp"
 #include "sim/shard_pool.hpp"
+#include "sim/sim_config.hpp"
 #include "sim/traffic.hpp"
 #include "topology/topology.hpp"
 #include "util/bitmap.hpp"
 #include "util/rng.hpp"
 
 namespace gcube {
-
-struct SimConfig {
-  double injection_rate = 0.02;  // packets per node per cycle
-  Cycle warmup_cycles = 300;
-  Cycle measure_cycles = 2000;
-  std::uint32_t service_rate = 4;  // packets a node may handle per cycle
-  std::uint64_t seed = 42;
-  /// Per-node input buffer capacity; 0 = unbounded (the paper's eager-
-  /// readership model). With finite buffers a packet only moves when the
-  /// downstream node has space (backpressure), injection is blocked at a
-  /// full source, and sustained global stalls are reported as deadlock —
-  /// the regime where channel-dependency cycles (routing/deadlock.hpp)
-  /// become observable.
-  std::uint32_t buffer_limit = 0;
-  /// Dynamic-fault mode livelock guard: an adaptively re-routed packet
-  /// that has taken this many hops is dropped (stepwise re-plans are not
-  /// guaranteed monotone under faults). 0 = auto (16 * dims + 64).
-  std::uint32_t reroute_hop_limit = 0;
-  /// Transient-fault recovery: how many times a stranded packet (no usable
-  /// continuation at its current node) is parked for a backoff retry
-  /// before it must retransmit or give up. Retry k waits
-  /// retry_backoff_base << k cycles. 0 = legacy hard drop (bit-for-bit).
-  /// Capped at 32 so the backoff shift stays in range.
-  std::uint32_t retry_limit = 0;
-  /// First retry delay in cycles (doubling per attempt). Must be >= 1.
-  Cycle retry_backoff_base = 2;
-  /// Per-node bound on concurrently parked retries; a stranding that finds
-  /// its node's park full falls through to retransmit/give-up.
-  std::uint32_t park_capacity = 8;
-  /// End-to-end recovery: how many times a packet that exhausted its
-  /// retries (or its park) is relaunched from its source with a fresh
-  /// route. 0 = no retransmits.
-  std::uint32_t retry_budget = 0;
-  /// Cycles between a retransmit decision and the relaunch at the source.
-  Cycle retransmit_timeout = 64;
-  /// Worker threads for the sharded cycle loop. 0 = auto: the calling
-  /// thread plus whatever the process-wide ThreadBudget grants, so nested
-  /// sweeps never oversubscribe. N >= 1 = exactly N workers; counts above
-  /// hardware_concurrency() are clamped to it (with a one-time stderr
-  /// note) unless allow_oversubscribe is set. Metrics are bit-identical
-  /// for any value at a fixed seed.
-  std::uint32_t threads = 0;
-  /// Honor a threads value above hardware_concurrency() literally instead
-  /// of clamping. Oversubscription only slows the simulation down, but the
-  /// determinism and TSan tests need it to run genuinely multithreaded on
-  /// small machines.
-  bool allow_oversubscribe = false;
-  /// Table-driven next-hop steering (see the header comment). Effective
-  /// only when the router exposes a supported NextHopFabric; otherwise the
-  /// plan-at-injection path is used regardless.
-  bool fabric = true;
-  /// Active-set cycle loop + gap-scheduled injection (see the header
-  /// comment). Off = the full per-node scan with per-cycle Bernoulli
-  /// injection draws (bit-compatible with earlier versions).
-  bool active_set = true;
-  /// Batched phase-B advance (effective only with active_set): each active
-  /// bitmap word is harvested into a 64-node batch whose front-packet hot
-  /// records are prefetched, arrival/fast-path classified, fabric table
-  /// hops looked up in one tight loop, and clean-node checks answered from
-  /// one 64-bit overlay window — then applied in ascending node order, so
-  /// metrics are BIT-IDENTICAL to the scalar scan (unlike the active_set
-  /// toggle, which changes injection draw-stream layout). Off = scalar
-  /// per-node scan; also forced off by the GCUBE_SIM_NO_BATCH environment
-  /// variable (the `sim_cli --no-batch` / CI equivalence escape hatch).
-  bool batch = true;
-  /// Accumulate per-phase wall-clock attribution into
-  /// SimMetrics::phase_*_ns (bench instrumentation; adds steady_clock
-  /// reads to the cycle loop, so timed runs leave it off).
-  bool phase_timing = false;
-  /// Periodic checkpointing: at the serial point ENTERING every cycle
-  /// divisible by this, the full run state is saved to checkpoint_path
-  /// (see sim/checkpoint.hpp for the format and guarantees). 0 = periodic
-  /// checkpoints off; a halt-time checkpoint is still written when
-  /// checkpoint_path is set.
-  Cycle checkpoint_every = 0;
-  /// Checkpoint file path; empty = checkpointing off entirely. Writes are
-  /// atomic (tmp + rename) with a two-generation rotation ("<path>.1").
-  std::string checkpoint_path;
-  /// Resume from this checkpoint file instead of starting at cycle 0
-  /// (falling back to its previous generation when it is corrupt or
-  /// truncated). The semantic configuration must match the checkpoint's
-  /// recorded parameters — threads / SIMD / batch may differ freely — or
-  /// run() throws a CheckpointError naming the mismatched field.
-  std::string resume_from;
-  /// Crash-fault injection: hard std::_Exit(137) — no unwinding, no
-  /// cleanup, as a kill -9 would land — at the serial point entering this
-  /// cycle, AFTER any checkpoint due at that same point has been made
-  /// durable. 0 = off. The GCUBE_CRASH_AT_CYCLE environment variable
-  /// overrides this value.
-  Cycle crash_at_cycle = 0;
-  /// Graceful halt: when non-null and the pointee is true at a serial
-  /// point, the run stops there — writing a final checkpoint first when
-  /// checkpoint_path is set — and returns partial metrics with
-  /// SimMetrics::interrupted_at recording the resume cycle. The pointee
-  /// is typically flipped from a signal handler (sim_cli's SIGINT/
-  /// SIGTERM path); atomic, so no handshake with the workers is needed.
-  const std::atomic<bool>* stop_requested = nullptr;
-  /// Deterministic graceful halt at the serial point entering this cycle
-  /// — exactly the path a stop request takes, at a reproducible point.
-  /// Test knob for checkpoint round-trips. 0 = off.
-  Cycle halt_at_cycle = 0;
-};
 
 class NetworkSim {
  public:
@@ -303,7 +203,7 @@ class NetworkSim {
     /// slot's home shard and drained by that shard's next phase A into
     /// its own pool (same parity scheme as outbox).
     std::array<std::vector<Ring<PacketRef>>, 2> released;
-    /// Active-set mode: bit (u - begin) set iff node u may hold packets.
+    /// Bit (u - begin) set iff node u may hold packets.
     /// Set on every queue push (mailbox drain, injection admit); cleared
     /// once the queue is empty — by phase B itself with unbounded buffers,
     /// by the phase-A maintenance scan (which must also publish occupancy)
@@ -320,10 +220,9 @@ class NetworkSim {
     std::priority_queue<std::uint64_t, std::vector<std::uint64_t>,
                         std::greater<>>
         far_fires;
-    /// Active-set mode: byte (u - begin) set iff node u has a pending
-    /// injection fire in the wheel or far heap. Lets a repair event re-arm
-    /// a node whose fire was consumed while it was ineligible without ever
-    /// double-scheduling one.
+    /// Byte (u - begin) set iff node u has a pending injection fire in the
+    /// wheel or far heap. Lets a repair event re-arm a node whose fire was
+    /// consumed while it was ineligible without ever double-scheduling one.
     std::vector<std::uint8_t> armed;
     /// Recovery mode: packets that found no usable continuation this
     /// cycle, in service order (= ascending node order). Drained at the
@@ -374,23 +273,21 @@ class NetworkSim {
   /// Adds packets permanently removed here to `gave_up_removed`.
   void commit_stranded(Cycle now, bool measuring,
                        std::uint64_t& gave_up_removed);
-  /// Active-set mode: files a fresh injection fire for a just-repaired
-  /// node whose previous fire was consumed while it was faulty.
+  /// Files a fresh injection fire for a just-repaired node whose previous
+  /// fire was consumed while it was faulty.
   void rearm_injection(NodeId u, Cycle now);
   /// Phase A: drain arrival mailboxes, inject, publish occupancy.
   void phase_inject(unsigned w, Cycle now, bool measuring);
   /// Phase B: serve queues, forward/deliver/drop, fill mailboxes.
   void phase_forward(unsigned w, Cycle now, bool measuring);
   /// Injects one packet u -> dst (offered-load + buffer accounting
-  /// included); shared by the Bernoulli scan and the gap-scheduled path.
+  /// included).
   void admit_packet(unsigned w, NodeId u, NodeId dst, Cycle now,
                     bool measuring);
   /// Consumes a due injection fire at u: draws the destination, admits the
-  /// packet, and reschedules from the gap distribution. `key` is
-  /// counter_key(seed, u, now) — precomputed so the fire bucket can batch
-  /// the keying in SIMD lanes.
-  void fire_injection(unsigned w, NodeId u, Cycle now, std::uint64_t key,
-                      bool measuring);
+  /// packet, and reschedules from the gap distribution, all from the
+  /// counter_key(seed, u, now) stream.
+  void fire_injection(unsigned w, NodeId u, Cycle now, bool measuring);
   /// First-packet hints precomputed by the batched pass for serve_node:
   /// either "already at its destination", or the usable fabric hop the
   /// batch lookup produced (any value below kHintArrived — dimensions are
@@ -403,9 +300,9 @@ class NetworkSim {
   /// fault within distance 1); `hint` applies to the FRONT packet only.
   void serve_node(unsigned w, NodeId u, Cycle now, bool measuring,
                   bool& moved, bool clean, std::uint32_t hint);
-  /// Batched phase-B advance over one active-bitmap word (see
-  /// SimConfig::batch): harvest + prefetch, classify, batched fabric
-  /// lookups, then apply via serve_node in ascending node order.
+  /// Batched phase-B advance over one active-bitmap word (see the header
+  /// comment): harvest + prefetch, classify, batched fabric lookups, then
+  /// apply via serve_node in ascending node order.
   void serve_word(unsigned w, std::size_t word_index, Cycle now,
                   bool measuring, bool& moved, bool retire);
   /// Releases every packet queued at or in transit to `u` (serial point).
@@ -464,22 +361,19 @@ class NetworkSim {
   UniformTraffic default_traffic_;   // used when no model is supplied
   const TrafficModel& traffic_;
   /// Dense link-usability masks; refreshed at serial points, read by all
-  /// workers. Backs every usability check (legacy paths included — its
-  /// answer is pure-function-equal to topo.has_link && faults.link_usable).
+  /// workers. Backs every usability check (planned and adaptive hops
+  /// included — its answer is pure-function-equal to topo.has_link &&
+  /// faults.link_usable).
   FaultOverlay overlay_;
   /// The router's table fabric when present AND supported; null otherwise.
   const NextHopFabric* fabric_ = nullptr;
   bool steer_ = false;       // config_.fabric && fabric_ != nullptr
-  bool active_set_ = false;  // config_.active_set
-  /// config_.batch && active_set_, unless GCUBE_SIM_NO_BATCH is set in the
-  /// environment (CI equivalence runs force the scalar scan process-wide).
-  bool batch_ = false;
   bool timing_ = false;      // config_.phase_timing
-  /// Dispatch level for the vector kernels (classify, fabric batch lookup,
-  /// counter-RNG batches), snapshotted from simd_level() at construction
-  /// so the hot loops take a plain branch instead of an atomic load. All
-  /// levels produce bit-identical metrics (GCUBE_SIMD / --simd / the
-  /// determinism sweep select between them).
+  /// Dispatch level for the vector kernels (classify, fabric batch
+  /// lookup), snapshotted from simd_level() at construction so the hot
+  /// loops take a plain branch instead of an atomic load. Both levels
+  /// produce bit-identical metrics (GCUBE_SIMD / --simd / the determinism
+  /// sweep select between them).
   SimdLevel simd_ = SimdLevel::kScalar;
   /// True while the fault set is empty; refreshed at the serial points.
   /// Lets steering skip the per-node overlay loads entirely on fault-free

@@ -11,7 +11,6 @@
 
 #include <bit>
 #include <cstdint>
-#include <optional>
 
 #include "fault/fault_set.hpp"
 #include "util/bits.hpp"
@@ -41,15 +40,14 @@ class TrafficModel {
   /// Should node u inject a packet this cycle?
   [[nodiscard]] virtual bool should_inject(NodeId u, CounterRng& rng) const = 0;
 
-  /// Cycles until node u's next injection, >= 1 (or kNeverGap). The
-  /// active-set simulator schedules injections event-driven from this
-  /// instead of drawing should_inject for every (node, cycle) pair, so at
-  /// low rates idle nodes cost nothing per cycle. The default derives the
-  /// gap by scanning should_inject draws, which keeps any override of
-  /// should_inject distribution-consistent; models with a closed form
-  /// (UniformTraffic's geometric) override it. Note the realization
-  /// differs from per-cycle draws — each mode consumes the per-node
-  /// counter streams differently — but the distribution is identical.
+  /// Cycles until node u's next injection, >= 1 (or kNeverGap) — the
+  /// paper's injection process as the simulator realizes it. The simulator
+  /// schedules injections event-driven from this instead of drawing
+  /// should_inject for every (node, cycle) pair, so at low rates idle
+  /// nodes cost nothing per cycle. The default derives the gap by scanning
+  /// should_inject draws, which keeps any override of should_inject
+  /// distribution-consistent; models with a closed form (UniformTraffic's
+  /// geometric) override it.
   [[nodiscard]] virtual std::uint64_t injection_gap(NodeId u,
                                                     CounterRng& rng) const {
     // Bounded scan: past this many consecutive failures the node is
@@ -60,18 +58,6 @@ class TrafficModel {
       if (should_inject(u, rng)) return gap;
     }
     return kNeverGap;
-  }
-
-  /// When should_inject is exactly `rng.chance(rate)` for one fixed rate —
-  /// independent of node and cycle — returns that rate, licensing the
-  /// simulator to evaluate the injection predicate in SIMD batches (each
-  /// node's verdict from its own counter stream, bit-identical to calling
-  /// should_inject). nullopt (the default) keeps the per-node virtual
-  /// path; override ONLY if should_inject consumes exactly one draw and
-  /// matches chance(rate) bit-for-bit.
-  [[nodiscard]] virtual std::optional<double> bernoulli_rate()
-      const noexcept {
-    return std::nullopt;
   }
 
   /// A nonfaulty destination different from src.
@@ -105,13 +91,6 @@ class UniformTraffic : public TrafficModel {
   /// exact distribution of the Bernoulli scan, in one draw.
   [[nodiscard]] std::uint64_t injection_gap(NodeId u,
                                             CounterRng& rng) const override;
-  /// should_inject above is literally chance(rate_), so the batched
-  /// predicate applies (PatternTraffic inherits both, keeping the license
-  /// valid for every bundled pattern).
-  [[nodiscard]] std::optional<double> bernoulli_rate()
-      const noexcept override {
-    return rate_;
-  }
   [[nodiscard]] NodeId pick_destination(NodeId src,
                                         CounterRng& rng) const override;
   [[nodiscard]] bool eligible(NodeId u) const override;

@@ -14,11 +14,8 @@
 #pragma once
 
 #include <array>
-#include <cstddef>
 #include <cstdint>
 #include <limits>
-
-#include "util/simd.hpp"
 
 namespace gcube {
 
@@ -152,26 +149,5 @@ class CounterRng : public UniformDraws<CounterRng> {
  private:
   SplitMix64 core_;
 };
-
-/// Batched counter_key(seed, nodes[i], cycle) for the injection hot path —
-/// the fire-bucket and rearm draws key every node at the same cycle, which
-/// is embarrassingly lane-parallel (2 of the 3 mix64 rounds vectorize; the
-/// seed round is shared). Bit-identical to the scalar loop at every level.
-void counter_keys(SimdLevel level, std::uint64_t seed, std::uint64_t cycle,
-                  const std::uint32_t* nodes, std::size_t count,
-                  std::uint64_t* keys) noexcept;
-
-/// Batched Bernoulli scan for the legacy (no-active-set) injection sweep:
-/// bit i of the result is CounterRng(counter_key(seed, base + i, cycle))
-/// .chance(rate) for i < count (count <= 64; higher bits zero). The vector
-/// paths replace the float compare `(x >> 11) * 2^-53 < rate` with the
-/// exact integer equivalent `x >> 11 < ceil(rate * 2^53)`, so every level
-/// reproduces the scalar draw verdicts bit-for-bit.
-[[nodiscard]] std::uint64_t counter_bernoulli_mask(SimdLevel level,
-                                                   std::uint64_t seed,
-                                                   std::uint64_t cycle,
-                                                   std::uint32_t base,
-                                                   unsigned count,
-                                                   double rate) noexcept;
 
 }  // namespace gcube

@@ -10,7 +10,6 @@ namespace {
 SimdLevel detect() noexcept {
 #if defined(__x86_64__) || defined(__i386__)
   if (__builtin_cpu_supports("avx2")) return SimdLevel::kAvx2;
-  if (__builtin_cpu_supports("sse4.2")) return SimdLevel::kSse;
 #endif
   return SimdLevel::kScalar;
 }
@@ -43,7 +42,7 @@ SimdLevel initial_level() noexcept {
       if (!warned.exchange(true, std::memory_order_relaxed)) {
         std::fprintf(stderr,
                      "gcube: note: ignoring unknown GCUBE_SIMD value '%s' "
-                     "(want scalar|sse|avx2)\n",
+                     "(want scalar|avx2)\n",
                      env);
       }
     }
@@ -57,8 +56,6 @@ const char* to_string(SimdLevel level) noexcept {
   switch (level) {
     case SimdLevel::kScalar:
       return "scalar";
-    case SimdLevel::kSse:
-      return "sse";
     case SimdLevel::kAvx2:
       return "avx2";
   }
@@ -67,8 +64,6 @@ const char* to_string(SimdLevel level) noexcept {
 
 std::optional<SimdLevel> parse_simd_level(std::string_view name) noexcept {
   if (name == "scalar") return SimdLevel::kScalar;
-  if (name == "sse" || name == "sse4.2" || name == "sse42")
-    return SimdLevel::kSse;
   if (name == "avx2") return SimdLevel::kAvx2;
   return std::nullopt;
 }

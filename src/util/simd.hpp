@@ -1,28 +1,27 @@
 // Runtime SIMD dispatch for the simulator's vectorized hot-path kernels.
 //
-// The batched advance and injection paths have three data-parallel kernels
-// (hot-record classify, next-hop table lookup, counter-RNG keying) with
-// hand-vectorized AVX2 / SSE4.2 implementations next to the scalar
-// reference loops. Which implementation runs is a PROCESS-WIDE level
-// chosen once at startup:
+// The batched advance has two data-parallel kernels (hot-record classify
+// and next-hop table lookup), each with a hand-vectorized AVX2
+// implementation next to its scalar reference loop. Those are the only two
+// tiers: which one runs is a PROCESS-WIDE level chosen once at startup:
 //
-//   * cpuid detection picks the best level the CPU supports
+//   * cpuid detection picks AVX2 when the CPU has it, scalar otherwise
 //     (detected_simd_level());
-//   * the GCUBE_SIMD environment variable (scalar | sse | avx2) lowers or
-//     pins it — the CI equivalence legs force `scalar` this way;
+//   * the GCUBE_SIMD environment variable (scalar | avx2) lowers or pins
+//     it — the CI equivalence legs force `scalar` this way;
 //   * set_simd_level() does the same programmatically (sim_cli --simd=,
 //     the determinism tests' level sweep, the bench's simd_scalar twin).
 //
 // Requests above what the CPU supports are clamped to the detected level
-// with a one-time stderr note, so GCUBE_SIMD=avx2 on an SSE-only box
+// with a one-time stderr note, so GCUBE_SIMD=avx2 on a CPU without AVX2
 // degrades instead of crashing. Every vector kernel must be BYTE-IDENTICAL
 // to its scalar reference — the kernels only batch pure integer functions
 // (no floating-point reassociation anywhere) — and the determinism suite
-// sweeps all available levels to enforce it.
+// sweeps both levels to enforce it.
 //
 // Hot-loop callers cache simd_level() once (NetworkSim snapshots it at
 // construction) and pass it down explicitly, so kernel dispatch is a
-// predictable two-way branch, not an atomic load per batch.
+// predictable branch, not an atomic load per batch.
 #pragma once
 
 #include <cstdint>
@@ -31,17 +30,16 @@
 
 namespace gcube {
 
-/// Ordered by capability: every level implies the ones below it, so
-/// "does this kernel's AVX2 variant apply" is a single >= compare.
+/// Ordered by capability, so "does this kernel's AVX2 variant apply" is a
+/// single >= compare.
 enum class SimdLevel : std::uint8_t {
   kScalar = 0,  // reference implementation, always available
-  kSse = 1,     // SSE4.2: 128-bit integer lanes
-  kAvx2 = 2,    // AVX2: 256-bit integer lanes + gathers
+  kAvx2 = 1,    // AVX2: 256-bit integer lanes + gathers
 };
 
 [[nodiscard]] const char* to_string(SimdLevel level) noexcept;
 
-/// Parses "scalar" | "sse" | "avx2" (the GCUBE_SIMD / --simd vocabulary).
+/// Parses "scalar" | "avx2" (the GCUBE_SIMD / --simd vocabulary).
 [[nodiscard]] std::optional<SimdLevel> parse_simd_level(
     std::string_view name) noexcept;
 

@@ -32,7 +32,6 @@ def cell(name, threads=1, generated=1000, delivered=900, seconds=0.5,
         "measure_cycles": 4000,
         "threads": threads,
         "fabric": True,
-        "active_set": True,
         "seconds": seconds,
         "cycles_per_sec": 4300 / seconds,
         "generated": generated,

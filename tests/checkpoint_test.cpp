@@ -282,6 +282,14 @@ TEST(Checkpoint, ConfigMismatchIsRefusedNamingTheField) {
       EXPECT_NE(std::string(e.what()).find("schedule"), std::string::npos);
     }
   }
+  {
+    // A checkpoint of the removed full-scan loop carries active_set = 0:
+    // its per-cycle injection draws cannot continue here.
+    SimCheckpoint scan = load_checkpoint(path);
+    scan.config.active_set = 0;
+    save_checkpoint(scan, path);
+    expect_refused(base_config(), "active_set");
+  }
   remove_generations(path);
 }
 

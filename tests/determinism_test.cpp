@@ -10,19 +10,17 @@
 // genuinely oversubscribe (allow_oversubscribe bypasses the default clamp
 // to hardware_concurrency), so this exercises real interleavings even on
 // small CI machines. The same binary runs under the ThreadSanitizer CI
-// job. Both execution modes are covered: the default next-hop-fabric +
-// active-set loop, and the legacy full-scan path. The whole matrix runs
-// on the fused cycle loop (one dispatch per run, barrier_serial commits,
-// parity-double-buffered rings, batched drains) — so every case is also
-// a regression test that fusing the phases changed nothing observable.
-// The BatchedAdvanceEqualsScalar* cases additionally pin the batched
-// word-at-a-time advance to the scalar per-node scan bit-for-bit, across
-// steered and planned traffic, static and scheduled faults, finite
-// buffers, and thread counts {1, 2, 4}. The SimdLevelsEqualScalar* cases
-// sweep every SIMD dispatch level the CPU supports (scalar, SSE4.2, AVX2)
-// against the scalar threads=1 reference over the same axes — the
-// vectorized classify / fabric-lookup / counter-RNG kernels batch pure
-// integer functions, so every level must reproduce the metrics exactly.
+// job. The whole matrix runs on the fused cycle loop (one dispatch per
+// run, barrier_serial commits, parity-double-buffered rings, batched
+// drains) — so every case is also a regression test that fusing the
+// phases changed nothing observable. The SimdLevelsEqualScalar* cases
+// sweep both SIMD dispatch levels the CPU supports (scalar, AVX2) against
+// the scalar threads=1 reference across steered and planned traffic,
+// static and scheduled faults, and thread counts {1, 2, 4} — the
+// vectorized classify / fabric-lookup kernels batch pure integer
+// functions, so every level must reproduce the metrics exactly. Planned
+// mode is additionally pinned to the serial reference simulator in
+// reference_sim_test.cpp.
 //
 // Cache counters (SimMetrics::plan_cache / hop_cache) are deliberately NOT
 // compared: the hit/miss split depends on which worker reaches a cold key
@@ -36,45 +34,12 @@
 
 #include "sim/metrics.hpp"
 #include "sim/runner.hpp"
+#include "sim_test_support.hpp"
 #include "topology/gaussian_cube.hpp"
 #include "util/simd.hpp"
 
 namespace gcube {
 namespace {
-
-/// Field-by-field comparison so a contract violation names the metric that
-/// diverged instead of a bare deterministic_equals() == false.
-void expect_identical(const SimMetrics& got, const SimMetrics& want,
-                      const std::string& label) {
-  EXPECT_EQ(got.generated, want.generated) << label;
-  EXPECT_EQ(got.delivered, want.delivered) << label;
-  EXPECT_EQ(got.carryover_delivered, want.carryover_delivered) << label;
-  EXPECT_EQ(got.dropped, want.dropped) << label;
-  EXPECT_EQ(got.total_latency, want.total_latency) << label;
-  EXPECT_EQ(got.total_hops, want.total_hops) << label;
-  EXPECT_EQ(got.service_ops, want.service_ops) << label;
-  EXPECT_EQ(got.peak_in_flight, want.peak_in_flight) << label;
-  EXPECT_EQ(got.injections_blocked, want.injections_blocked) << label;
-  EXPECT_EQ(got.stalled_cycles, want.stalled_cycles) << label;
-  EXPECT_EQ(got.deadlocked, want.deadlocked) << label;
-  EXPECT_EQ(got.fault_events, want.fault_events) << label;
-  EXPECT_EQ(got.reroutes, want.reroutes) << label;
-  EXPECT_EQ(got.dropped_no_route, want.dropped_no_route) << label;
-  EXPECT_EQ(got.dropped_hop_limit, want.dropped_hop_limit) << label;
-  EXPECT_EQ(got.repairs_applied, want.repairs_applied) << label;
-  EXPECT_EQ(got.parked_retries, want.parked_retries) << label;
-  EXPECT_EQ(got.retransmits, want.retransmits) << label;
-  EXPECT_EQ(got.gave_up, want.gave_up) << label;
-  EXPECT_EQ(got.in_flight_at_end, want.in_flight_at_end) << label;
-  EXPECT_EQ(got.orphaned_by_node_fault, want.orphaned_by_node_fault)
-      << label;
-  for (std::size_t i = 0; i < LatencyHistogram::kBuckets; ++i) {
-    EXPECT_EQ(got.latency_histogram.bucket(i),
-              want.latency_histogram.bucket(i))
-        << label << " histogram bucket " << i;
-  }
-  EXPECT_TRUE(got.deterministic_equals(want)) << label;
-}
 
 std::vector<std::uint32_t> thread_matrix() {
   unsigned hw = std::thread::hardware_concurrency();
@@ -98,33 +63,6 @@ void expect_thread_invariant(GcSimSpec spec, const std::string& label) {
   }
 }
 
-/// The batched word-at-a-time advance must be BIT-IDENTICAL to the scalar
-/// active-set scan — a stronger property than the active_set toggle (which
-/// legitimately changes injection draw-stream layout): batching only
-/// reorders reads, never decisions. Compares every batch on/off × thread
-/// count combination against one scalar threads=1 reference.
-void expect_batch_invariant(GcSimSpec spec, const std::string& label) {
-  spec.sim.batch = false;
-  spec.sim.threads = 1;
-  const GcSimOutcome scalar = run_gc_simulation(spec);
-  ASSERT_GT(scalar.metrics.generated, 0u) << label << ": inert workload";
-  for (const std::uint32_t threads : {1u, 2u, 4u}) {
-    spec.sim.threads = threads;
-    spec.sim.batch = true;
-    const GcSimOutcome batched = run_gc_simulation(spec);
-    expect_identical(batched.metrics, scalar.metrics,
-                     label + " batched threads=" + std::to_string(threads) +
-                         " vs scalar threads=1");
-    if (threads != 1) {
-      spec.sim.batch = false;
-      const GcSimOutcome off = run_gc_simulation(spec);
-      expect_identical(off.metrics, scalar.metrics,
-                       label + " scalar threads=" + std::to_string(threads) +
-                           " vs scalar threads=1");
-    }
-  }
-}
-
 /// Pins the process-wide SIMD dispatch level for one scope and restores
 /// the entry level on exit, so a failing cell cannot poison later tests.
 class ScopedSimdLevel {
@@ -145,16 +83,13 @@ class ScopedSimdLevel {
 /// clamp them, silently re-testing kernels already covered.
 std::vector<SimdLevel> simd_matrix() {
   std::vector<SimdLevel> levels{SimdLevel::kScalar};
-  if (detected_simd_level() >= SimdLevel::kSse) {
-    levels.push_back(SimdLevel::kSse);
-  }
   if (detected_simd_level() >= SimdLevel::kAvx2) {
     levels.push_back(SimdLevel::kAvx2);
   }
   return levels;
 }
 
-/// The SIMD kernels (classify, fabric lookup, counter-RNG batch) must be
+/// The SIMD kernels (classify, fabric lookup) must be
 /// BIT-IDENTICAL to the scalar reference at every dispatch level and
 /// thread count: they batch pure integer functions, so vectorization may
 /// reorder reads but never change a decision. One scalar threads=1
@@ -194,21 +129,6 @@ GcSimSpec base_spec(Dim n, std::uint64_t modulus) {
   return spec;
 }
 
-/// Mid-run node and link deaths straddling the warmup boundary, built on
-/// the topology's own size so both cells stress orphaning, re-routing, and
-/// en-route drops.
-FaultSchedule scheduled_faults(const GcSimSpec& spec) {
-  const GaussianCube gc(spec.n, spec.modulus);
-  const NodeId nodes = static_cast<NodeId>(gc.node_count());
-  FaultSchedule schedule;
-  schedule.fail_node_at(10, nodes / 3);
-  schedule.fail_link_at(10, nodes / 2 + 1, 0);
-  schedule.fail_node_at(45, nodes / 5 + 2);
-  schedule.fail_link_at(90, nodes - 7, 1);
-  schedule.fail_node_at(140, 2 * nodes / 3);
-  return schedule;
-}
-
 TEST(Determinism, Gc8x2StaticFaults) {
   GcSimSpec spec = base_spec(8, 2);
   spec.faulty_nodes = 5;
@@ -217,7 +137,7 @@ TEST(Determinism, Gc8x2StaticFaults) {
 
 TEST(Determinism, Gc8x2ScheduledFaults) {
   GcSimSpec spec = base_spec(8, 2);
-  spec.schedule = scheduled_faults(spec);
+  spec.schedule = scheduled_faults(pow2(spec.n));
   expect_thread_invariant(spec, "GC(8,2) scheduled");
 }
 
@@ -231,19 +151,8 @@ TEST(Determinism, Gc10x4StaticFaults) {
 TEST(Determinism, Gc10x4ScheduledFaults) {
   GcSimSpec spec = base_spec(10, 4);
   spec.sim.injection_rate = 0.04;
-  spec.schedule = scheduled_faults(spec);
+  spec.schedule = scheduled_faults(pow2(spec.n));
   expect_thread_invariant(spec, "GC(10,4) scheduled");
-}
-
-TEST(Determinism, LegacyScanModeIsThreadInvariantToo) {
-  // The pre-fabric execution path (full per-node scan, Bernoulli
-  // injection, plan-at-injection) stays available behind the toggles and
-  // must honor the same contract.
-  GcSimSpec spec = base_spec(8, 2);
-  spec.faulty_nodes = 5;
-  spec.sim.fabric = false;
-  spec.sim.active_set = false;
-  expect_thread_invariant(spec, "GC(8,2) legacy scan");
 }
 
 TEST(Determinism, FiniteBuffersBackpressureIsThreadInvariant) {
@@ -285,50 +194,10 @@ TEST(Determinism, FiniteBuffersWithScheduledFaultsIsThreadInvariant) {
   // blocked injections, and mid-run orphaning must all commute with the
   // thread count.
   GcSimSpec spec = base_spec(8, 2);
-  spec.schedule = scheduled_faults(spec);
+  spec.schedule = scheduled_faults(pow2(spec.n));
   spec.sim.injection_rate = 0.20;
   spec.sim.buffer_limit = 3;
   expect_thread_invariant(spec, "GC(8,2) finite buffers + schedule");
-}
-
-TEST(Determinism, BatchedAdvanceEqualsScalarSteeredStatic) {
-  GcSimSpec spec = base_spec(8, 2);
-  spec.faulty_nodes = 5;
-  expect_batch_invariant(spec, "GC(8,2) steered static");
-}
-
-TEST(Determinism, BatchedAdvanceEqualsScalarSteeredScheduled) {
-  GcSimSpec spec = base_spec(8, 2);
-  spec.schedule = scheduled_faults(spec);
-  expect_batch_invariant(spec, "GC(8,2) steered scheduled");
-}
-
-TEST(Determinism, BatchedAdvanceEqualsScalarPlannedStatic) {
-  // fabric off = plan-at-injection packets: the batched classify sees no
-  // steered fast path, so this pins the arrival-detection and full-path
-  // hint plumbing instead.
-  GcSimSpec spec = base_spec(8, 2);
-  spec.faulty_nodes = 5;
-  spec.sim.fabric = false;
-  expect_batch_invariant(spec, "GC(8,2) planned static");
-}
-
-TEST(Determinism, BatchedAdvanceEqualsScalarPlannedScheduled) {
-  GcSimSpec spec = base_spec(8, 2);
-  spec.schedule = scheduled_faults(spec);
-  spec.sim.fabric = false;
-  expect_batch_invariant(spec, "GC(8,2) planned scheduled");
-}
-
-TEST(Determinism, BatchedAdvanceEqualsScalarFiniteBuffers) {
-  // Finite buffers disable on-the-spot retirement in the batched pass
-  // (and its depth-1 inline apply); backpressure decisions must still
-  // match the scalar scan exactly.
-  GcSimSpec spec = base_spec(8, 2);
-  spec.faulty_nodes = 3;
-  spec.sim.injection_rate = 0.20;
-  spec.sim.buffer_limit = 3;
-  expect_batch_invariant(spec, "GC(8,2) finite buffers");
 }
 
 TEST(Determinism, SimdLevelsEqualScalarSteeredStatic) {
@@ -339,14 +208,14 @@ TEST(Determinism, SimdLevelsEqualScalarSteeredStatic) {
 
 TEST(Determinism, SimdLevelsEqualScalarSteeredScheduled) {
   GcSimSpec spec = base_spec(8, 2);
-  spec.schedule = scheduled_faults(spec);
+  spec.schedule = scheduled_faults(pow2(spec.n));
   expect_simd_invariant(spec, "GC(8,2) steered scheduled");
 }
 
 TEST(Determinism, SimdLevelsEqualScalarPlannedStatic) {
   // fabric off = plan-at-injection packets: the vector classify sees no
-  // steered fast path, so this cell pins the arrival-predicate lanes and
-  // the batched injection keying instead of the gathered table lookups.
+  // steered fast path, so this cell pins the arrival-predicate lanes
+  // instead of the gathered table lookups.
   GcSimSpec spec = base_spec(8, 2);
   spec.faulty_nodes = 5;
   spec.sim.fabric = false;
@@ -355,20 +224,9 @@ TEST(Determinism, SimdLevelsEqualScalarPlannedStatic) {
 
 TEST(Determinism, SimdLevelsEqualScalarPlannedScheduled) {
   GcSimSpec spec = base_spec(8, 2);
-  spec.schedule = scheduled_faults(spec);
+  spec.schedule = scheduled_faults(pow2(spec.n));
   spec.sim.fabric = false;
   expect_simd_invariant(spec, "GC(8,2) planned scheduled");
-}
-
-TEST(Determinism, SimdLevelsEqualScalarBernoulliScan) {
-  // active_set off is the one mode whose injection predicate runs through
-  // counter_bernoulli_mask every cycle (the active-set loop only keys
-  // batches); the mask-then-filter scan must reproduce the per-node
-  // virtual calls draw for draw.
-  GcSimSpec spec = base_spec(8, 2);
-  spec.faulty_nodes = 5;
-  spec.sim.active_set = false;
-  expect_simd_invariant(spec, "GC(8,2) bernoulli scan");
 }
 
 TEST(Determinism, RepeatedRunsOfOneSimulatorAgree) {

@@ -1,0 +1,65 @@
+// Shared helpers for the simulator test suites: a field-by-field metrics
+// comparison and a fail-only mid-run fault schedule.
+#pragma once
+
+#include <gtest/gtest.h>
+
+#include <cstddef>
+#include <cstdint>
+#include <string>
+
+#include "sim/fault_schedule.hpp"
+#include "sim/metrics.hpp"
+
+namespace gcube {
+
+/// Field-by-field comparison so a contract violation names the metric that
+/// diverged instead of a bare deterministic_equals() == false.
+inline void expect_identical(const SimMetrics& got,
+                             const SimMetrics& want,
+                             const std::string& label) {
+  EXPECT_EQ(got.generated, want.generated) << label;
+  EXPECT_EQ(got.delivered, want.delivered) << label;
+  EXPECT_EQ(got.carryover_delivered, want.carryover_delivered) << label;
+  EXPECT_EQ(got.dropped, want.dropped) << label;
+  EXPECT_EQ(got.total_latency, want.total_latency) << label;
+  EXPECT_EQ(got.total_hops, want.total_hops) << label;
+  EXPECT_EQ(got.service_ops, want.service_ops) << label;
+  EXPECT_EQ(got.peak_in_flight, want.peak_in_flight) << label;
+  EXPECT_EQ(got.injections_blocked, want.injections_blocked) << label;
+  EXPECT_EQ(got.stalled_cycles, want.stalled_cycles) << label;
+  EXPECT_EQ(got.deadlocked, want.deadlocked) << label;
+  EXPECT_EQ(got.fault_events, want.fault_events) << label;
+  EXPECT_EQ(got.reroutes, want.reroutes) << label;
+  EXPECT_EQ(got.dropped_no_route, want.dropped_no_route) << label;
+  EXPECT_EQ(got.dropped_hop_limit, want.dropped_hop_limit) << label;
+  EXPECT_EQ(got.repairs_applied, want.repairs_applied) << label;
+  EXPECT_EQ(got.parked_retries, want.parked_retries) << label;
+  EXPECT_EQ(got.retransmits, want.retransmits) << label;
+  EXPECT_EQ(got.gave_up, want.gave_up) << label;
+  EXPECT_EQ(got.in_flight_at_end, want.in_flight_at_end) << label;
+  EXPECT_EQ(got.orphaned_by_node_fault, want.orphaned_by_node_fault)
+      << label;
+  for (std::size_t i = 0; i < LatencyHistogram::kBuckets; ++i) {
+    EXPECT_EQ(got.latency_histogram.bucket(i),
+              want.latency_histogram.bucket(i))
+        << label << " histogram bucket " << i;
+  }
+  EXPECT_TRUE(got.deterministic_equals(want)) << label;
+}
+
+/// Mid-run node and link deaths straddling the warmup boundary, built on
+/// the topology's own size so every cell stresses orphaning, re-routing,
+/// and en-route drops.
+inline FaultSchedule scheduled_faults(std::uint64_t node_count) {
+  const auto nodes = static_cast<NodeId>(node_count);
+  FaultSchedule schedule;
+  schedule.fail_node_at(10, nodes / 3);
+  schedule.fail_link_at(10, nodes / 2 + 1, 0);
+  schedule.fail_node_at(45, nodes / 5 + 2);
+  schedule.fail_link_at(90, nodes - 7, 1);
+  schedule.fail_node_at(140, 2 * nodes / 3);
+  return schedule;
+}
+
+}  // namespace gcube
