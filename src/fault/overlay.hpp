@@ -1,19 +1,26 @@
 // Fault overlay: dense per-node link-usability masks over a FaultSet.
 //
 // The FaultSet answers link_usable(u, c) with up to three hash probes; the
-// simulator asks that question once per packet-hop. The overlay flattens
-// the answer into one 32-bit mask per node — bit c set iff the dimension-c
-// link exists at u AND is usable — refreshed incrementally from the
-// FaultSet's insertion-ordered fault vectors whenever its version moves.
-// It also answers the sparse-patch question the next-hop fabric needs:
-// node_clean(u) is true iff u is farther than distance 1 from every faulty
-// node and has no incident marked link, i.e. every existing link of u is
-// usable, so a precomputed fault-free hop can be taken with no per-link
-// check at all.
+// simulator asks that question once per packet-hop and the FTGCR planner
+// many times per plan miss. The overlay flattens the answer into one
+// 32-bit mask per node — bit c set iff the dimension-c link exists at u
+// AND is usable — refreshed incrementally from the FaultSet's
+// insertion-ordered fault vectors whenever its version moves. It also
+// answers the sparse-patch question the next-hop fabric needs: bit i of
+// clean_window(base) is set iff node base + i is farther than distance 1
+// from every faulty node and has no incident marked link, i.e. every
+// existing link of it is usable, so a precomputed fault-free hop can be
+// taken with no per-link check at all.
 //
-// Concurrency contract: refresh() runs only at the simulator's serial
-// points (run start and after fault-schedule application); worker threads
-// read the masks between those points without synchronization.
+// Concurrency contract: an overlay has no lock of its own; each owner
+// serializes its refreshes against its readers. It has two owners:
+//  * the simulator, whose overlay is refreshed only at its serial points
+//    (run start and after fault-schedule application) and read by worker
+//    threads between those points without synchronization;
+//  * FtgcrRouter (routing/ftgcr.hpp), whose overlay is refreshed under the
+//    router's own mutex at the start of every plan and read by that plan
+//    afterwards. Once one plan has caught it up with a fault-set version,
+//    every later refresh at that version writes nothing.
 #pragma once
 
 #include <cstdint>
@@ -49,20 +56,9 @@ class FaultOverlay {
   [[nodiscard]] bool link_usable(NodeId u, Dim c) const noexcept {
     return (usable_[u] >> c) & 1u;
   }
-  /// True iff no fault touches u or any neighbor of u: all its links are
-  /// usable, so fault-oblivious next hops from u are safe. Served from a
-  /// dense bitmap — one load + shift on the steering hot path, instead of
-  /// two mask loads and a compare.
-  [[nodiscard]] bool node_clean(NodeId u) const noexcept {
-    return clean_.test(u);
-  }
-  /// 64 nodes' clean bits at once (bit i = node 64 * w + i), for
-  /// word-parallel scans over node ranges.
-  [[nodiscard]] std::uint64_t clean_word(std::size_t w) const noexcept {
-    return clean_.word(w);
-  }
   /// 64 nodes' clean bits starting at an arbitrary base node (bit i = node
-  /// base + i), for shards whose node range is not word-aligned.
+  /// base + i, set iff every existing link of that node is usable), for
+  /// shards whose node range is not word-aligned.
   [[nodiscard]] std::uint64_t clean_window(NodeId base) const noexcept {
     return clean_.window(base);
   }

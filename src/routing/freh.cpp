@@ -1,8 +1,8 @@
 #include "routing/freh.hpp"
 
-#include <deque>
-#include <unordered_map>
+#include <cstdint>
 #include <unordered_set>
+#include <vector>
 
 #include "routing/hypercube_ft.hpp"
 #include "util/error.hpp"
@@ -160,33 +160,35 @@ RoutingResult informed_eh_route(const ExchangedHypercube& eh,
     return result;
   }
   // BFS from the destination over usable links (the post-initialization
-  // knowledge), then walk downhill from r.
-  std::unordered_map<NodeId, std::uint32_t> dist;
-  std::deque<NodeId> queue{d};
-  dist.emplace(d, 0);
+  // knowledge), then walk downhill from r. Distances are flat over the
+  // structure's labels.
+  constexpr std::uint32_t kUnreached = ~std::uint32_t{0};
+  std::vector<std::uint32_t> dist(eh.node_count(), kUnreached);
+  std::vector<NodeId> queue{d};
+  dist[d] = 0;
   const Dim dims = eh.dims();
-  while (!queue.empty()) {
-    const NodeId u = queue.front();
-    queue.pop_front();
+  for (std::size_t head = 0; head < queue.size(); ++head) {
+    const NodeId u = queue[head];
     for (Dim c = 0; c < dims; ++c) {
       if (!eh.has_link(u, c) || !oracle.link_usable(u, c)) continue;
       const NodeId v = flip_bit(u, c);
-      if (dist.emplace(v, dist.at(u) + 1).second) queue.push_back(v);
+      if (dist[v] != kUnreached) continue;
+      dist[v] = dist[u] + 1;
+      queue.push_back(v);
     }
   }
-  if (!dist.contains(r)) {
+  if (dist[r] == kUnreached) {
     result.failure = "crossing structure disconnected under faults";
     return result;
   }
   Route route(r);
   NodeId cur = r;
   while (cur != d) {
-    const std::uint32_t here = dist.at(cur);
+    const std::uint32_t here = dist[cur];
     Dim chosen = kMaxDimension + 1;
     for (Dim c = 0; c < dims; ++c) {
       if (!eh.has_link(cur, c) || !oracle.link_usable(cur, c)) continue;
-      const auto it = dist.find(flip_bit(cur, c));
-      if (it != dist.end() && it->second == here - 1) {
+      if (dist[flip_bit(cur, c)] == here - 1) {
         chosen = c;
         break;
       }

@@ -1,9 +1,10 @@
 #include "routing/ftgcr.hpp"
 
+#include <algorithm>
 #include <array>
-#include <deque>
-#include <unordered_map>
+#include <cstdint>
 #include <utility>
+#include <vector>
 
 #include "routing/eh_embedding.hpp"
 #include "routing/freh.hpp"
@@ -20,33 +21,44 @@ RoutingResult FtgcrRouter::plan(NodeId s, NodeId d) const {
   return plan_with_stats(s, d, stats);
 }
 
+const FaultOverlay& FtgcrRouter::fault_view() const {
+  const std::lock_guard<std::mutex> lock(view_mutex_);
+  if (!view_attached_) {
+    view_.attach(gc_);
+    view_attached_ = true;
+  }
+  view_.refresh(faults_);
+  return view_;
+}
+
 namespace {
 
 /// Fault-aware BFS over the whole cube — the strategy's last-resort global
 /// re-plan. Returns the hop sequence from `start` to `dest`, or nothing.
+/// Neighbors are visited in ascending dimension order, so the path is the
+/// first shortest one in that order.
 std::optional<std::vector<Dim>> global_bfs(const GaussianCube& gc,
-                                           const FaultSet& faults,
+                                           const FaultOverlay& view,
                                            NodeId start, NodeId dest) {
   if (start == dest) return std::vector<Dim>{};
-  std::unordered_map<NodeId, std::pair<NodeId, Dim>> prev;
-  std::deque<NodeId> queue{start};
-  prev.emplace(start, std::make_pair(start, Dim{0}));
-  const Dim n = gc.dims();
-  while (!queue.empty()) {
-    const NodeId u = queue.front();
-    queue.pop_front();
-    for (Dim c = 0; c < n; ++c) {
-      if (!gc.has_link(u, c) || !faults.link_usable(u, c)) continue;
+  // The dimension each reached node was first entered along; the source
+  // and unreached nodes get sentinels no dimension can take.
+  constexpr std::uint8_t kUnreached = 0xff;
+  constexpr std::uint8_t kSource = 0xfe;
+  std::vector<std::uint8_t> arrival(gc.node_count(), kUnreached);
+  std::vector<NodeId> queue{start};
+  arrival[start] = kSource;
+  for (std::size_t head = 0; head < queue.size(); ++head) {
+    const NodeId u = queue[head];
+    for (std::uint32_t m = view.usable_mask(u); m != 0; m &= m - 1) {
+      const Dim c = lsb_index(m);
       const NodeId v = flip_bit(u, c);
-      if (prev.contains(v)) continue;
-      prev.emplace(v, std::make_pair(u, c));
+      if (arrival[v] != kUnreached) continue;
+      arrival[v] = static_cast<std::uint8_t>(c);
       if (v == dest) {
         std::vector<Dim> hops;
-        NodeId w = dest;
-        while (w != start) {
-          const auto& [from, dim] = prev.at(w);
-          hops.push_back(dim);
-          w = from;
+        for (NodeId w = dest; w != start; w = flip_bit(w, arrival[w])) {
+          hops.push_back(arrival[w]);
         }
         std::reverse(hops.begin(), hops.end());
         return hops;
@@ -60,7 +72,7 @@ std::optional<std::vector<Dim>> global_bfs(const GaussianCube& gc,
 }  // namespace
 
 std::optional<Route> FtgcrRouter::fault_free_route_if_clean(
-    NodeId s, NodeId d) const {
+    NodeId s, NodeId d, const FaultOverlay& view) const {
   const std::shared_ptr<const GcRoutePlan> itinerary =
       itineraries_.get(gc_, tree_, s, d);
   Route route(s);
@@ -72,7 +84,7 @@ std::optional<Route> FtgcrRouter::fault_free_route_if_clean(
   // tree-edge dimension, and an already-satisfied leaf detour is skipped —
   // so a clean result is hop-for-hop what the full machinery would emit.
   auto append_checked = [&](Dim c) {
-    if (!faults_.link_usable(cur, c)) {
+    if (!view.link_usable(cur, c)) {
       clean = false;
       return false;
     }
@@ -152,7 +164,8 @@ RoutingResult FtgcrRouter::plan_with_stats(NodeId s, NodeId d,
   // Fast path: when no hop of the fault-free composite route is unusable,
   // the full machinery below would reproduce exactly that route with zero
   // stats — skip it. Faults are sparse, so this is the common case.
-  if (std::optional<Route> fast = fault_free_route_if_clean(s, d)) {
+  const FaultOverlay& view = fault_view();
+  if (std::optional<Route> fast = fault_free_route_if_clean(s, d, view)) {
     result.route = std::move(*fast);
     return result;
   }
@@ -160,8 +173,8 @@ RoutingResult FtgcrRouter::plan_with_stats(NodeId s, NodeId d,
   GcRoutePlan itinerary = *itineraries_.get(gc_, tree_, s, d);
   Route route(s);
   NodeId cur = s;
-  const auto usable = [this](NodeId u, Dim c) {
-    return faults_.link_usable(u, c);
+  const auto usable = [&view](NodeId u, Dim c) {
+    return view.link_usable(u, c);
   };
 
   /// Takes the pending high-bit mask of class `cls` out of the itinerary.
@@ -200,7 +213,7 @@ RoutingResult FtgcrRouter::plan_with_stats(NodeId s, NodeId d,
     const EhFaultOracle oracle{
         [&](NodeId u) { return faults_.node_faulty(emb.from_eh(u)); },
         [&](NodeId u, Dim eh_dim) {
-          return faults_.link_usable(emb.from_eh(u), emb.to_gc_dim(eh_dim));
+          return view.link_usable(emb.from_eh(u), emb.to_gc_dim(eh_dim));
         }};
     FrehStats freh_stats;
     RoutingResult leg = informed_eh_route(emb.eh(), oracle, emb.to_eh(cur),
@@ -224,7 +237,7 @@ RoutingResult FtgcrRouter::plan_with_stats(NodeId s, NodeId d,
   // intermediate at a pass-through class) without hiding it: counted in
   // stats.global_replans.
   auto global_replan = [&]() -> bool {
-    const auto tail = global_bfs(gc_, faults_, cur, d);
+    const auto tail = global_bfs(gc_, view, cur, d);
     if (!tail) return false;
     ++stats.global_replans;
     for (const Dim c : *tail) {

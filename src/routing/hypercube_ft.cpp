@@ -1,15 +1,28 @@
 #include "routing/hypercube_ft.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <deque>
 #include <unordered_map>
 #include <unordered_set>
+#include <vector>
 
 #include "util/error.hpp"
 
 namespace gcube {
 
 namespace {
+
+/// u's bits at the dims_mask positions, packed ascending into the low bits:
+/// u's slot in a flat array over the subcube spanned by dims_mask.
+std::size_t subcube_slot(NodeId u, NodeId dims_mask) noexcept {
+  std::size_t slot = 0;
+  std::size_t slot_bit = 1;
+  for (NodeId m = dims_mask; m != 0; m &= m - 1, slot_bit <<= 1) {
+    if ((u & m & (~m + 1)) != 0) slot |= slot_bit;
+  }
+  return slot;
+}
 
 /// BFS within the subcube spanned by dims_mask, over usable links only.
 /// Returns the hop sequence or nothing if disconnected. This is the
@@ -194,22 +207,28 @@ RoutingResult informed_subcube_route(NodeId start, NodeId dest,
 
   // Fault-aware distances to the destination, learned by BFS over usable
   // links — the planner-side model of the paper's fault-status exchange
-  // rounds within a class.
-  std::unordered_map<NodeId, std::uint32_t> dist;
-  std::deque<NodeId> queue{dest};
-  dist.emplace(dest, 0);
-  while (!queue.empty()) {
-    const NodeId u = queue.front();
-    queue.pop_front();
-    for (NodeId m = dims_mask; m != 0; m &= m - 1) {
+  // rounds within a class. Flat over the subcube: a node's slot is its
+  // dims_mask bits gathered into 0 .. 2^|dims_mask| - 1, and flipping the
+  // k-th dimension of the mask flips bit k of the slot.
+  constexpr std::uint32_t kUnreached = ~std::uint32_t{0};
+  std::vector<std::uint32_t> dist(std::size_t{1} << popcount(dims_mask),
+                                  kUnreached);
+  std::vector<NodeId> queue{dest};
+  dist[subcube_slot(dest, dims_mask)] = 0;
+  for (std::size_t head = 0; head < queue.size(); ++head) {
+    const NodeId u = queue[head];
+    const std::size_t u_slot = subcube_slot(u, dims_mask);
+    std::size_t slot_bit = 1;
+    for (NodeId m = dims_mask; m != 0; m &= m - 1, slot_bit <<= 1) {
       const Dim c = lsb_index(m);
       if (!usable(u, c)) continue;
-      const NodeId v = flip_bit(u, c);
-      if (dist.emplace(v, dist.at(u) + 1).second) queue.push_back(v);
+      std::uint32_t& v_dist = dist[u_slot ^ slot_bit];
+      if (v_dist != kUnreached) continue;
+      v_dist = dist[u_slot] + 1;
+      queue.push_back(flip_bit(u, c));
     }
   }
-  const auto it_start = dist.find(start);
-  if (it_start == dist.end()) {
+  if (dist[subcube_slot(start, dims_mask)] == kUnreached) {
     result.failure = "subcube disconnected between start and destination";
     return result;
   }
@@ -219,8 +238,10 @@ RoutingResult informed_subcube_route(NodeId start, NodeId dest,
   NodeId cur = start;
   while (cur != dest) {
     Dim chosen = kMaxDimension + 1;
-    const std::uint32_t here = dist.at(cur);
-    for (NodeId m = dims_mask; m != 0; m &= m - 1) {
+    const std::size_t cur_slot = subcube_slot(cur, dims_mask);
+    const std::uint32_t here = dist[cur_slot];
+    std::size_t slot_bit = 1;
+    for (NodeId m = dims_mask; m != 0; m &= m - 1, slot_bit <<= 1) {
       const Dim c = lsb_index(m);
       if (!usable(cur, c)) {  // an encountered fault, for the stats
         const LinkId l = LinkId::of(cur, c);
@@ -229,8 +250,7 @@ RoutingResult informed_subcube_route(NodeId start, NodeId dest,
         }
         continue;
       }
-      const auto it = dist.find(flip_bit(cur, c));
-      if (it == dist.end() || it->second != here - 1) continue;
+      if (dist[cur_slot ^ slot_bit] != here - 1) continue;
       // Downhill neighbor; prefer a preferred dimension on ties.
       if (chosen > kMaxDimension || (bit(cur ^ dest, c) == 1 &&
                                      bit(cur ^ dest, chosen) == 0)) {

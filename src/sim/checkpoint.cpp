@@ -255,8 +255,7 @@ void append_section(std::vector<std::uint8_t>& out, SectionId id,
 }
 
 [[nodiscard]] std::vector<std::uint8_t> serialize(const SimCheckpoint& ck) {
-  std::vector<std::uint8_t> out;
-  out.insert(out.end(), kMagic, kMagic + sizeof(kMagic));
+  std::vector<std::uint8_t> out(kMagic, kMagic + sizeof(kMagic));
   Buf ver;
   ver.u32(kCheckpointFormatVersion);
   out.insert(out.end(), ver.bytes.begin(), ver.bytes.end());

@@ -8,9 +8,18 @@
 //    faults the claim cannot hold as stated and the asserted envelope is
 //    relative to the fault-aware optimum (see check_all_pairs);
 //  * the in-cube BFS safeguard is never engaged.
+//
+// Route identity: every route, failure and FtgcrStats field over fixed
+// fault fixtures is folded into one FNV-1a hash per fixture and pinned to a
+// recorded constant, so a change that only makes planning cheaper can show
+// it moved nothing.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
 #include <tuple>
+#include <utility>
+#include <vector>
 
 #include "fault/categorize.hpp"
 #include "fault/fault_set.hpp"
@@ -240,6 +249,180 @@ TEST(Ftgcr, RouteLengthDegradesGracefullyWithFaults) {
                 dist_f[d] + 2 * num_faults + 6 * stats.freh_crossings);
     }
   }
+}
+
+// ------------------------------------------------------------ route identity
+
+void fnv1a(std::uint64_t& hash, std::uint64_t value) {
+  for (int byte = 0; byte < 8; ++byte) {
+    hash ^= (value >> (8 * byte)) & 0xffu;
+    hash *= 0x100000001b3ULL;
+  }
+}
+
+/// Node faults redrawn until the FTGCR precondition holds (the experiment
+/// runner's idiom), deterministic in `seed`.
+FaultSet precondition_node_faults(const GaussianCube& gc, std::size_t count,
+                                  std::uint64_t seed) {
+  Xoshiro256 rng(seed);
+  for (int attempt = 0; attempt < 1000; ++attempt) {
+    FaultSet faults;
+    while (faults.node_fault_count() < count) {
+      faults.fail_node(static_cast<NodeId>(rng.below(gc.node_count())));
+    }
+    if (check_ftgcr_precondition(gc, faults)) return faults;
+  }
+  ADD_FAILURE() << "no tolerable fault pattern for " << gc.name();
+  return {};
+}
+
+/// `nodes` random node faults, then `links` random marked links, with no
+/// precondition check.
+FaultSet random_faults(const GaussianCube& gc, std::size_t nodes,
+                       std::size_t links, std::uint64_t seed) {
+  Xoshiro256 rng(seed);
+  FaultSet faults;
+  while (faults.node_fault_count() < nodes) {
+    faults.fail_node(static_cast<NodeId>(rng.below(gc.node_count())));
+  }
+  while (faults.link_fault_count() < links) {
+    const auto u = static_cast<NodeId>(rng.below(gc.node_count()));
+    const auto c = static_cast<Dim>(rng.below(gc.dims()));
+    if (gc.has_link(u, c)) faults.fail_link(u, c);
+  }
+  return faults;
+}
+
+using NodePairs = std::vector<std::pair<NodeId, NodeId>>;
+
+NodePairs all_pairs(const GaussianCube& gc) {
+  NodePairs pairs;
+  pairs.reserve(gc.node_count() * gc.node_count());
+  for (NodeId s = 0; s < gc.node_count(); ++s) {
+    for (NodeId d = 0; d < gc.node_count(); ++d) pairs.emplace_back(s, d);
+  }
+  return pairs;
+}
+
+/// Every nonfaulty source with an unusable link (a neighbor of a faulty
+/// node or an endpoint of a marked link) times every destination — the
+/// pairs that miss the fault-free fast path — plus `random` seeded pairs.
+NodePairs fault_adjacent_pairs(const GaussianCube& gc, const FaultSet& faults,
+                               std::size_t random, std::uint64_t seed) {
+  NodePairs pairs;
+  for (NodeId s = 0; s < gc.node_count(); ++s) {
+    if (faults.node_faulty(s)) continue;
+    bool adjacent = false;
+    for (Dim c = 0; c < gc.dims() && !adjacent; ++c) {
+      adjacent = gc.has_link(s, c) && !faults.link_usable(s, c);
+    }
+    if (!adjacent) continue;
+    for (NodeId d = 0; d < gc.node_count(); ++d) pairs.emplace_back(s, d);
+  }
+  Xoshiro256 rng(seed);
+  for (std::size_t i = 0; i < random; ++i) {
+    const auto s = static_cast<NodeId>(rng.below(gc.node_count()));
+    pairs.emplace_back(s, static_cast<NodeId>(rng.below(gc.node_count())));
+  }
+  return pairs;
+}
+
+/// How many plans took each of the planner's expensive paths, so a fixture
+/// can be checked to exercise what it is there for.
+struct PathCounts {
+  std::size_t failures = 0;
+  std::size_t freh = 0;
+  std::size_t global_bfs = 0;
+  std::size_t faults_met = 0;
+};
+
+std::uint64_t route_identity_hash(const GaussianCube& gc,
+                                  const FaultSet& faults,
+                                  const NodePairs& pairs, PathCounts& counts) {
+  const FtgcrRouter router(gc, faults);
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  for (const auto& [s, d] : pairs) {
+    FtgcrStats stats;
+    const RoutingResult result = router.plan_with_stats(s, d, stats);
+    fnv1a(hash, (std::uint64_t{s} << 32) | d);
+    fnv1a(hash, result.delivered() ? 1u : 0u);
+    if (result.delivered()) {
+      fnv1a(hash, result.route->length());
+      for (const Dim c : result.route->hops()) fnv1a(hash, c);
+    }
+    fnv1a(hash, stats.faults_encountered);
+    fnv1a(hash, stats.spare_hops);
+    fnv1a(hash, stats.freh_crossings);
+    fnv1a(hash, stats.used_fallback ? 1u : 0u);
+    fnv1a(hash, stats.global_replans);
+    counts.failures += result.delivered() ? 0u : 1u;
+    counts.freh += stats.freh_crossings > 0 ? 1u : 0u;
+    counts.global_bfs += stats.global_replans > 0 ? 1u : 0u;
+    counts.faults_met += stats.faults_encountered > 0 ? 1u : 0u;
+  }
+  return hash;
+}
+
+// The constants were recorded with the planner that tested links through
+// FaultSet's hash probes and ran its searches on hash maps; the planner
+// reading the dense fault view must reproduce them exactly.
+TEST(FtgcrRouteIdentity, PinnedHashesOnFaultFixtures) {
+  const GaussianCube gc10(10, 4);
+  const GaussianCube gc8(8, 2);
+  const GaussianCube gc9(9, 8);
+  const GaussianCube gc7(7, 1);
+  struct Fixture {
+    std::string name;
+    const GaussianCube& gc;
+    FaultSet faults;
+    NodePairs pairs;
+    std::uint64_t expected;
+  };
+  std::vector<Fixture> fixtures;
+  auto add = [&](std::string name, const GaussianCube& gc, FaultSet faults,
+                 bool all, std::uint64_t expected) {
+    NodePairs pairs = all ? all_pairs(gc)
+                          : fault_adjacent_pairs(gc, faults, 2000,
+                                                 fixtures.size() + 1);
+    fixtures.push_back(
+        {std::move(name), gc, std::move(faults), std::move(pairs), expected});
+  };
+  add("GC(10,4) 12 node faults, seed 1", gc10,
+      precondition_node_faults(gc10, 12, 1), false, 0x185b1d7c83bca244ULL);
+  add("GC(10,4) 12 node faults, seed 2", gc10,
+      precondition_node_faults(gc10, 12, 2), false, 0x8df73af84a76330eULL);
+  add("GC(10,4) 40 marked links", gc10, random_faults(gc10, 0, 40, 3), false,
+      0x0147c1ee6282a527ULL);
+  add("GC(10,4) 6 node + 20 link faults", gc10, random_faults(gc10, 6, 20, 4),
+      false, 0xb509b57bd895eaf2ULL);
+  add("GC(8,2) 30 node + 30 link faults", gc8, random_faults(gc8, 30, 30, 5),
+      true, 0xc6ff46c0b28ba8e7ULL);
+  add("GC(9,8) 3 node + 6 link faults", gc9, random_faults(gc9, 3, 6, 6),
+      true, 0x8bf117a7baa5b4ddULL);
+  add("GC(7,1) 6 node + 10 link faults", gc7, random_faults(gc7, 6, 10, 7),
+      true, 0x6d325686e11bd309ULL);
+  ASSERT_FALSE(check_ftgcr_precondition(gc8, fixtures[4].faults))
+      << "the GC(8,2) fixture is there to break the precondition";
+
+  PathCounts total;
+  for (const Fixture& f : fixtures) {
+    PathCounts counts;
+    const std::uint64_t hash =
+        route_identity_hash(f.gc, f.faults, f.pairs, counts);
+    EXPECT_EQ(hash, f.expected)
+        << f.name << ": " << f.pairs.size() << " pairs, " << counts.failures
+        << " failures, " << counts.freh << " FREH, " << counts.global_bfs
+        << " global BFS, " << counts.faults_met << " meeting faults";
+    total.failures += counts.failures;
+    total.freh += counts.freh;
+    total.global_bfs += counts.global_bfs;
+    total.faults_met += counts.faults_met;
+  }
+  // The fixtures must reach every planner path the hashes pin.
+  EXPECT_GT(total.failures, 0u);
+  EXPECT_GT(total.freh, 0u);
+  EXPECT_GT(total.global_bfs, 0u);
+  EXPECT_GT(total.faults_met, 0u);
 }
 
 }  // namespace

@@ -163,7 +163,8 @@ TEST(NextHopFabricTest, OverlayAgreesWithFaultSetHashView) {
             << gc.name() << " u=" << u << " c=" << c;
         if (gc.has_link(u, c) && !faults.link_usable(u, c)) clean = false;
       }
-      ASSERT_EQ(overlay.node_clean(u), clean) << gc.name() << " u=" << u;
+      ASSERT_EQ(overlay.clean_window(u) & 1, clean ? 1u : 0u)
+          << gc.name() << " u=" << u;
     }
   }
 }
@@ -222,7 +223,7 @@ TEST(NextHopFabricTest, SteeringCompositeMatchesRoutersUnderFaults) {
       // fault set (FFGCR never consults faults).
       const std::optional<Dim> blind = ffgcr.plan(s, d).route->hops().front();
       ASSERT_EQ(std::optional<Dim>(fabric.fault_free_hop(s, d)), blind);
-      if (overlay.node_clean(s)) {
+      if ((overlay.clean_window(s) & 1) != 0) {
         // Clean node: the simulator takes the fabric hop unchecked, so it
         // must be an existing, usable link.
         const Dim c = fabric.fault_free_hop(s, d);

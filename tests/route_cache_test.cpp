@@ -9,8 +9,11 @@
 // bump, or any cache-key collision, breaks this.
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <latch>
 #include <memory>
 #include <optional>
+#include <thread>
 #include <vector>
 
 #include "fault/fault_set.hpp"
@@ -208,6 +211,82 @@ TEST(RouteCacheTest, FtgcrRepeatedQueriesAreStableWithinVersion) {
     for (int i = 0; i < 3; ++i) {
       EXPECT_EQ(router.plan_shared(s, d).get(), first.get());
       EXPECT_EQ(router.next_hop(s, d), hop);
+    }
+  }
+}
+
+TEST(RouteCacheTest, ConcurrentPlansMatchFreshRouterAcrossViewRefreshes) {
+  // FTGCR plans read a dense fault view that the first plan after a
+  // FaultSet mutation brings up to date — incrementally after a failure, by
+  // a full rebuild after a repair — while other threads are already
+  // planning. Every answer must equal a fresh serial router's.
+  const GaussianCube gc(10, 4);
+  FaultSet faults;
+  faults.fail_node(77);
+  faults.fail_link(301, 1);
+  const FtgcrRouter router(gc, faults);
+  constexpr NodeId kLinkNode = 300;
+  constexpr Dim kLinkDim = 0;
+  // Sources at the mutated link plan around it; the random pairs mostly
+  // take the fault-free fast path. Both read the view.
+  std::vector<std::pair<NodeId, NodeId>> pairs =
+      sample_pairs(gc, faults, 240, 808);
+  for (const NodeId s : {kLinkNode, flip_bit(kLinkNode, kLinkDim)}) {
+    for (const auto& [unused, d] : sample_pairs(gc, faults, 40, 909 + s)) {
+      if (d != s) pairs.emplace_back(s, d);
+    }
+  }
+  for (const auto& [s, d] : pairs) (void)router.plan_shared(s, d);
+
+  constexpr std::size_t kThreads = 4;
+  struct Answer {
+    std::shared_ptr<const Route> route;
+    std::optional<Dim> hop;
+  };
+  for (const bool repair : {false, true}) {
+    if (repair) {
+      ASSERT_TRUE(faults.repair_link(kLinkNode, kLinkDim));
+    } else {
+      faults.fail_link(kLinkNode, kLinkDim);
+    }
+    // Thread t serves a window of half the pairs starting at t quarters in
+    // (wrapping), so every pair is planned by two threads; odd threads walk
+    // their window backwards.
+    std::vector<std::vector<Answer>> answers(kThreads);
+    std::latch start(kThreads);
+    std::vector<std::thread> workers;
+    for (std::size_t t = 0; t < kThreads; ++t) {
+      workers.emplace_back([&, t] {
+        const std::size_t window = pairs.size() / 2;
+        std::vector<Answer>& out = answers[t];
+        out.resize(window);
+        start.arrive_and_wait();
+        for (std::size_t k = 0; k < window; ++k) {
+          const std::size_t i = t % 2 == 0 ? k : window - 1 - k;
+          const auto& [s, d] = pairs[(t * pairs.size() / kThreads + i) %
+                                     pairs.size()];
+          out[i] = {router.plan_shared(s, d), router.next_hop(s, d)};
+        }
+      });
+    }
+    for (std::thread& w : workers) w.join();
+
+    const FtgcrRouter fresh(gc, faults);
+    for (std::size_t t = 0; t < kThreads; ++t) {
+      for (std::size_t i = 0; i < answers[t].size(); ++i) {
+        const auto& [s, d] =
+            pairs[(t * pairs.size() / kThreads + i) % pairs.size()];
+        const RoutingResult expect = fresh.plan(s, d);
+        const Answer& got = answers[t][i];
+        ASSERT_EQ(got.route != nullptr, expect.delivered())
+            << "repair=" << repair << " s=" << s << " d=" << d;
+        if (got.route != nullptr) {
+          EXPECT_EQ(got.route->hops(), expect.route->hops())
+              << "repair=" << repair << " s=" << s << " d=" << d;
+        }
+        EXPECT_EQ(got.hop, fresh.next_hop(s, d))
+            << "repair=" << repair << " s=" << s << " d=" << d;
+      }
     }
   }
 }
