@@ -1,12 +1,14 @@
 // Ablation: graceful degradation under *online* fault arrivals — the
 // paper's actual operating regime (§5: each node picks the next hop from
-// local fault knowledge). Node faults arrive mid-run at a per-cycle rate;
-// packets whose precomputed next link died re-plan per hop from their
-// current node. We sweep the arrival rate on GC(9, 1) — the full 512-node
-// hypercube, where the dimension-ordered e-cube baseline is also defined —
-// and compare FTGCR's offered-load delivery ratio against e-cube's. The
-// fault-blind baseline loses every packet whose path dies; FTGCR keeps
-// delivering until the network itself disconnects.
+// local fault knowledge). Node faults arrive mid-run at a per-cycle rate.
+// FTGCR packets take fault-free table hops away from faults and adopt the
+// router's plan near them, adopting a fresh one when a fault kills their
+// next hop; e-cube has no table fabric, so its packets adopt their
+// dimension-ordered plan at the source. We sweep the arrival rate on
+// GC(9, 1) — the full 512-node hypercube, where the e-cube baseline is
+// also defined — and compare FTGCR's offered-load delivery ratio against
+// e-cube's. The fault-blind baseline loses every packet whose path dies;
+// FTGCR keeps delivering until the network itself disconnects.
 #include <iostream>
 #include <vector>
 

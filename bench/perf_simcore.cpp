@@ -247,7 +247,6 @@ void write_json(const std::string& path, const std::vector<CellResult>& cells,
         << "      \"warmup_cycles\": " << c.spec.warmup << ",\n"
         << "      \"measure_cycles\": " << c.spec.measure << ",\n"
         << "      \"threads\": " << c.spec.threads << ",\n"
-        << "      \"fabric\": true,\n"
         << "      \"simd\": \"" << to_string(c.simd) << "\",\n"
         << "      \"seconds\": " << json_double(c.seconds) << ",\n"
         << "      \"timed_seconds\": " << json_double(c.timed_seconds)

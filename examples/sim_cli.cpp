@@ -35,7 +35,9 @@
 // --checkpoint-path is set) plus the metrics summary, and exit 130.
 #include <atomic>
 #include <csignal>
+#include <cstdint>
 #include <iostream>
+#include <limits>
 #include <string>
 
 #include "sim/runner.hpp"
@@ -88,7 +90,7 @@ int main(int argc, char** argv) {
                 "fault-schedule", "fault-rate", "fault-repair", "flap-links",
                 "mttf", "mttr", "retry-limit", "retry-backoff",
                 "retry-budget", "retransmit-timeout", "threads",
-                "oversubscribe", "no-fabric", "simd", "checkpoint-every",
+                "oversubscribe", "simd", "checkpoint-every",
                 "checkpoint-path", "resume", "crash-at-cycle", "help"});
     if (args.get_bool("help")) {
       std::cout
@@ -102,12 +104,12 @@ int main(int argc, char** argv) {
           << "               [--retry-backoff B] [--retry-budget R]\n"
           << "               [--retransmit-timeout T]\n"
           << "               [--threads T] [--oversubscribe]\n"
-          << "               [--no-fabric] [--simd scalar|avx2]\n"
+          << "               [--simd scalar|avx2]\n"
           << "               [--checkpoint-every N] [--checkpoint-path F]\n"
           << "               [--resume F] [--crash-at-cycle N]\n"
           << "--fault-schedule/--fault-rate enable dynamic-fault mode:\n"
           << "scheduled events mutate the network mid-run and packets\n"
-          << "re-route per hop around faults discovered en route.\n"
+          << "adopt fresh plans around faults discovered en route.\n"
           << "--fault-repair D: each random node fault heals D cycles\n"
           << "after it lands (transient faults).\n"
           << "--flap-links L with --mttf/--mttr: L links fail and heal\n"
@@ -120,8 +122,6 @@ int main(int argc, char** argv) {
           << "are bit-identical for any thread count at a fixed seed;\n"
           << "counts above the core count are clamped unless\n"
           << "--oversubscribe is given.\n"
-          << "--no-fabric: disable table-driven next-hop steering (plan\n"
-          << "each route at injection instead).\n"
           << "--simd: pin the vector-kernel dispatch level (default: avx2\n"
           << "when the CPU supports it; requests above that are clamped).\n"
           << "Metrics are bit-identical at both levels — escape hatch for\n"
@@ -147,10 +147,13 @@ int main(int argc, char** argv) {
       }
       set_simd_level(*level);
     }
+    // Every integer flag lands in an unsigned field, so get_uint refuses
+    // negative values (they would wrap) and values the field cannot hold.
+    constexpr std::uint64_t kU32 = std::numeric_limits<std::uint32_t>::max();
     GcSimSpec spec;
-    spec.n = static_cast<Dim>(args.get_int("n", 9));
-    spec.modulus = static_cast<std::uint64_t>(args.get_int("modulus", 2));
-    spec.faulty_nodes = static_cast<std::size_t>(args.get_int("faults", 0));
+    spec.n = static_cast<Dim>(args.get_uint("n", 9, kU32));
+    spec.modulus = args.get_uint("modulus", 2);
+    spec.faulty_nodes = args.get_uint("faults", 0);
     spec.pattern = parse_pattern(args.get_string("pattern", "uniform"));
     spec.router = parse_router(args.get_string("router", "auto"));
     if (args.has("fault-schedule")) {
@@ -158,38 +161,31 @@ int main(int argc, char** argv) {
           FaultSchedule::from_file(args.get_string("fault-schedule", ""));
     }
     spec.fault_rate = args.get_double("fault-rate", 0.0);
-    spec.fault_repair_after =
-        static_cast<Cycle>(args.get_int("fault-repair", 0));
-    spec.flapping_links =
-        static_cast<std::size_t>(args.get_int("flap-links", 0));
+    spec.fault_repair_after = args.get_uint("fault-repair", 0);
+    spec.flapping_links = args.get_uint("flap-links", 0);
     spec.mttf = args.get_double("mttf", 200.0);
     spec.mttr = args.get_double("mttr", 50.0);
     spec.sim.retry_limit =
-        static_cast<std::uint32_t>(args.get_int("retry-limit", 0));
-    spec.sim.retry_backoff_base =
-        static_cast<Cycle>(args.get_int("retry-backoff", 2));
+        static_cast<std::uint32_t>(args.get_uint("retry-limit", 0, kU32));
+    spec.sim.retry_backoff_base = args.get_uint("retry-backoff", 2);
     spec.sim.retry_budget =
-        static_cast<std::uint32_t>(args.get_int("retry-budget", 0));
-    spec.sim.retransmit_timeout =
-        static_cast<Cycle>(args.get_int("retransmit-timeout", 64));
+        static_cast<std::uint32_t>(args.get_uint("retry-budget", 0, kU32));
+    spec.sim.retransmit_timeout = args.get_uint("retransmit-timeout", 64);
     spec.sim.injection_rate = args.get_double("rate", 0.02);
-    spec.sim.measure_cycles =
-        static_cast<Cycle>(args.get_int("cycles", 1500));
-    spec.sim.warmup_cycles = static_cast<Cycle>(args.get_int("warmup", 300));
-    spec.sim.seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
+    spec.sim.measure_cycles = args.get_uint("cycles", 1500);
+    spec.sim.warmup_cycles = args.get_uint("warmup", 300);
+    spec.sim.seed = args.get_uint("seed", 42);
     spec.sim.buffer_limit =
-        static_cast<std::uint32_t>(args.get_int("buffers", 0));
+        static_cast<std::uint32_t>(args.get_uint("buffers", 0, kU32));
     spec.sim.service_rate =
-        static_cast<std::uint32_t>(args.get_int("service", 4));
-    spec.sim.threads = static_cast<std::uint32_t>(args.get_int("threads", 0));
+        static_cast<std::uint32_t>(args.get_uint("service", 4, kU32));
+    spec.sim.threads =
+        static_cast<std::uint32_t>(args.get_uint("threads", 0, kU32));
     spec.sim.allow_oversubscribe = args.get_bool("oversubscribe");
-    spec.sim.fabric = !args.get_bool("no-fabric");
-    spec.sim.checkpoint_every =
-        static_cast<Cycle>(args.get_int("checkpoint-every", 0));
+    spec.sim.checkpoint_every = args.get_uint("checkpoint-every", 0);
     spec.sim.checkpoint_path = args.get_string("checkpoint-path", "");
     spec.sim.resume_from = args.get_string("resume", "");
-    spec.sim.crash_at_cycle =
-        static_cast<Cycle>(args.get_int("crash-at-cycle", 0));
+    spec.sim.crash_at_cycle = args.get_uint("crash-at-cycle", 0);
     spec.sim.stop_requested = &g_stop_requested;
     std::signal(SIGINT, handle_stop_signal);
     std::signal(SIGTERM, handle_stop_signal);
@@ -211,7 +207,6 @@ int main(int argc, char** argv) {
     table.add_row({"carryover delivered (warmup-born)",
                    std::to_string(m.carryover_delivered)});
     table.add_row({"delivery ratio", fmt_double(m.delivery_ratio(), 4)});
-    table.add_row({"dropped (at injection)", std::to_string(m.dropped)});
     table.add_row({"reroutes", std::to_string(m.reroutes)});
     table.add_row({"dropped no route", std::to_string(m.dropped_no_route)});
     table.add_row({"dropped hop limit",
@@ -244,11 +239,6 @@ int main(int argc, char** argv) {
                        std::to_string(m.plan_cache.hits) + "/" +
                        std::to_string(m.plan_cache.lookups()) + ", stale " +
                        std::to_string(m.plan_cache.stale) + ")"});
-    table.add_row({"hop cache hit rate",
-                   fmt_double(m.hop_cache.hit_rate(), 4) + " (" +
-                       std::to_string(m.hop_cache.hits) + "/" +
-                       std::to_string(m.hop_cache.lookups()) + ", stale " +
-                       std::to_string(m.hop_cache.stale) + ")"});
     table.print(std::cout);
     if (m.interrupted_at != 0) {
       // Graceful signal halt: the final checkpoint (when --checkpoint-path

@@ -30,32 +30,27 @@ speedup_vs_baseline to be >= X. Like --min-scaling it is opt-in: the
 committed BENCH_simcore.json is regenerated on a quiet machine and gated
 at the PR's target ratio, while CI's shared runners check shape only.
 
-Schema version 3 adds a per-cell "phase_breakdown" object (drain / inject
-/ advance / commit wall-clock attribution in nanoseconds); reports that
-declare schema_version >= 3 must carry it in every cell. Version-2
-reports remain accepted without it.
+perf_simcore reports must declare schema_version 5, the only schema
+perf_simcore emits. Every cell carries a "phase_breakdown" object (drain /
+inject / advance / commit wall-clock attribution in nanoseconds), "simd"
+(the dispatch level the cell's kernels ran at) and "timed_seconds" (wall
+time of the one instrumented pass that produced phase_breakdown), and
+every floating-point field is serialized as a float. Each cell is checked
+for: cycles_per_sec being an actual float consistent with (warmup +
+measure) / seconds, the phase_breakdown components summing to at most
+threads * timed_seconds (phases are accumulated across workers, so a
+multi-thread cell's sum may legitimately exceed wall time but never the
+worker-time budget), and _simd_scalar twin cells carrying bit-identical
+packet counters to their vectorized partner — the SIMD dispatch
+determinism contract, visible in the report itself.
 
-Schema version 4 adds "simd" (the dispatch level the cell's kernels ran
-at), "timed_seconds" (wall time of the one instrumented pass that
-produced phase_breakdown), and serializes every floating-point field as a
-float — cycles_per_sec used to flip between int and float across cells.
-
-Schema version 5 adds a top-level "provenance" object — the same
+The report also carries a top-level "provenance" object — the same
 identifying tuple the simulator's checkpoint header carries (seed,
 topology, router, simd, threads, schema_version, build_type) — so a
-report is attributable to the run that produced it. Version-5 reports
-must carry every provenance field, its simd level must be a known
-dispatch level, its schema_version must match the top-level one, and its
-build_type must be "optimized" or "debug". Version-4 reports remain
-accepted without it.
-Version-4 reports are additionally checked for: cycles_per_sec being an
-actual float consistent with (warmup + measure) / seconds, the
-phase_breakdown components summing to at most threads * timed_seconds
-(phases are accumulated across workers, so a multi-thread cell's sum may
-legitimately exceed wall time but never the worker-time budget), and
-_simd_scalar twin cells carrying bit-identical packet counters to their
-vectorized partner — the SIMD dispatch determinism contract, visible in
-the report itself.
+report is attributable to the run that produced it. Every provenance
+field must be present, its simd level must be a known dispatch level, its
+schema_version must match the top-level one, and its build_type must be
+"optimized" or "debug".
 
 Usage: check_bench_json.py [--min-scaling X] [--min-throughput-ratio X]
                            BENCH_simcore.json
@@ -68,7 +63,7 @@ import sys
 
 REQUIRED_CELL_FIELDS = (
     "name", "topology", "router", "static_faults", "injection_rate",
-    "warmup_cycles", "measure_cycles", "threads", "fabric", "seconds",
+    "warmup_cycles", "measure_cycles", "threads", "seconds",
     "cycles_per_sec", "generated", "delivered", "carryover_delivered",
     "total_hops", "packets_per_sec", "hops_per_sec",
 )
@@ -105,46 +100,42 @@ def fail(msg):
     sys.exit(1)
 
 
-def check_cell(cell, require_phases=False, require_v4=False):
+def check_cell(cell):
     name = cell.get("name", "<unnamed>")
     for field in REQUIRED_CELL_FIELDS:
         if field not in cell:
             fail(f"cell {name}: missing field '{field}'")
-    if require_phases:
-        phases = cell.get("phase_breakdown")
-        if not isinstance(phases, dict):
-            fail(f"cell {name}: schema_version >= 3 requires a "
-                 "phase_breakdown object")
-        for field in PHASE_BREAKDOWN_FIELDS:
-            value = phases.get(field)
-            if not isinstance(value, (int, float)) or value < 0:
-                fail(f"cell {name}: phase_breakdown.{field} missing or "
-                     "negative")
-    if require_v4:
-        if cell.get("simd") not in SIMD_LEVELS:
-            fail(f"cell {name}: simd {cell.get('simd')!r} not one of "
-                 f"{SIMD_LEVELS}")
-        timed = cell.get("timed_seconds")
-        if not isinstance(timed, float) or timed <= 0:
-            fail(f"cell {name}: timed_seconds missing, non-float, or "
-                 "nonpositive")
-        # The bug this schema rev fixed: %g serialization emitted
-        # cycles_per_sec as an int in some cells and a float in others.
-        if not isinstance(cell["cycles_per_sec"], float):
-            fail(f"cell {name}: cycles_per_sec {cell['cycles_per_sec']!r} "
-                 "must be serialized as a float")
-        expect_cps = (cell["warmup_cycles"] + cell["measure_cycles"]) \
-            / cell["seconds"]
-        got_cps = cell["cycles_per_sec"]
-        if abs(got_cps - expect_cps) > CYCLES_REL_TOL * expect_cps:
-            fail(f"cell {name}: cycles_per_sec {got_cps} inconsistent with "
-                 f"(warmup + measure) / seconds = {expect_cps:.0f}")
-        phase_sum_sec = sum(cell["phase_breakdown"][f]
-                            for f in PHASE_BREAKDOWN_FIELDS) / 1e9
-        budget = cell["threads"] * timed * (1.0 + PHASE_SUM_REL_TOL)
-        if phase_sum_sec > budget:
-            fail(f"cell {name}: phase_breakdown sum {phase_sum_sec:.4f}s "
-                 f"exceeds threads * timed_seconds budget {budget:.4f}s")
+    phases = cell.get("phase_breakdown")
+    if not isinstance(phases, dict):
+        fail(f"cell {name}: missing phase_breakdown object")
+    for field in PHASE_BREAKDOWN_FIELDS:
+        value = phases.get(field)
+        if not isinstance(value, (int, float)) or value < 0:
+            fail(f"cell {name}: phase_breakdown.{field} missing or "
+                 "negative")
+    if cell.get("simd") not in SIMD_LEVELS:
+        fail(f"cell {name}: simd {cell.get('simd')!r} not one of "
+             f"{SIMD_LEVELS}")
+    timed = cell.get("timed_seconds")
+    if not isinstance(timed, float) or timed <= 0:
+        fail(f"cell {name}: timed_seconds missing, non-float, or "
+             "nonpositive")
+    # %g serialization once emitted cycles_per_sec as an int in some cells
+    # and a float in others.
+    if not isinstance(cell["cycles_per_sec"], float):
+        fail(f"cell {name}: cycles_per_sec {cell['cycles_per_sec']!r} "
+             "must be serialized as a float")
+    expect_cps = (cell["warmup_cycles"] + cell["measure_cycles"]) \
+        / cell["seconds"]
+    got_cps = cell["cycles_per_sec"]
+    if abs(got_cps - expect_cps) > CYCLES_REL_TOL * expect_cps:
+        fail(f"cell {name}: cycles_per_sec {got_cps} inconsistent with "
+             f"(warmup + measure) / seconds = {expect_cps:.0f}")
+    phase_sum_sec = sum(phases[f] for f in PHASE_BREAKDOWN_FIELDS) / 1e9
+    budget = cell["threads"] * timed * (1.0 + PHASE_SUM_REL_TOL)
+    if phase_sum_sec > budget:
+        fail(f"cell {name}: phase_breakdown sum {phase_sum_sec:.4f}s "
+             f"exceeds threads * timed_seconds budget {budget:.4f}s")
     if cell["seconds"] <= 0:
         fail(f"cell {name}: nonpositive seconds {cell['seconds']}")
     if cell["carryover_delivered"] < 0:
@@ -174,7 +165,7 @@ BUILD_TYPES = ("optimized", "debug")
 def check_provenance(report):
     prov = report.get("provenance")
     if not isinstance(prov, dict):
-        fail("schema_version >= 5 requires a provenance object")
+        fail("missing provenance object")
     for field in PROVENANCE_FIELDS:
         if field not in prov:
             fail(f"provenance: missing field '{field}'")
@@ -197,12 +188,9 @@ def check_provenance(report):
 
 
 def check_perf_simcore(report, min_scaling=None, min_throughput_ratio=None):
-    if report.get("schema_version", 0) < 2:
-        fail(f"schema_version {report.get('schema_version')!r} < 2")
-    require_phases = report.get("schema_version", 0) >= 3
-    require_v4 = report.get("schema_version", 0) >= 4
-    if report.get("schema_version", 0) >= 5:
-        check_provenance(report)
+    if report.get("schema_version") != 5:
+        fail(f"schema_version {report.get('schema_version')!r} != 5")
+    check_provenance(report)
 
     baseline = report.get("baseline")
     if not isinstance(baseline, dict):
@@ -218,7 +206,7 @@ def check_perf_simcore(report, min_scaling=None, min_throughput_ratio=None):
         fail("cells missing or empty")
     by_name = {}
     for cell in cells:
-        check_cell(cell, require_phases=require_phases, require_v4=require_v4)
+        check_cell(cell)
         by_name[cell["name"]] = cell
 
     headline = by_name.get(headline_name)
@@ -244,7 +232,7 @@ def check_perf_simcore(report, min_scaling=None, min_throughput_ratio=None):
             if "speedup_vs_simd_scalar" not in cell:
                 fail(f"cell {name}: has a simd_scalar twin but no "
                      "speedup_vs_simd_scalar")
-            if require_v4 and twin.get("simd") != "scalar":
+            if twin.get("simd") != "scalar":
                 fail(f"cell {name}_simd_scalar: simd level "
                      f"{twin.get('simd')!r} is not 'scalar'")
             for counter in ("generated", "delivered", "total_hops"):

@@ -8,10 +8,11 @@
 //
 // FTGCR is additionally an *online, distributed* strategy (paper §5): a
 // node can pick the next hop from its current fault knowledge. next_hop()
-// exposes that view for the simulator's dynamic-fault mode — a packet
-// whose precomputed next link just died re-plans from its current node
-// instead of traversing a dead link. Fault-aware routers memoize these
-// re-plans per (cur, dst) and invalidate on FaultSet::version() changes.
+// exposes that stepwise view: the first hop of a route from the current
+// node under current faults. The simulator does not call it (packets
+// adopt whole plans through plan_shared); the routing tests and the
+// per-layer benchmarks do. Fault-aware routers memoize these answers per
+// (cur, dst) and invalidate on FaultSet::version() changes.
 #pragma once
 
 #include <memory>
@@ -87,9 +88,10 @@ class Router {
   [[nodiscard]] virtual RouterCacheStats cache_stats() const { return {}; }
 
   /// The router's precomputed next-hop tables (routing/next_hop_table.hpp),
-  /// or nullptr when it has none. The simulator steers packets through the
-  /// fabric directly — skipping plan_shared at injection — whenever the
-  /// returned fabric reports supported().
+  /// or nullptr when it has none. Whenever the returned fabric reports
+  /// supported(), the simulator steers packets through it at nodes with no
+  /// fault within distance 1 and calls plan_shared only elsewhere; without
+  /// one, every packet adopts plan_shared's route at its source.
   [[nodiscard]] virtual const NextHopFabric* fabric() const {
     return nullptr;
   }

@@ -7,10 +7,6 @@
 namespace gcube {
 namespace {
 
-constexpr std::uint32_t kPositional = kPktSteered | kPktAdaptive;
-constexpr std::uint32_t kFastSelect =
-    kPktSteered | kPktAdaptive | kPktHasPlan;
-
 ClassifyMasks classify_scalar(unsigned count, const PacketHot* const* hot,
                               const NodeId* nodes, NodeId base,
                               std::uint64_t clean,
@@ -19,9 +15,9 @@ ClassifyMasks classify_scalar(unsigned count, const PacketHot* const* hot,
   for (unsigned i = 0; i < count; ++i) {
     const PacketHot& h = *hot[i];
     const NodeId u = nodes[i];
-    if (h.positional_arrival() ? u == h.dst : h.hops == h.plan_len) {
+    if (u == h.dst) {
       m.arrived |= std::uint64_t{1} << i;
-    } else if ((h.flags & kFastSelect) == kPktSteered &&
+    } else if ((h.flags & kPktHasPlan) == 0 &&
                ((clean >> (u - base)) & 1) != 0 && h.hops < hop_limit) {
       m.fast |= std::uint64_t{1} << i;
     }
@@ -41,9 +37,7 @@ __attribute__((target("avx2"))) ClassifyMasks classify_avx2(
   const __m256i basev = _mm256_set1_epi32(static_cast<int>(base));
   const __m256i one64 = _mm256_set1_epi64x(1);
   const __m256i cleanv = _mm256_set1_epi64x(static_cast<long long>(clean));
-  const __m256i vpos = _mm256_set1_epi32(static_cast<int>(kPositional));
-  const __m256i vsel = _mm256_set1_epi32(static_cast<int>(kFastSelect));
-  const __m256i vsteer = _mm256_set1_epi32(static_cast<int>(kPktSteered));
+  const __m256i vplan = _mm256_set1_epi32(static_cast<int>(kPktHasPlan));
   // Unsigned 32-bit compare via sign-bias (hop_limit may use the full
   // uint32 range when configured explicitly).
   const __m256i bias = _mm256_set1_epi32(static_cast<int>(0x80000000u));
@@ -53,7 +47,8 @@ __attribute__((target("avx2"))) ClassifyMasks classify_avx2(
   for (; i + 8 <= count; i += 8) {
     // Two records per 256-bit load half: v_k holds records i+k (low lane)
     // and i+k+4 (high lane); three unpack rounds transpose the group into
-    // one lane vector per PacketHot field, lane j <-> record i+j.
+    // one lane vector per PacketHot field, lane j <-> record i+j (the
+    // fourth field is the record's alignment padding, never read).
     const __m256i v0 = _mm256_set_m128i(
         _mm_loadu_si128(reinterpret_cast<const __m128i*>(hot[i + 4])),
         _mm_loadu_si128(reinterpret_cast<const __m128i*>(hot[i + 0])));
@@ -67,29 +62,20 @@ __attribute__((target("avx2"))) ClassifyMasks classify_avx2(
         _mm_loadu_si128(reinterpret_cast<const __m128i*>(hot[i + 7])),
         _mm_loadu_si128(reinterpret_cast<const __m128i*>(hot[i + 3])));
     const __m256i lo01 = _mm256_unpacklo_epi32(v0, v1);  // dst dst hop hop
-    const __m256i hi01 = _mm256_unpackhi_epi32(v0, v1);  // pl pl fl fl
+    const __m256i hi01 = _mm256_unpackhi_epi32(v0, v1);  // fl fl pad pad
     const __m256i lo23 = _mm256_unpacklo_epi32(v2, v3);
     const __m256i hi23 = _mm256_unpackhi_epi32(v2, v3);
     const __m256i dstv = _mm256_unpacklo_epi64(lo01, lo23);
     const __m256i hopsv = _mm256_unpackhi_epi64(lo01, lo23);
-    const __m256i plv = _mm256_unpacklo_epi64(hi01, hi23);
-    const __m256i flv = _mm256_unpackhi_epi64(hi01, hi23);
+    const __m256i flv = _mm256_unpacklo_epi64(hi01, hi23);
     const __m256i uv = _mm256_loadu_si256(
         reinterpret_cast<const __m256i*>(nodes + i));
 
-    const auto not_positional = static_cast<std::uint32_t>(
-        _mm256_movemask_ps(_mm256_castsi256_ps(
-            _mm256_cmpeq_epi32(_mm256_and_si256(flv, vpos), zero))));
-    const auto at_dst = static_cast<std::uint32_t>(_mm256_movemask_ps(
+    const auto arrived = static_cast<std::uint32_t>(_mm256_movemask_ps(
         _mm256_castsi256_ps(_mm256_cmpeq_epi32(uv, dstv))));
-    const auto plan_done = static_cast<std::uint32_t>(_mm256_movemask_ps(
-        _mm256_castsi256_ps(_mm256_cmpeq_epi32(hopsv, plv))));
-    const std::uint32_t arrived =
-        (at_dst & ~not_positional) | (plan_done & not_positional);
-
-    const auto steer_only = static_cast<std::uint32_t>(_mm256_movemask_ps(
+    const auto no_plan = static_cast<std::uint32_t>(_mm256_movemask_ps(
         _mm256_castsi256_ps(_mm256_cmpeq_epi32(
-            _mm256_and_si256(flv, vsel), vsteer))));
+            _mm256_and_si256(flv, vplan), zero))));
     const auto under = static_cast<std::uint32_t>(_mm256_movemask_ps(
         _mm256_castsi256_ps(_mm256_cmpgt_epi32(
             vlimit, _mm256_xor_si256(hopsv, bias)))));
@@ -110,7 +96,7 @@ __attribute__((target("avx2"))) ClassifyMasks classify_avx2(
             one64))));
     const std::uint32_t clean_ok = clean_lo | (clean_hi << 4);
 
-    const std::uint32_t fast = steer_only & under & clean_ok & ~arrived;
+    const std::uint32_t fast = no_plan & under & clean_ok & ~arrived;
     m.arrived |= static_cast<std::uint64_t>(arrived) << i;
     m.fast |= static_cast<std::uint64_t>(fast) << i;
   }

@@ -6,11 +6,10 @@
 // to vector lanes. classify_front_packets answers, per entry, the two
 // questions the apply pass needs precomputed:
 //
-//   arrived:  positional packets (steered/adaptive) compare node == dst,
-//             planned ones compare hops == plan_len;
-//   fast:     steered with no adopted plan, at a clean node, under the
-//             livelock hop guard, and not arrived — i.e. eligible for the
-//             batched NextHopFabric::fault_free_hops lookup.
+//   arrived:  node == dst;
+//   fast:     no adopted plan, at a clean node, under the livelock hop
+//             guard, and not arrived — i.e. eligible for the batched
+//             NextHopFabric::fault_free_hops lookup.
 //
 // as two bitmasks over the (<= 64) entries. The AVX2 path loads 8 hot
 // records per group — two 16-byte records per 128-bit lane half —

@@ -135,7 +135,6 @@ class Cursor {
 void put_packet(Buf& b, const CheckpointPacket& p) {
   b.u32(p.dst);
   b.u32(p.hops);
-  b.u32(p.plan_len);
   b.u32(p.flags);
   b.u64(p.id);
   b.u32(p.src);
@@ -154,7 +153,6 @@ void put_packet(Buf& b, const CheckpointPacket& p) {
   CheckpointPacket p;
   p.dst = c.u32();
   p.hops = c.u32();
-  p.plan_len = c.u32();
   p.flags = c.u32();
   p.id = c.u64();
   p.src = c.u32();
@@ -285,8 +283,6 @@ void append_section(std::vector<std::uint8_t>& out, SectionId id,
     b.u32(c.park_capacity);
     b.u32(c.retry_budget);
     b.u64(c.retransmit_timeout);
-    b.u8(c.steer);
-    b.u8(c.active_set);
     b.u64(c.node_count);
     b.u32(c.dims);
     b.u64(c.traffic_fingerprint);
@@ -429,8 +425,6 @@ struct SectionPayload {
     ck.config.park_capacity = c.u32();
     ck.config.retry_budget = c.u32();
     ck.config.retransmit_timeout = c.u64();
-    ck.config.steer = c.u8();
-    ck.config.active_set = c.u8();
     ck.config.node_count = c.u64();
     ck.config.dims = c.u32();
     ck.config.traffic_fingerprint = c.u64();

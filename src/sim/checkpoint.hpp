@@ -43,7 +43,9 @@
 
 namespace gcube {
 
-inline constexpr std::uint32_t kCheckpointFormatVersion = 1;
+/// Files of any other version are refused at the header. Version 1 also
+/// held a routing-mode byte pair and a per-packet planned-prefix length.
+inline constexpr std::uint32_t kCheckpointFormatVersion = 2;
 
 /// A checkpoint load failure, carrying the name of the section that failed
 /// validation ("header" for magic/version problems, "config" for a resume
@@ -65,13 +67,12 @@ class CheckpointError : public std::runtime_error {
 };
 
 /// One serialized in-flight packet: the hot record, the cold identity and
-/// recovery counters, the carried Route (explicit hop list — shared
+/// recovery counters, the adopted Route if any (explicit hop list — shared
 /// ownership is a process-local optimization, so restore rebuilds a
 /// private copy), and the audited hop tail.
 struct CheckpointPacket {
   NodeId dst = 0;
   std::uint32_t hops = 0;
-  std::uint32_t plan_len = 0;
   std::uint32_t flags = 0;
   std::uint64_t id = 0;
   NodeId src = 0;
@@ -131,10 +132,6 @@ struct CheckpointConfig {
   std::uint32_t park_capacity = 0;
   std::uint32_t retry_budget = 0;
   Cycle retransmit_timeout = 0;
-  std::uint8_t steer = 0;       // effective fabric steering
-  /// Always 1 when written; kept so the format is unchanged. 0 marks a
-  /// checkpoint of the removed full-scan loop, which resume refuses.
-  std::uint8_t active_set = 0;
   std::uint64_t node_count = 0;
   std::uint32_t dims = 0;
   std::uint64_t traffic_fingerprint = 0;

@@ -74,7 +74,6 @@ void SimMetrics::absorb(const SimMetrics& shard) noexcept {
   phase_commit_ns += shard.phase_commit_ns;
   latency_histogram.merge(shard.latency_histogram);
   plan_cache += shard.plan_cache;
-  hop_cache += shard.hop_cache;
 }
 
 bool SimMetrics::deterministic_equals(const SimMetrics& o) const noexcept {

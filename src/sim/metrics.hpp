@@ -72,7 +72,10 @@ struct SimMetrics {
   /// work is visible and delivered + carryover_delivered bounds what the
   /// network actually completed in the window.
   std::uint64_t carryover_delivered = 0;
-  std::uint64_t dropped = 0;         // planner failures at injection time
+  /// Always 0: packets launch without a plan, and one whose router finds
+  /// no route strands where it stands (dropped_no_route or a retry).
+  /// Kept as a field of the accounting identity below for report readers.
+  std::uint64_t dropped = 0;
   std::uint64_t total_latency = 0;   // LP, cycles
   std::uint64_t total_hops = 0;      // over delivered packets
   std::uint64_t service_ops = 0;     // per-node packet handling operations
@@ -82,11 +85,14 @@ struct SimMetrics {
   bool deadlocked = false;           // sustained global stall detected
   // Degradation accounting. fault_events / orphaned_by_node_fault are zero
   // in static-fault runs; reroutes and the two en-route drop counters can
-  // be nonzero in any faulty run — fabric-steered packets re-plan at
-  // fault-adjacent nodes whether the faults are static or applied mid-run.
+  // be nonzero in any faulty run — packets adopt plans at fault-adjacent
+  // nodes whether the faults are static or applied mid-run.
   std::uint64_t fault_events = 0;    // schedule events applied (measured)
   std::uint64_t repairs_applied = 0;  // repair events that cleared a fault
-  std::uint64_t reroutes = 0;        // planned next link died; re-planned
+  /// A fault blocked the hop a packet was about to take: its fault-free
+  /// table hop at a fault-adjacent node, or the next hop of its adopted
+  /// plan (the packet then adopts a fresh plan where it stands).
+  std::uint64_t reroutes = 0;
   std::uint64_t dropped_no_route = 0;   // no usable continuation mid-flight
   std::uint64_t dropped_hop_limit = 0;  // livelock guard tripped
   std::uint64_t orphaned_by_node_fault = 0;  // queued at a node that died
@@ -121,14 +127,13 @@ struct SimMetrics {
   std::uint64_t phase_inject_ns = 0;   // phase A: injection + occupancy
   std::uint64_t phase_advance_ns = 0;  // phase B: queue service
   std::uint64_t phase_commit_ns = 0;   // fused serial section
-  /// Router memoization counters over the measurement window (cache state
+  /// Router plan-cache counters over the measurement window (cache state
   /// at run() end minus the snapshot at measurement start). Diagnostics,
   /// not simulation results: under parallel execution the hit/miss split
   /// depends on thread interleaving (two workers can both miss on a key
   /// one is about to fill), so these are deliberately EXCLUDED from
   /// deterministic_equals() and carry no determinism guarantee.
   CacheStats plan_cache;
-  CacheStats hop_cache;
 
   [[nodiscard]] double avg_latency() const {
     return delivered == 0
@@ -179,7 +184,7 @@ struct SimMetrics {
   /// Equality over every deterministic field, including the latency
   /// histogram. This is the parallel core's determinism contract: for a
   /// fixed seed it must hold across any shard/thread-count combination.
-  /// plan_cache / hop_cache are excluded — the hit/miss split is a
+  /// plan_cache is excluded — the hit/miss split is a
   /// thread-interleaving diagnostic, not a simulation result.
   [[nodiscard]] bool deterministic_equals(const SimMetrics& o) const noexcept;
 };

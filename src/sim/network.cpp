@@ -32,6 +32,12 @@ NetworkSim::NetworkSim(const Topology& topo, const Router& router,
                                                : 16 * topo.dims() + 64) {
   GCUBE_REQUIRE(config.service_rate >= 1, "service rate must be positive");
   GCUBE_REQUIRE(config.measure_cycles >= 1, "nothing to measure");
+  // A far-fire key holds the cycle above kFireNodeBits node bits, so every
+  // cycle of the run must fit in the remaining 64 - kFireNodeBits.
+  constexpr Cycle kCycleRange = Cycle{1} << (64 - kFireNodeBits);
+  GCUBE_REQUIRE(config.warmup_cycles < kCycleRange &&
+                    config.measure_cycles < kCycleRange - config.warmup_cycles,
+                "warmup + measure cycles exceed the simulator's cycle range");
   GCUBE_REQUIRE(config.threads <= kMaxPoolShards,
                 "thread count exceeds the packet-reference shard space");
   GCUBE_REQUIRE(config.retry_limit <= 32,
@@ -46,7 +52,6 @@ NetworkSim::NetworkSim(const Topology& topo, const Router& router,
   overlay_.attach(topo_);
   const NextHopFabric* fabric = router_.fabric();
   if (fabric != nullptr && fabric->supported()) fabric_ = fabric;
-  steer_ = config_.fabric && fabric_ != nullptr;
   timing_ = config_.phase_timing;
   simd_ = simd_level();
 }
@@ -299,19 +304,16 @@ void NetworkSim::wake_parked(Cycle now, bool measuring) {
     parked_.erase(parked_.begin());
     --parked_now_;
     if (!pk.respawn) --parked_count_[pk.node];
-    const auto release = [&] {
-      shards_[packet_ref_shard(pk.ref)].pool.release(packet_ref_slot(pk.ref));
-      --in_flight_;
-    };
     if (faults_.node_faulty(pk.node)) {
       // The wake site died while the packet was parked: lost with it.
-      release();
+      shards_[packet_ref_shard(pk.ref)].pool.release(packet_ref_slot(pk.ref));
+      --in_flight_;
       if (measuring) ++metrics_.orphaned_by_node_fault;
       continue;
     }
     if (pk.respawn) {
       // Fresh launch from the source: same id/created (latency measures
-      // end-to-end including the recovery delay), new route state. The
+      // end-to-end including the recovery delay), no plan, no hops. The
       // audit-sample membership is a pure function of the id, so the flag
       // survives the reset.
       PacketHot& h = hot_of(pk.ref);
@@ -320,22 +322,7 @@ void NetworkSim::wake_parked(Cycle now, bool measuring) {
       c.steer_next = 0;
       c.tail.clear();
       h.hops = 0;
-      h.plan_len = 0;
-      h.flags = (h.flags & kPktAudited) | (steer_ ? kPktSteered : 0);
-      if (!steer_) {
-        std::shared_ptr<const Route> planned =
-            router_.plan_shared(c.src, h.dst);
-        if (planned == nullptr) {
-          // The planner sees no path at relaunch time; the retransmit is
-          // spent and the packet is out of options.
-          release();
-          if (measuring) ++metrics_.gave_up;
-          continue;
-        }
-        h.plan_len = static_cast<std::uint32_t>(planned->length());
-        c.plan = std::move(planned);
-        h.flags |= kPktHasPlan;
-      }
+      h.flags &= kPktAudited;
     }
     // Re-entry bypasses buffer_limit: the packet never left the network,
     // so blocking it here would leak it from the accounting.
@@ -355,34 +342,20 @@ void NetworkSim::admit_packet(unsigned w, NodeId u, NodeId dst, Cycle now,
     if (measuring) ++m.injections_blocked;
     return;
   }
-  std::shared_ptr<const Route> planned;
-  std::uint32_t plan_len = 0;
-  if (!steer_) {
-    planned = router_.plan_shared(u, dst);
-    if (planned == nullptr) {
-      if (measuring) ++m.dropped;
-      return;
-    }
-    plan_len = static_cast<std::uint32_t>(planned->length());
-  }
-  // Steered packets launch with no plan at all: the fabric tables (or an
-  // adopted plan near faults) decide every hop at service time. release()
-  // leaves recycled slots with flags == 0 and a clear tail, so every other
-  // field is (re)initialized here.
+  // Packets launch with no plan at all: the fabric tables, or a plan
+  // adopted where no table hop can be taken, decide every hop at service
+  // time. release() leaves recycled slots with flags == 0, no plan and a
+  // clear tail, so every other field is (re)initialized here.
   const PacketIndex slot = sh.pool.acquire();
   PacketHot& h = sh.pool.hot(slot);
   PacketCold& c = sh.pool.cold(slot);
   const std::uint64_t id = now * node_count_ + u;  // unique, no shared ctr
   h.dst = dst;
   h.hops = 0;
-  h.plan_len = plan_len;
-  h.flags = (steer_ ? kPktSteered : 0) |
-            (planned != nullptr ? kPktHasPlan : 0) |
-            ((id & 63) == 0 ? kPktAudited : 0);
+  h.flags = (id & 63) == 0 ? kPktAudited : 0;
   c.id = id;
   c.src = u;
   c.created = now;
-  c.plan = std::move(planned);
   c.steer_next = 0;
   c.retry_attempts = 0;
   c.retransmits_used = 0;
@@ -501,6 +474,41 @@ void NetworkSim::phase_inject(unsigned w, Cycle now, bool measuring) {
   }
 }
 
+inline void NetworkSim::deliver(unsigned w, Ring<PacketRef>& queue,
+                                PacketRef ref, const PacketHot& h, Cycle now,
+                                bool measuring, bool& moved) {
+  Shard& sh = shards_[w];
+  if (h.audited()) {
+    const PacketCold& c = cold_of(ref);
+    NodeId replay = c.src;
+    for (std::uint32_t i = 0; i < h.hops; ++i) {
+      replay = flip_bit(replay, c.tail[i]);
+    }
+    GCUBE_REQUIRE(replay == h.dst,
+                  "delivered packet's recorded path must end at dst");
+  }
+  if (measuring) {
+    SimMetrics& m = sh.metrics;
+    const PacketCold& c = cold_of(ref);
+    if (c.created < config_.warmup_cycles) {
+      // Warmup-generated packet completing inside the window: real work,
+      // but counting it in delivered/latency would let the delivery ratio
+      // exceed the offered load and skew the averages.
+      ++m.carryover_delivered;
+    } else {
+      ++m.delivered;
+      m.total_latency += now - c.created;
+      m.total_hops += h.hops;
+      m.latency_histogram.record(now - c.created);
+    }
+    ++m.service_ops;
+  }
+  ++sh.removed;
+  queue.pop_front();
+  release_ref(w, ref, static_cast<unsigned>(now & 1));
+  moved = true;
+}
+
 void NetworkSim::serve_node(unsigned w, NodeId u, Cycle now, bool measuring,
                             bool& moved, bool clean, std::uint32_t hint) {
   Shard& sh = shards_[w];
@@ -515,42 +523,8 @@ void NetworkSim::serve_node(unsigned w, NodeId u, Cycle now, bool measuring,
     // The batched pass precomputed the front packet's disposition; every
     // later packet of the queue takes the full decision tree.
     const std::uint32_t hd = served == 0 ? hint : kHintNone;
-    // Adaptive and steered packets carry no complete route, so arrival is
-    // detected positionally; a planned packet arrives exactly when its
-    // route is consumed (the planner guarantees it ends at dst).
-    const bool arrived =
-        hd == kHintArrived ||
-        (hd == kHintNone &&
-         (h.positional_arrival() ? u == h.dst : h.hops == h.plan_len));
-    if (arrived) {
-      if (h.audited()) {
-        const PacketCold& c = cold_of(ref);
-        NodeId replay = c.src;
-        for (std::uint32_t i = 0; i < h.hops; ++i) {
-          replay = flip_bit(replay, packet_hop_at(h, c, i));
-        }
-        GCUBE_REQUIRE(replay == h.dst,
-                      "delivered packet's recorded path must end at dst");
-      }
-      if (measuring) {
-        const PacketCold& c = cold_of(ref);
-        if (c.created < config_.warmup_cycles) {
-          // Warmup-generated packet completing inside the window: real
-          // work, but counting it in delivered/latency would let the
-          // delivery ratio exceed the offered load and skew the averages.
-          ++m.carryover_delivered;
-        } else {
-          ++m.delivered;
-          m.total_latency += now - c.created;
-          m.total_hops += h.hops;
-          m.latency_histogram.record(now - c.created);
-        }
-        ++m.service_ops;
-      }
-      ++sh.removed;
-      queue.pop_front();
-      release_ref(w, ref, parity);
-      moved = true;
+    if (hd == kHintArrived || (hd == kHintNone && u == h.dst)) {
+      deliver(w, queue, ref, h, now, measuring, moved);
       continue;
     }
     // A dropped packet leaves the network for good; dropping counts as
@@ -579,19 +553,19 @@ void NetworkSim::serve_node(unsigned w, NodeId u, Cycle now, bool measuring,
     };
     Dim c;
     if (hd < kHintArrived) {
-      // Batched fast path: the classify pass established kPktSteered with
-      // no adopted plan, a clean node, and hops under the livelock guard,
-      // and the table lookup already ran — the hint IS the usable hop.
+      // Batched fast path: the classify pass established no adopted plan,
+      // a clean node, and hops under the livelock guard, and the table
+      // lookup already ran — the hint IS the usable hop.
       c = static_cast<Dim>(hd);
-    } else if ((h.flags & kPktSteered) != 0) {
+    } else {
       if (h.hops >= hop_limit_) {
-        drop_hop_limit();  // livelock guard, same bound as adaptive re-plans
+        drop_hop_limit();  // livelock guard: re-adopted plans cycled
         continue;
       }
       std::optional<Dim> hop;
       if ((h.flags & kPktHasPlan) != 0) {
-        // Following a plan adopted at an earlier fault-adjacent node;
-        // verify the next adopted hop is still alive before taking it.
+        // Following a plan adopted at an earlier node; verify the next
+        // adopted hop is still alive before taking it.
         PacketCold& cd = cold_of(ref);
         const Dim pc = cd.plan->hops()[cd.steer_next];
         if (overlay_.link_usable(u, pc)) {
@@ -609,10 +583,11 @@ void NetworkSim::serve_node(unsigned w, NodeId u, Cycle now, bool measuring,
           // is guaranteed usable — no per-link checks at all.
           hop = fabric_->fault_free_hop(u, h.dst);
         } else {
-          // Fault-adjacent node: adopt the router's full fault-aware plan
-          // from here. A reroute is counted when the fault actually
-          // deflects the packet off its fault-free table hop.
-          if (measuring &&
+          // No table hop to take — the router has no fabric, or a fault
+          // lies within distance 1 — so adopt the router's full plan from
+          // here. A reroute is counted when a fault actually deflects the
+          // packet off its fault-free table hop.
+          if (measuring && fabric_ != nullptr &&
               !overlay_.link_usable(u, fabric_->fault_free_hop(u, h.dst))) {
             ++m.reroutes;
           }
@@ -631,32 +606,6 @@ void NetworkSim::serve_node(unsigned w, NodeId u, Cycle now, bool measuring,
         }
       }
       c = *hop;
-    } else if ((h.flags & kPktAdaptive) != 0) {
-      if (h.hops >= hop_limit_) {
-        drop_hop_limit();  // livelock guard: stepwise re-plans cycled
-        continue;
-      }
-      const std::optional<Dim> nh = router_.next_hop(u, h.dst);
-      if (!nh || !overlay_.link_usable(u, *nh)) {
-        strand();  // no usable continuation (dst dead or region cut off)
-        continue;
-      }
-      c = *nh;
-    } else {
-      c = cold_of(ref).plan->hops()[h.hops];
-      if (!overlay_.link_usable(u, c)) {
-        // The precomputed next link died under the packet: re-plan from
-        // here with current fault knowledge instead of traversing it.
-        if (measuring) ++m.reroutes;
-        h.flags |= kPktAdaptive;
-        h.plan_len = h.hops;  // abandon the unconsumed planned tail
-        const std::optional<Dim> nh = router_.next_hop(u, h.dst);
-        if (!nh || !overlay_.link_usable(u, *nh)) {
-          strand();
-          continue;
-        }
-        c = *nh;
-      }
     }
     // Epoch-stamped link reservation: the directed link is free this cycle
     // iff its stamp is older than now + 1 (stamps store now + 1 to keep 0
@@ -671,19 +620,15 @@ void NetworkSim::serve_node(unsigned w, NodeId u, Cycle now, bool measuring,
     }
     stamp = stamp_now;
     if (measuring) ++m.service_ops;
-    if ((h.flags & (kPktSteered | kPktAdaptive)) != 0) {
-      // Online-routed hop: only the audited sample records it (the audit
-      // path lives in the tail); everyone else keeps just the hop count.
-      if (h.audited()) cold_of(ref).tail.push_back(c);
-      if ((h.flags & (kPktSteered | kPktHasPlan)) ==
-          (kPktSteered | kPktHasPlan)) {
-        PacketCold& cd = cold_of(ref);
-        if (++cd.steer_next >=
-            static_cast<std::uint32_t>(cd.plan->length())) {
-          cd.plan.reset();  // adopted plan consumed; back to table steering
-          cd.steer_next = 0;
-          h.flags &= ~kPktHasPlan;
-        }
+    // Only the audited sample records its hops (the audit path lives in
+    // the tail); everyone else keeps just the hop count.
+    if (h.audited()) cold_of(ref).tail.push_back(c);
+    if ((h.flags & kPktHasPlan) != 0) {
+      PacketCold& cd = cold_of(ref);
+      if (++cd.steer_next >= static_cast<std::uint32_t>(cd.plan->length())) {
+        cd.plan.reset();  // adopted plan consumed; back to table steering
+        cd.steer_next = 0;
+        h.flags &= ~kPktHasPlan;
       }
     }
     ++h.hops;
@@ -728,12 +673,14 @@ void NetworkSim::serve_word(unsigned w, std::size_t word_index, Cycle now,
   }
   if (count == 0) return;
   // One overlay window answers all 64 clean-node questions (fault-free
-  // runs skip even that load).
+  // runs skip even that load). Without a fabric there is no table hop to
+  // take, so no node counts as clean.
   const std::uint64_t clean =
-      !steer_ ? 0
-              : (no_faults_ ? ~std::uint64_t{0} : overlay_.clean_window(base));
+      fabric_ == nullptr
+          ? 0
+          : (no_faults_ ? ~std::uint64_t{0} : overlay_.clean_window(base));
   // Pass 2 (read-only): classify every front packet in SIMD lanes —
-  // arrived, steered fast path (no adopted plan, clean node, under the
+  // arrived, table fast path (no adopted plan, clean node, under the
   // livelock guard), or "decide in full later" — then compact the fast
   // lanes into (cur, dst) pairs for one tight batched table-lookup loop.
   const ClassifyMasks cm = classify_front_packets(
@@ -779,9 +726,9 @@ void NetworkSim::serve_word(unsigned w, std::size_t word_index, Cycle now,
   // queue are exactly as the classify pass saw them.
   //
   // The dominant shape at simulated loads — a depth-1 queue whose single
-  // packet either takes its precomputed hop or delivers — is applied
-  // inline (the exact serve_node semantics for that shape: one service,
-  // then the queue is empty); everything else takes the full path.
+  // packet either takes its table hop or delivers — is applied inline (the
+  // exact serve_node semantics for that shape: one service, then the queue
+  // is empty); everything else takes the full path.
   const unsigned parity = static_cast<unsigned>(now & 1);
   const auto stamp_now = static_cast<std::uint32_t>(now + 1);
   SimMetrics& m = sh.metrics;
@@ -793,31 +740,7 @@ void NetworkSim::serve_word(unsigned w, std::size_t word_index, Cycle now,
       const PacketRef ref = refs[i];
       PacketHot& h = *hotp[i];  // resolved once at harvest
       if (hint == kHintArrived) {
-        if (h.audited()) {
-          const PacketCold& c = cold_of(ref);
-          NodeId replay = c.src;
-          for (std::uint32_t k = 0; k < h.hops; ++k) {
-            replay = flip_bit(replay, packet_hop_at(h, c, k));
-          }
-          GCUBE_REQUIRE(replay == h.dst,
-                        "delivered packet's recorded path must end at dst");
-        }
-        if (measuring) {
-          const PacketCold& c = cold_of(ref);
-          if (c.created < config_.warmup_cycles) {
-            ++m.carryover_delivered;
-          } else {
-            ++m.delivered;
-            m.total_latency += now - c.created;
-            m.total_hops += h.hops;
-            m.latency_histogram.record(now - c.created);
-          }
-          ++m.service_ops;
-        }
-        ++sh.removed;
-        queue.pop_front();
-        release_ref(w, ref, parity);
-        moved = true;
+        deliver(w, queue, ref, h, now, measuring, moved);
         sh.active.clear(u - sh.begin);
       } else {
         const Dim c = static_cast<Dim>(hint);
@@ -998,7 +921,6 @@ SimMetrics NetworkSim::run() {
   if (cache_base_set_) {
     const RouterCacheStats delta = router_.cache_stats() - cache_base_;
     metrics_.plan_cache = delta.plan;
-    metrics_.hop_cache = delta.hop;
   }
   return metrics_;
 }
@@ -1127,7 +1049,6 @@ CheckpointPacket NetworkSim::capture_packet(PacketRef ref) {
   CheckpointPacket p;
   p.dst = h.dst;
   p.hops = h.hops;
-  p.plan_len = h.plan_len;
   p.flags = h.flags;
   p.id = c.id;
   p.src = c.src;
@@ -1155,8 +1076,7 @@ PacketRef NetworkSim::restore_packet(unsigned w, const CheckpointPacket& p,
   };
   need(p.dst < node_count_ && p.src < node_count_,
        "packet endpoint out of range");
-  constexpr std::uint32_t kKnownFlags =
-      kPktSteered | kPktAdaptive | kPktHasPlan | kPktAudited;
+  constexpr std::uint32_t kKnownFlags = kPktHasPlan | kPktAudited;
   need((p.flags & ~kKnownFlags) == 0, "unknown packet flags");
   const bool has_plan = (p.flags & kPktHasPlan) != 0;
   need(has_plan == !p.plan_hops.empty(),
@@ -1164,24 +1084,15 @@ PacketRef NetworkSim::restore_packet(unsigned w, const CheckpointPacket& p,
   if (has_plan) {
     need(p.plan_src < node_count_, "plan source out of range");
     for (const Dim d : p.plan_hops) need(d < dims_, "plan hop out of range");
+    // The service loop reads the adopted plan at steer_next.
+    need(p.steer_next < p.plan_hops.size(), "steer cursor out of range");
   }
   need((p.flags & kPktAudited) != 0 || p.tail_hops.empty(),
        "hop tail recorded without audit flag");
   for (const Dim d : p.tail_hops) need(d < dims_, "tail hop out of range");
-  // The bounds the service loops rely on: a steered packet reads its
-  // adopted plan at steer_next, a planned packet at hops, the audited
-  // replay walks plan[0, plan_len) ++ tail[0, hops - plan_len).
-  need(p.plan_len <= p.plan_hops.size(), "plan length beyond plan");
-  if ((p.flags & kPktSteered) != 0) {
-    need(!has_plan || p.steer_next < p.plan_hops.size(),
-         "steer cursor out of range");
-  } else if ((p.flags & kPktAdaptive) == 0) {
-    need(has_plan, "unrouted packet carries no plan");
-    need(p.hops <= p.plan_len, "hop count beyond plan");
-  }
-  need((p.flags & kPktAudited) == 0 ||
-           p.hops <= p.plan_len + p.tail_hops.size(),
-       "audited path shorter than hop count");
+  // The audited replay walks tail[0, hops).
+  need((p.flags & kPktAudited) == 0 || p.hops == p.tail_hops.size(),
+       "audited path length differs from hop count");
 
   Shard& sh = shards_[w];
   const PacketIndex slot = sh.pool.acquire();
@@ -1189,7 +1100,6 @@ PacketRef NetworkSim::restore_packet(unsigned w, const CheckpointPacket& p,
   PacketCold& c = sh.pool.cold(slot);
   h.dst = p.dst;
   h.hops = p.hops;
-  h.plan_len = p.plan_len;
   h.flags = p.flags;
   c.id = p.id;
   c.src = p.src;
@@ -1239,8 +1149,6 @@ SimCheckpoint NetworkSim::capture_checkpoint(Cycle next) {
   cc.park_capacity = config_.park_capacity;
   cc.retry_budget = config_.retry_budget;
   cc.retransmit_timeout = config_.retransmit_timeout;
-  cc.steer = steer_ ? 1 : 0;
-  cc.active_set = 1;
   cc.node_count = node_count_;
   cc.dims = dims_;
   cc.traffic_fingerprint = traffic_.state_fingerprint();
@@ -1360,10 +1268,6 @@ void NetworkSim::apply_checkpoint(const SimCheckpoint& ck) {
   match(cc.retry_budget == config_.retry_budget, "retry_budget");
   match(cc.retransmit_timeout == config_.retransmit_timeout,
         "retransmit_timeout");
-  match((cc.steer != 0) == steer_, "fabric steering");
-  // 0 marks a checkpoint of the removed full-scan loop, whose per-cycle
-  // injection draws cannot continue on the gap-scheduled realization.
-  match(cc.active_set != 0, "active_set");
   match(cc.node_count == node_count_, "node_count");
   match(cc.dims == dims_, "dims");
   match(cc.traffic_fingerprint == traffic_.state_fingerprint(),

@@ -5,21 +5,21 @@
 //    most one packet per cycle;
 //  * eager readership: each node can serve several packets per cycle
 //    (service_rate > expected arrivals), so service outpaces arrival;
-//  * source routing: a packet carries its dimension sequence, planned by
-//    the Router at injection;
+//  * online routing (paper §5): a node picks each packet's next hop from
+//    its local fault knowledge — the fault-free table hop where no fault
+//    lies within distance 1, the Router's plan from there otherwise;
 //  * FIFO input queue per node with head-of-line blocking on a busy link;
 //  * faulty nodes neither inject nor forward, and routes avoid them.
 //
 // Fault dynamics. In the default static mode the fault set is frozen
-// before cycle 0 and routes are valid for the whole run. Dynamic-fault
-// mode (the FaultSchedule constructors) models the paper's actual
-// operating regime — faults that appear while packets are in flight: the
-// schedule mutates the live FaultSet as the clock advances, every hop is
-// verified usable at traversal time, and a packet whose precomputed next
-// link just died re-plans from its current node via Router::next_hop
-// (counted in SimMetrics::reroutes; packets with no usable continuation
-// are dropped_no_route, packets over the livelock guard are
-// dropped_hop_limit, packets queued at a dying node are
+// before cycle 0. Dynamic-fault mode (the FaultSchedule constructors)
+// models the paper's actual operating regime — faults that appear while
+// packets are in flight: the schedule mutates the live FaultSet as the
+// clock advances, every adopted hop is verified usable at traversal time,
+// and a packet whose adopted next link just died adopts a fresh plan from
+// its current node (counted in SimMetrics::reroutes; packets with no
+// usable continuation are dropped_no_route, packets over the livelock
+// guard are dropped_hop_limit, packets queued at a dying node are
 // orphaned_by_node_fault). Schedules may also contain *repair* events —
 // transient faults that heal — which invalidate the routers' plan caches
 // and the fault overlay exactly like failures do. With an empty schedule
@@ -76,9 +76,8 @@
 // thread count, including 1. That contract is enforced by the determinism
 // test and lets the threads knob be a pure wall-clock choice.
 //
-// Hot-path machinery. There is one cycle loop; what varies is the routing
-// mode (SimConfig::fabric) and the kernel tier, which never changes a
-// metric:
+// Hot-path machinery. There is one cycle loop and one routing decision
+// tree; only the kernel tier varies, and it never changes a metric:
 //
 //  * Active-set cycle loop: each shard keeps a bitmap of nodes holding or
 //    receiving packets plus a timing wheel of pending injection fire times
@@ -88,7 +87,7 @@
 //    ascending, preserving the determinism contract.
 //  * Batched advance: phase B consumes the active bitmap a word at a time.
 //    Each 64-node window is harvested with its front packets' 16-byte hot
-//    records prefetched, classified (arrived / steered fast path /
+//    records prefetched, classified (arrived / table fast path /
 //    everything else), fed to NextHopFabric::fault_free_hops as one tight
 //    lookup batch with the clean-node test answered from a single
 //    FaultOverlay::clean_window word — and then APPLIED strictly in
@@ -99,21 +98,20 @@
 //    the read-only harvest/classify passes commute with the applies. The
 //    classify and lookup passes have scalar and AVX2 kernels
 //    (util/simd.hpp), bit-identical by construction.
-//  * Next-hop fabric steering (SimConfig::fabric, effective when the
-//    router exposes a supported NextHopFabric): packets are injected with
-//    NO precomputed plan. At service time, a node the FaultOverlay calls
-//    clean takes the fabric's O(1) table hop with no per-link checks at
-//    all (the overlay guarantees every link there is usable); a node
-//    within distance 1 of a fault adopts the router's full plan from that
-//    point and follows it with per-hop usability checks, re-adopting
-//    (SimMetrics::reroutes) if a later fault invalidates it. This removes
-//    the per-injection plan-cache lookup + shared_ptr traffic and the
-//    per-hop virtual topology/fault-hash queries from the fault-free
-//    common case. The overlay is refreshed at the serial points, so
-//    dynamic fault schedules work unchanged. With fabric off, every packet
-//    carries the router's plan from injection ("planned mode"); the test
-//    suite checks planned mode against a plain serial reference simulator
-//    (tests/reference_sim.hpp) metric for metric.
+//  * Next-hop fabric steering: packets are injected with NO plan. At
+//    service time, a node the FaultOverlay calls clean — and whose router
+//    exposes a supported NextHopFabric — takes the fabric's O(1) table hop
+//    with no per-link checks at all (the overlay guarantees every link
+//    there is usable). Anywhere else the packet adopts the router's full
+//    plan from that node and follows it with per-hop usability checks,
+//    adopting a fresh plan (SimMetrics::reroutes) if a later fault
+//    invalidates it. A router with no supported fabric (e-cube, GC with
+//    alpha > NextHopFabric::kMaxAlpha) therefore adopts its plan at the
+//    source. This keeps plan-cache lookups, shared_ptr traffic and
+//    per-hop link checks off the fault-free common case. The overlay is
+//    refreshed at the serial points, so dynamic fault schedules work
+//    unchanged. The test suite checks this path against a plain serial
+//    reference simulator (tests/reference_sim.hpp) metric for metric.
 //
 // Two deliberate semantic refinements versus the old serial-only core,
 // both required for order-independence (and covered by the contract):
@@ -296,10 +294,15 @@ class NetworkSim {
   static constexpr std::uint32_t kHintArrived = 0xFFFFFFFEu;
 
   /// Serves node u's queue for one cycle (the per-node body of phase B).
-  /// `clean` is the hoisted steering precondition for u (steer_ && no
-  /// fault within distance 1); `hint` applies to the FRONT packet only.
+  /// `clean` is the hoisted table-steering precondition for u (a fabric
+  /// and no fault within distance 1); `hint` applies to the FRONT packet
+  /// only.
   void serve_node(unsigned w, NodeId u, Cycle now, bool measuring,
                   bool& moved, bool clean, std::uint32_t hint);
+  /// Delivers `ref`, the front of `queue`, at its destination: audited
+  /// path replay, measurement accounting, dequeue and slot release.
+  void deliver(unsigned w, Ring<PacketRef>& queue, PacketRef ref,
+               const PacketHot& h, Cycle now, bool measuring, bool& moved);
   /// Batched phase-B advance over one active-bitmap word (see the header
   /// comment): harvest + prefetch, classify, batched fabric lookups, then
   /// apply via serve_node in ascending node order.
@@ -361,13 +364,12 @@ class NetworkSim {
   UniformTraffic default_traffic_;   // used when no model is supplied
   const TrafficModel& traffic_;
   /// Dense link-usability masks; refreshed at serial points, read by all
-  /// workers. Backs every usability check (planned and adaptive hops
-  /// included — its answer is pure-function-equal to topo.has_link &&
-  /// faults.link_usable).
+  /// workers. Backs every usability check (its answer is
+  /// pure-function-equal to topo.has_link && faults.link_usable).
   FaultOverlay overlay_;
-  /// The router's table fabric when present AND supported; null otherwise.
+  /// The router's table fabric when present AND supported; null otherwise
+  /// (then every packet adopts the router's plan at its source).
   const NextHopFabric* fabric_ = nullptr;
-  bool steer_ = false;       // config_.fabric && fabric_ != nullptr
   bool timing_ = false;      // config_.phase_timing
   /// Dispatch level for the vector kernels (classify, fabric batch
   /// lookup), snapshotted from simd_level() at construction so the hot
@@ -376,8 +378,8 @@ class NetworkSim {
   /// sweep select between them).
   SimdLevel simd_ = SimdLevel::kScalar;
   /// True while the fault set is empty; refreshed at the serial points.
-  /// Lets steering skip the per-node overlay loads entirely on fault-free
-  /// runs (every node is trivially clean).
+  /// Lets table steering skip the per-node overlay loads entirely on
+  /// fault-free runs (every node is trivially clean).
   bool no_faults_ = false;
   Cycle total_cycles_ = 0;   // warmup + measure, for fire scheduling
   std::vector<Shard> shards_;

@@ -3,25 +3,24 @@
 //
 // The cycle loop touches every in-flight packet once per hop, so the
 // fields it reads there are segregated into a 16-byte PacketHot record —
-// destination, hop cursor, planned-prefix length, and a flag byte — four
-// to a cache line in the pool's hot lane. Everything else (identity,
-// source, creation cycle, the shared route plan, retry/retransmit
-// counters, the audit hop tail) lives in a parallel PacketCold record
-// touched only at injection, near faults (plan adoption / adaptive
-// re-planning), on the audited delivery-replay sample, and at delivery
-// accounting — never on the steered fault-free fast path.
+// destination, hop count and a flag byte — four to a cache line in the
+// pool's hot lane. Everything else (identity, source, creation cycle, an
+// adopted route plan, retry/retransmit counters, the audit hop tail) lives
+// in a parallel PacketCold record touched only at injection, near faults
+// (plan adoption), on the audited delivery-replay sample, and at delivery
+// accounting — never on the fault-free table-steered fast path.
 //
-// A packet no longer owns its source route: PacketCold::plan holds shared
-// ownership of an immutable Route produced by the router's plan cache, so
-// injection is a refcount bump instead of a hop-vector copy. A packet that
-// goes adaptive (its precomputed next link died mid-flight) stops
-// consuming the plan and — when it is in the audit sample — records each
-// online hop in a small inline tail buffer, spilling to the heap only past
-// kInlineHops (deep detours under dense dynamic faults). The recorded path
-// is plan[0, plan_len) ++ tail, which the simulator replays at delivery as
-// a safety check on the deterministic 1-in-64 audited sample; non-audited
-// packets keep only the hop COUNT (PacketHot::hops), eliminating a
-// per-hop store plus potential heap spill from the common case.
+// Every packet is injected with no plan. Where the router has no table
+// fabric, or the node is within distance 1 of a fault, the packet adopts
+// the router's plan from there: PacketCold::plan holds shared ownership of
+// an immutable Route produced by the router's plan cache, so adoption is a
+// refcount bump instead of a hop-vector copy. Packets in the audit sample
+// record each hop they take in a small inline tail buffer, spilling to the
+// heap only past kInlineHops (deep detours under dense dynamic faults);
+// the simulator replays that tail at delivery as a safety check on the
+// deterministic 1-in-64 audited sample. Non-audited packets keep only the
+// hop COUNT (PacketHot::hops), eliminating a per-hop store plus potential
+// heap spill from the common case.
 #pragma once
 
 #include <cstdint>
@@ -75,36 +74,21 @@ class HopTail {
 // PacketHot::flags bits. kPktHasPlan mirrors PacketCold::plan != nullptr so
 // the fast path can rule out an adopted plan without touching the cold
 // record; kPktAudited precomputes (id & 63) == 0 for the same reason.
-inline constexpr std::uint32_t kPktSteered = 1u << 0;
-inline constexpr std::uint32_t kPktAdaptive = 1u << 1;
-inline constexpr std::uint32_t kPktHasPlan = 1u << 2;
-inline constexpr std::uint32_t kPktAudited = 1u << 3;
+inline constexpr std::uint32_t kPktHasPlan = 1u << 0;
+inline constexpr std::uint32_t kPktAudited = 1u << 1;
 
 /// The per-hop working set of one in-flight packet: everything the
-/// steered fault-free fast path reads or writes, and nothing else.
-/// Exactly 16 bytes — four packets per cache line in the pool's hot lane.
-struct PacketHot {
+/// fault-free fast path reads or writes, and nothing else. Aligned to
+/// 16 bytes — four packets per cache line in the pool's hot lane, one per
+/// 128-bit half of the classify kernel's AVX2 loads.
+struct alignas(16) PacketHot {
   NodeId dst = 0;
-  /// Hops already taken (the cursor into the recorded path). For a planned
-  /// packet this doubles as the index of the next plan hop to consume.
+  /// Hops already taken; arrival is positional (current node == dst).
   std::uint32_t hops = 0;
-  /// Hops [0, plan_len) of the recorded path come from *cold.plan; an
-  /// adaptive packet truncates this to the hops actually traversed before
-  /// the re-plan. Steered packets launch with 0 (no plan at all).
-  std::uint32_t plan_len = 0;
   std::uint32_t flags = 0;  // kPkt* bits
 
-  /// kSteered: fabric-steered packet, injected with NO plan, routed by
-  /// per-hop table lookups at clean nodes and by an adopted router plan
-  /// near faults; arrival is positional (current node == dst).
-  /// kAdaptive: a mid-flight fault invalidated the precomputed route; the
-  /// packet is steered hop by hop via Router::next_hop from then on.
-  /// Either way arrival cannot be read off the plan cursor.
-  [[nodiscard]] bool positional_arrival() const noexcept {
-    return (flags & (kPktSteered | kPktAdaptive)) != 0;
-  }
   /// Whether this packet participates in the delivery-replay audit (and so
-  /// records its online hops in cold.tail). A deterministic 1-in-64 sample
+  /// records its hops in cold.tail). A deterministic 1-in-64 sample
   /// keyed on the id — a pure function of (creation cycle, source), so the
   /// sample is identical across thread counts — keeps the invariant
   /// continuously exercised without putting an O(path) replay plus a hop
@@ -121,13 +105,11 @@ struct PacketCold {
   std::uint64_t id = 0;
   NodeId src = 0;
   Cycle created = 0;
-  /// Source route: the cached immutable plan computed at injection (the
-  /// paper's O(n) header), shared with the router's plan cache and any
-  /// other packet on the same (src, dst) pair — or a plan adopted
-  /// mid-flight at a fault-adjacent node by a steered packet.
+  /// The router's plan, adopted at a node where the table hop could not be
+  /// taken and shared with the router's plan cache and any other packet
+  /// on the same (node, dst) pair; null while the packet is table-steered.
   std::shared_ptr<const Route> plan;
-  /// Cursor into an adopted plan (steered packets only); adopted hops are
-  /// NOT part of plan_len — they land in `tail`.
+  /// Cursor into the adopted plan: the index of its next hop.
   std::uint32_t steer_next = 0;
   /// Transient-fault recovery state (SimConfig::retry_limit /
   /// retry_budget). How many times this packet has been parked in a retry
@@ -135,16 +117,8 @@ struct PacketCold {
   /// retransmits it has consumed.
   std::uint16_t retry_attempts = 0;
   std::uint16_t retransmits_used = 0;
-  /// Audited packets only: every online (steered or adaptive) hop taken.
+  /// Audited packets only: every hop taken, so tail.size() == hops.
   HopTail tail;
 };
-
-/// The i-th hop of an audited packet's recorded path (i < hot.hops, or
-/// i < plan_len for the not-yet-traversed planned suffix).
-[[nodiscard]] inline Dim packet_hop_at(const PacketHot& hot,
-                                       const PacketCold& cold,
-                                       std::uint32_t i) {
-  return i < hot.plan_len ? cold.plan->hops()[i] : cold.tail[i - hot.plan_len];
-}
 
 }  // namespace gcube

@@ -100,7 +100,7 @@ class PacketPool {
 
   /// Returns a slot to the free list. Deliberately minimal: the cold
   /// record is touched only when the flag word says it holds a plan
-  /// refcount or recorded tail hops — a delivered fast-path steered packet
+  /// refcount or recorded tail hops — a delivered table-steered packet
   /// releases with a single hot-lane store. Tail spill capacity survives
   /// for the next tenant. Owner thread only.
   void release(PacketIndex i) {

@@ -24,9 +24,9 @@ struct SimConfig {
   /// the regime where channel-dependency cycles (routing/deadlock.hpp)
   /// become observable.
   std::uint32_t buffer_limit = 0;
-  /// Dynamic-fault mode livelock guard: an adaptively re-routed packet
-  /// that has taken this many hops is dropped (stepwise re-plans are not
-  /// guaranteed monotone under faults). 0 = auto (16 * dims + 64).
+  /// Livelock guard: a packet that has taken this many hops is dropped
+  /// (plans re-adopted around faults are not guaranteed monotone).
+  /// 0 = auto (16 * dims + 64).
   std::uint32_t reroute_hop_limit = 0;
   /// Transient-fault recovery: how many times a stranded packet (no usable
   /// continuation at its current node) is parked for a backoff retry
@@ -57,10 +57,6 @@ struct SimConfig {
   /// determinism and TSan tests need it to run genuinely multithreaded on
   /// small machines.
   bool allow_oversubscribe = false;
-  /// Table-driven next-hop steering (see the header comment). Effective
-  /// only when the router exposes a supported NextHopFabric; otherwise the
-  /// plan-at-injection path is used regardless.
-  bool fabric = true;
   /// Accumulate per-phase wall-clock attribution into
   /// SimMetrics::phase_*_ns (bench instrumentation; adds steady_clock
   /// reads to the cycle loop, so timed runs leave it off).

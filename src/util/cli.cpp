@@ -1,6 +1,9 @@
 #include "util/cli.hpp"
 
+#include <charconv>
+#include <limits>
 #include <stdexcept>
+#include <system_error>
 
 #include "util/error.hpp"
 
@@ -46,27 +49,56 @@ std::string CliArgs::get_string(const std::string& key,
   return it == values_.end() ? fallback : it->second;
 }
 
+// The std::sto* parsers stop at the first character they cannot use, so
+// each getter also requires that the whole token was consumed: "2e3" is
+// not the integer 2 and "0.05abc" is not the number 0.05.
+
 std::int64_t CliArgs::get_int(const std::string& key,
                               std::int64_t fallback) const {
   const auto it = values_.find(key);
   if (it == values_.end()) return fallback;
   try {
-    return std::stoll(it->second);
+    std::size_t used = 0;
+    const std::int64_t value = std::stoll(it->second, &used);
+    if (used == it->second.size()) return value;
   } catch (const std::exception&) {
-    throw std::invalid_argument("flag --" + key + " expects an integer, got '" +
-                                it->second + "'");
+    // Not a number at all, or out of range: reported below.
   }
+  throw std::invalid_argument("flag --" + key + " expects an integer, got '" +
+                              it->second + "'");
+}
+
+std::uint64_t CliArgs::get_uint(const std::string& key, std::uint64_t fallback,
+                                std::uint64_t max) const {
+  const auto it = values_.find(key);
+  if (it == values_.end()) return fallback;
+  const std::string& text = it->second;
+  std::uint64_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [stop, ec] = std::from_chars(text.data(), end, value);
+  if (text.empty() || ec != std::errc{} || stop != end || value > max) {
+    const std::string range =
+        max == std::numeric_limits<std::uint64_t>::max()
+            ? "a non-negative integer"
+            : "an integer in [0, " + std::to_string(max) + "]";
+    throw std::invalid_argument("flag --" + key + " expects " + range +
+                                ", got '" + text + "'");
+  }
+  return value;
 }
 
 double CliArgs::get_double(const std::string& key, double fallback) const {
   const auto it = values_.find(key);
   if (it == values_.end()) return fallback;
   try {
-    return std::stod(it->second);
+    std::size_t used = 0;
+    const double value = std::stod(it->second, &used);
+    if (used == it->second.size()) return value;
   } catch (const std::exception&) {
-    throw std::invalid_argument("flag --" + key + " expects a number, got '" +
-                                it->second + "'");
+    // Not a number at all, or out of range: reported below.
   }
+  throw std::invalid_argument("flag --" + key + " expects a number, got '" +
+                              it->second + "'");
 }
 
 }  // namespace gcube

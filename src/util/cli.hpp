@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <set>
 #include <string>
@@ -25,8 +26,15 @@ class CliArgs {
   [[nodiscard]] bool has(const std::string& key) const;
   [[nodiscard]] std::string get_string(const std::string& key,
                                        const std::string& fallback) const;
+  /// Typed getters parse the whole token and throw std::invalid_argument
+  /// when any of it is left over.
   [[nodiscard]] std::int64_t get_int(const std::string& key,
                                      std::int64_t fallback) const;
+  /// A non-negative integer no larger than `max`: the getter for values
+  /// stored in unsigned fields, where a negative one would wrap.
+  [[nodiscard]] std::uint64_t get_uint(
+      const std::string& key, std::uint64_t fallback,
+      std::uint64_t max = std::numeric_limits<std::uint64_t>::max()) const;
   [[nodiscard]] double get_double(const std::string& key,
                                   double fallback) const;
   [[nodiscard]] bool get_bool(const std::string& key) const { return has(key); }

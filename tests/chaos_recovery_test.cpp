@@ -7,7 +7,7 @@
 //     with a dead node, given up after retries, or still in flight at the
 //     end; nothing leaks through the park/retransmit machinery;
 //  2. the any-thread-count determinism contract survives flapping
-//     schedules, in both steered (fabric) and planned modes, retries on;
+//     schedules with retries on;
 //  3. transient faults with retries recover delivery toward the
 //     fault-free baseline, while the same churn made permanent stays
 //     degraded — the qualitative curve bench/abl_recovery quantifies.
@@ -161,24 +161,20 @@ TEST(ChaosRecovery, RepairedNodeResumesInjecting) {
   expect_accounting_closed(dead, "permanent node");
 }
 
-TEST(ChaosRecovery, ThreadCountDeterminismUnderChurnSteeredAndPlanned) {
+TEST(ChaosRecovery, ThreadCountDeterminismUnderChurn) {
   const GaussianCube gc(8, 2);
   const FaultSchedule flaps = cube_flaps(gc, 16, 120, 50, 700, 7);
-  for (const bool fabric : {true, false}) {
-    SimConfig cfg = chaos_config();
-    cfg.measure_cycles = 700;
-    cfg.fabric = fabric;
-    cfg.allow_oversubscribe = true;  // real concurrency on small machines
-    cfg.threads = 1;
-    const SimMetrics base = run_chaos(gc, flaps, cfg);
-    expect_accounting_closed(base, fabric ? "steered t1" : "planned t1");
-    for (const std::uint32_t threads : {2u, 4u}) {
-      cfg.threads = threads;
-      const SimMetrics m = run_chaos(gc, flaps, cfg);
-      EXPECT_TRUE(m.deterministic_equals(base))
-          << (fabric ? "steered" : "planned") << " mode diverged at threads="
-          << threads;
-    }
+  SimConfig cfg = chaos_config();
+  cfg.measure_cycles = 700;
+  cfg.allow_oversubscribe = true;  // real concurrency on small machines
+  cfg.threads = 1;
+  const SimMetrics base = run_chaos(gc, flaps, cfg);
+  expect_accounting_closed(base, "t1");
+  for (const std::uint32_t threads : {2u, 4u}) {
+    cfg.threads = threads;
+    const SimMetrics m = run_chaos(gc, flaps, cfg);
+    EXPECT_TRUE(m.deterministic_equals(base)) << "diverged at threads="
+                                              << threads;
   }
 }
 

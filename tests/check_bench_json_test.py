@@ -31,7 +31,6 @@ def cell(name, threads=1, generated=1000, delivered=900, seconds=0.5,
         "warmup_cycles": 300,
         "measure_cycles": 4000,
         "threads": threads,
-        "fabric": True,
         "seconds": seconds,
         "cycles_per_sec": 4300 / seconds,
         "generated": generated,
@@ -46,63 +45,48 @@ def cell(name, threads=1, generated=1000, delivered=900, seconds=0.5,
             "advance_ns": 14_000_000,
             "commit_ns": 100_000,
         },
+        "simd": "avx2",
+        "timed_seconds": seconds * 1.1,
     }
     c.update(extra)
     return c
 
 
 def good_report():
+    """A schema-5 report: the headline cell, its t2/t4 scaling points and
+    its _simd_scalar twin, plus the top-level provenance block."""
     base = cell("gc10x4_ftgcr_static", headline=True,
                 baseline_packets_per_sec=1000.0,
-                speedup_vs_baseline=1.8)
+                speedup_vs_baseline=1.8,
+                speedup_vs_simd_scalar=0.6 / 0.5)
     t2 = cell("gc10x4_ftgcr_static_t2", threads=2, seconds=0.4,
               scaling_base="gc10x4_ftgcr_static",
               speedup_vs_threads1=0.5 / 0.4)
     t4 = cell("gc10x4_ftgcr_static_t4", threads=4, seconds=0.3,
               scaling_base="gc10x4_ftgcr_static",
               speedup_vs_threads1=0.5 / 0.3)
+    twin = cell("gc10x4_ftgcr_static_simd_scalar", seconds=0.6,
+                simd="scalar")
     return {
         "bench": "perf_simcore",
-        "schema_version": 3,
+        "schema_version": 5,
         "mode": "quick",
         "baseline": {
             "label": "self-test",
             "headline_cell": "gc10x4_ftgcr_static",
             "packets_per_sec": 1000.0,
         },
-        "cells": [base, t2, t4],
+        "provenance": {
+            "seed": 4242,
+            "topology": "GC(10, 4)",
+            "router": "FTGCR",
+            "simd": "avx2",
+            "threads": 1,
+            "schema_version": 5,
+            "build_type": "optimized",
+        },
+        "cells": [base, t2, t4, twin],
     }
-
-
-def good_v4_report():
-    """Schema-4 report: simd + timed_seconds per cell, float serialization,
-    and a _simd_scalar twin of the headline cell."""
-    r = good_report()
-    r["schema_version"] = 4
-    twin = cell("gc10x4_ftgcr_static_simd_scalar", seconds=0.6)
-    r["cells"].append(twin)
-    r["cells"][0]["speedup_vs_simd_scalar"] = 0.6 / 0.5
-    for c in r["cells"]:
-        c["simd"] = "avx2"
-        c["timed_seconds"] = c["seconds"] * 1.1
-    twin["simd"] = "scalar"
-    return r
-
-
-def good_v5_report():
-    """Schema-5 report: v4 plus the top-level provenance block."""
-    r = good_v4_report()
-    r["schema_version"] = 5
-    r["provenance"] = {
-        "seed": 4242,
-        "topology": "GC(10, 4)",
-        "router": "FTGCR",
-        "simd": "avx2",
-        "threads": 1,
-        "schema_version": 5,
-        "build_type": "optimized",
-    }
-    return r
 
 
 def run_checker(report, *flags):
@@ -191,9 +175,13 @@ def main():
     expect("truncated JSON rejected", '{"bench": "perf_simcore", "ce',
            ok=False, message="cannot read")
 
-    r = good_report()
-    r["schema_version"] = 1
-    expect("stale schema rejected", r, ok=False, message="schema_version")
+    # perf_simcore emits schema 5 only; older reports are refused.
+    for version in (1, 4):
+        r = good_report()
+        r["schema_version"] = version
+        r["provenance"]["schema_version"] = version
+        expect(f"schema {version} rejected", r, ok=False,
+               message="schema_version")
 
     # --min-throughput-ratio: the good report's headline is 1.8x.
     expect("headline above the ratio floor passes", good_report(),
@@ -203,10 +191,10 @@ def main():
            message="below required")
     expect("ratio gate ungated report still passes", good_report())
 
-    # schema 3 phase breakdown: required per cell, all four fields.
+    # phase breakdown: required per cell, all four fields.
     r = good_report()
     del r["cells"][1]["phase_breakdown"]
-    expect("schema-3 cell without phase_breakdown rejected", r, ok=False,
+    expect("cell without phase_breakdown rejected", r, ok=False,
            message="phase_breakdown")
     r = good_report()
     del r["cells"][0]["phase_breakdown"]["advance_ns"]
@@ -215,57 +203,49 @@ def main():
     r = good_report()
     r["cells"][0]["phase_breakdown"]["drain_ns"] = -1
     expect("negative phase time rejected", r, ok=False, message="drain_ns")
-    # A version-2 report (pre-phase-timing) is still accepted without it.
+
+    # simd level, timed_seconds, float-typed cycles_per_sec, phase-sum
+    # budget, and the _simd_scalar twin pairing.
     r = good_report()
-    r["schema_version"] = 2
-    for c in r["cells"]:
-        del c["phase_breakdown"]
-    expect("schema-2 report without phase_breakdown passes", r)
-
-    # schema 4: simd level, timed_seconds, float-typed cycles_per_sec,
-    # phase-sum budget, and the _simd_scalar twin pairing.
-    expect("well-formed v4 report passes", good_v4_report())
-
-    r = good_v4_report()
     r["cells"][0]["cycles_per_sec"] = int(r["cells"][0]["cycles_per_sec"])
     expect("int-typed cycles_per_sec rejected", r, ok=False,
            message="float")
 
-    r = good_v4_report()
+    r = good_report()
     r["cells"][0]["cycles_per_sec"] = 4300 / 0.5 * 3  # wrong denominator
     expect("cycles_per_sec inconsistent with seconds rejected", r, ok=False,
            message="inconsistent")
 
-    r = good_v4_report()
+    r = good_report()
     del r["cells"][1]["timed_seconds"]
-    expect("v4 cell without timed_seconds rejected", r, ok=False,
+    expect("cell without timed_seconds rejected", r, ok=False,
            message="timed_seconds")
 
-    r = good_v4_report()
+    r = good_report()
     r["cells"][0]["simd"] = "avx512"
     expect("unknown simd level rejected", r, ok=False, message="simd")
 
     # cell() carries ~20.1 ms of phase time; 12 ms of timed_seconds only
     # covers that inside a 2-worker budget.
-    r = good_v4_report()
+    r = good_report()
     r["cells"][0]["timed_seconds"] = 0.012
     expect("phase sum beyond timed_seconds rejected", r, ok=False,
            message="budget")
-    r = good_v4_report()
+    r = good_report()
     r["cells"][1]["timed_seconds"] = 0.012  # threads=2 cell
     expect("multi-thread phase sum within worker budget passes", r)
 
-    r = good_v4_report()
+    r = good_report()
     del r["cells"][0]["speedup_vs_simd_scalar"]
     expect("simd twin without attribution ratio rejected", r, ok=False,
            message="speedup_vs_simd_scalar")
 
-    r = good_v4_report()
+    r = good_report()
     r["cells"][3]["simd"] = "avx2"  # the twin must actually run scalar
     expect("simd twin not pinned scalar rejected", r, ok=False,
            message="not 'scalar'")
 
-    r = good_v4_report()
+    r = good_report()
     r["cells"][3]["delivered"] -= 5
     r["cells"][3]["total_hops"] = r["cells"][3]["delivered"] * 8
     r["cells"][3]["packets_per_sec"] = \
@@ -275,42 +255,37 @@ def main():
     expect("simd twin counter drift rejected", r, ok=False,
            message="SIMD dispatch determinism")
 
-    # schema 5: the top-level provenance block, the checkpoint header's
-    # identifying tuple mirrored into the report.
-    expect("well-formed v5 report passes", good_v5_report())
-
-    r = good_v5_report()
+    # The top-level provenance block, the checkpoint header's identifying
+    # tuple mirrored into the report.
+    r = good_report()
     del r["provenance"]
-    expect("v5 report without provenance rejected", r, ok=False,
+    expect("report without provenance rejected", r, ok=False,
            message="provenance")
 
-    r = good_v5_report()
+    r = good_report()
     del r["provenance"]["build_type"]
     expect("provenance missing a field rejected", r, ok=False,
            message="build_type")
 
-    r = good_v5_report()
+    r = good_report()
     r["provenance"]["simd"] = "neon"
     expect("provenance unknown simd level rejected", r, ok=False,
            message="simd")
 
-    r = good_v5_report()
+    r = good_report()
     r["provenance"]["schema_version"] = 4
     expect("provenance schema_version disagreement rejected", r, ok=False,
            message="disagrees")
 
-    r = good_v5_report()
+    r = good_report()
     r["provenance"]["build_type"] = "release"
     expect("provenance unknown build_type rejected", r, ok=False,
            message="build_type")
 
-    r = good_v5_report()
+    r = good_report()
     r["provenance"]["threads"] = 0
     expect("provenance nonpositive threads rejected", r, ok=False,
            message="threads")
-
-    # A v4 report (no provenance) must remain accepted.
-    expect("v4 report without provenance still passes", good_v4_report())
 
     if FAILURES:
         print("check_bench_json_test: FAIL", file=sys.stderr)

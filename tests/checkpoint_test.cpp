@@ -1,9 +1,9 @@
 // Checkpoint/restore contract tests.
 //
-// The golden contract (ISSUE 10): for any interruption cycle k, any thread
-// count, any SIMD level, both steered/planned modes — with static faults,
-// scheduled faults, and transient-recovery retries live — resuming from
-// the checkpoint produces final metrics that deterministic_equals the
+// The golden contract: for any interruption cycle k, any thread count, any
+// SIMD level — with static faults, scheduled faults, and transient-recovery
+// retries live, and packets in flight that follow adopted plans — resuming
+// from the checkpoint produces final metrics that deterministic_equals the
 // uninterrupted run; and a corrupted or truncated checkpoint is refused
 // with an error NAMING the failing section, falling back to the previous
 // good generation. The in-process matrix here uses the deterministic
@@ -111,12 +111,11 @@ SimConfig scenario_config(Scenario sc) {
 /// One simulation run of the given scenario. `halt` != 0 interrupts at
 /// that cycle (writing a final checkpoint to `path`); a non-empty
 /// `resume` continues from a checkpoint instead of starting at cycle 0.
-SimMetrics run_scenario(Scenario sc, bool fabric, std::uint32_t threads,
+SimMetrics run_scenario(Scenario sc, std::uint32_t threads,
                         const std::string& path = "", Cycle halt = 0,
                         const std::string& resume = "") {
   const GaussianCube gc(8, 2);
   SimConfig cfg = scenario_config(sc);
-  cfg.fabric = fabric;
   cfg.threads = threads;
   cfg.checkpoint_path = path;
   cfg.halt_at_cycle = halt;
@@ -137,12 +136,26 @@ SimMetrics run_scenario(Scenario sc, bool fabric, std::uint32_t threads,
   return sim.run();
 }
 
+/// Packets in the checkpoint, queued or parked, that follow an adopted
+/// router plan.
+std::size_t adopted_plans(const SimCheckpoint& ck) {
+  std::size_t n = 0;
+  for (const auto& queue : ck.queues) {
+    for (const CheckpointPacket& p : queue) {
+      if (!p.plan_hops.empty()) ++n;
+    }
+  }
+  for (const CheckpointParked& pk : ck.parked) {
+    if (!pk.packet.plan_hops.empty()) ++n;
+  }
+  return n;
+}
+
 // ---------------------------------------------------------------------------
 // The resume-determinism matrix: interruption cycles (early/mid/late) x
-// thread counts {1,2,4} on BOTH sides of the interruption x steered and
-// planned modes x all three fault scenarios. The halted run and the
-// resumed run deliberately use different thread counts — execution shape
-// is not part of the state.
+// thread counts {1,2,4} on BOTH sides of the interruption x all three fault
+// scenarios. The halted run and the resumed run deliberately use different
+// thread counts — execution shape is not part of the state.
 // ---------------------------------------------------------------------------
 
 TEST(Checkpoint, ResumeMatrixIsBitIdenticalToUninterruptedRun) {
@@ -154,24 +167,27 @@ TEST(Checkpoint, ResumeMatrixIsBitIdenticalToUninterruptedRun) {
   const Leg legs[] = {{150, 1, 4}, {400, 2, 1}, {650, 4, 2}};
   for (const Scenario sc :
        {Scenario::kStatic, Scenario::kScheduled, Scenario::kRetryRecovery}) {
-    for (const bool fabric : {true, false}) {
-      const SimMetrics uninterrupted = run_scenario(sc, fabric, 1);
-      EXPECT_EQ(uninterrupted.interrupted_at, 0u);
-      for (const Leg& leg : legs) {
-        const std::string path = tmp_path("matrix");
-        remove_generations(path);
-        const SimMetrics partial = run_scenario(sc, fabric, leg.halt_threads,
-                                                path, leg.halt);
-        ASSERT_EQ(partial.interrupted_at, leg.halt);
-        const SimMetrics resumed = run_scenario(
-            sc, fabric, leg.resume_threads, "", 0, path);
-        EXPECT_EQ(resumed.interrupted_at, 0u);
-        EXPECT_TRUE(resumed.deterministic_equals(uninterrupted))
-            << "scenario=" << static_cast<int>(sc)
-            << " fabric=" << fabric << " halt=" << leg.halt << " threads "
-            << leg.halt_threads << "->" << leg.resume_threads;
-        remove_generations(path);
+    const SimMetrics uninterrupted = run_scenario(sc, 1);
+    EXPECT_EQ(uninterrupted.interrupted_at, 0u);
+    for (const Leg& leg : legs) {
+      const std::string path = tmp_path("matrix");
+      remove_generations(path);
+      const SimMetrics partial =
+          run_scenario(sc, leg.halt_threads, path, leg.halt);
+      ASSERT_EQ(partial.interrupted_at, leg.halt);
+      if (sc == Scenario::kStatic) {
+        // Packets near the static faults are mid-way through adopted
+        // plans, so the resume must carry plan cursors, not just tables.
+        EXPECT_GT(adopted_plans(load_checkpoint(path)), 0u)
+            << "halt=" << leg.halt;
       }
+      const SimMetrics resumed =
+          run_scenario(sc, leg.resume_threads, "", 0, path);
+      EXPECT_EQ(resumed.interrupted_at, 0u);
+      EXPECT_TRUE(resumed.deterministic_equals(uninterrupted))
+          << "scenario=" << static_cast<int>(sc) << " halt=" << leg.halt
+          << " threads " << leg.halt_threads << "->" << leg.resume_threads;
+      remove_generations(path);
     }
   }
 }
@@ -179,15 +195,13 @@ TEST(Checkpoint, ResumeMatrixIsBitIdenticalToUninterruptedRun) {
 TEST(Checkpoint, PeriodicCheckpointRotationKeepsPreviousGeneration) {
   const std::string path = tmp_path("rotation");
   remove_generations(path);
-  const SimMetrics uninterrupted =
-      run_scenario(Scenario::kScheduled, true, 2);
+  const SimMetrics uninterrupted = run_scenario(Scenario::kScheduled, 2);
   SimConfig cfg;  // run again with periodic checkpoints, halting at 550
   (void)cfg;
   const SimMetrics partial =
       [&] {
         const GaussianCube gc(8, 2);
         SimConfig c = scenario_config(Scenario::kScheduled);
-        c.fabric = true;
         c.threads = 2;
         c.checkpoint_every = 200;
         c.checkpoint_path = path;
@@ -216,8 +230,7 @@ TEST(Checkpoint, PeriodicCheckpointRotationKeepsPreviousGeneration) {
   const SimCheckpoint fallback = load_checkpoint_with_fallback(path, &used);
   EXPECT_EQ(used, checkpoint_previous_generation(path));
   EXPECT_EQ(fallback.resume_cycle, 400u);
-  const SimMetrics resumed =
-      run_scenario(Scenario::kScheduled, true, 1, "", 0, path);
+  const SimMetrics resumed = run_scenario(Scenario::kScheduled, 1, "", 0, path);
   EXPECT_TRUE(resumed.deterministic_equals(uninterrupted));
   remove_generations(path);
 }
@@ -238,10 +251,9 @@ TEST(Checkpoint, BothGenerationsCorruptThrowsThePrimaryError) {
 TEST(Checkpoint, ConfigMismatchIsRefusedNamingTheField) {
   const std::string path = tmp_path("mismatch");
   remove_generations(path);
-  (void)run_scenario(Scenario::kScheduled, true, 1, path, 300);
+  (void)run_scenario(Scenario::kScheduled, 1, path, 300);
   const GaussianCube gc(8, 2);
   const auto expect_refused = [&](SimConfig cfg, const char* field) {
-    cfg.fabric = true;
     cfg.allow_oversubscribe = true;
     cfg.resume_from = path;
     FaultSet live;
@@ -269,7 +281,6 @@ TEST(Checkpoint, ConfigMismatchIsRefusedNamingTheField) {
   // A different fault schedule is a different experiment.
   {
     SimConfig cfg = base_config();
-    cfg.fabric = true;
     cfg.resume_from = path;
     FaultSet live;
     const FtgcrRouter router(gc, live);
@@ -282,13 +293,27 @@ TEST(Checkpoint, ConfigMismatchIsRefusedNamingTheField) {
       EXPECT_NE(std::string(e.what()).find("schedule"), std::string::npos);
     }
   }
-  {
-    // A checkpoint of the removed full-scan loop carries active_set = 0:
-    // its per-cycle injection draws cannot continue here.
-    SimCheckpoint scan = load_checkpoint(path);
-    scan.config.active_set = 0;
-    save_checkpoint(scan, path);
-    expect_refused(base_config(), "active_set");
+  remove_generations(path);
+}
+
+TEST(Checkpoint, FormatVersionOneIsRefusedAtTheHeader) {
+  // Version 1 carried the removed routing-mode bytes and planned prefix
+  // lengths; its layout no longer parses, so the header refuses it.
+  const std::string path = tmp_path("version1");
+  remove_generations(path);
+  (void)run_scenario(Scenario::kStatic, 1, path, 100);
+  std::vector<std::uint8_t> bytes = read_file(path);
+  ASSERT_GT(bytes.size(), 12u);
+  ASSERT_EQ(bytes[8], kCheckpointFormatVersion);  // u32 LE after the magic
+  bytes[8] = 1;
+  write_file(path, bytes);
+  try {
+    (void)load_checkpoint(path);
+    FAIL() << "a version-1 checkpoint must be refused";
+  } catch (const CheckpointError& e) {
+    EXPECT_EQ(e.section(), "header");
+    EXPECT_NE(std::string(e.what()).find("version 1"), std::string::npos)
+        << e.what();
   }
   remove_generations(path);
 }
@@ -320,7 +345,7 @@ TEST(Checkpoint, EveryByteFlipIsRefusedWithASectionName) {
   remove_generations(mutant);
   // Small but populated checkpoint: retries on so parked entries and
   // recovery counters are present in the file.
-  (void)run_scenario(Scenario::kRetryRecovery, true, 1, path, 260);
+  (void)run_scenario(Scenario::kRetryRecovery, 1, path, 260);
   const std::vector<std::uint8_t> good = read_file(path);
   ASSERT_GT(good.size(), 100u);
   const std::vector<std::string> sections = {
@@ -390,7 +415,7 @@ TEST(Checkpoint, FaultEventFingerprintIsOrderAndContentSensitive) {
 TEST(Checkpoint, ProvenanceAndConfigSurviveTheRoundTrip) {
   const std::string path = tmp_path("provenance");
   remove_generations(path);
-  (void)run_scenario(Scenario::kScheduled, true, 2, path, 300);
+  (void)run_scenario(Scenario::kScheduled, 2, path, 300);
   const SimCheckpoint ck = load_checkpoint(path);
   EXPECT_EQ(ck.provenance.seed, 1234u);
   EXPECT_EQ(ck.provenance.threads, 2u);

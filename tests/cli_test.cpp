@@ -1,6 +1,7 @@
 // CLI argument parser tests.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
 #include "util/cli.hpp"
@@ -57,6 +58,37 @@ TEST(Cli, TypeErrorsAreLoud) {
   const auto args = parse({"--n", "abc"});
   EXPECT_THROW((void)args.get_int("n", 0), std::invalid_argument);
   EXPECT_THROW((void)args.get_double("n", 0.0), std::invalid_argument);
+}
+
+TEST(Cli, NumbersMustUseTheWholeToken) {
+  // A parse that stopped early would run --cycles 2e3 as 2 cycles and
+  // --rate 0.05abc at 0.05.
+  const auto bad = parse({"--cycles", "2e3", "--rate", "0.05abc", "--n",
+                          "12x", "--blank="});
+  EXPECT_THROW((void)bad.get_int("cycles", 0), std::invalid_argument);
+  EXPECT_THROW((void)bad.get_uint("cycles", 0), std::invalid_argument);
+  EXPECT_THROW((void)bad.get_double("rate", 0.0), std::invalid_argument);
+  EXPECT_THROW((void)bad.get_int("n", 0), std::invalid_argument);
+  EXPECT_THROW((void)bad.get_uint("blank", 0), std::invalid_argument);
+  const auto good = parse({"--cycles", "2000", "--rate", "0.05", "--x",
+                           "2e3"});
+  EXPECT_EQ(good.get_uint("cycles", 0), 2000u);
+  EXPECT_DOUBLE_EQ(good.get_double("rate", 0.0), 0.05);
+  EXPECT_DOUBLE_EQ(good.get_double("x", 0.0), 2000.0);
+}
+
+TEST(Cli, UnsignedFlagsRejectNegativeAndOversizedValues) {
+  // Stored in unsigned fields, --cycles -1 or --service -1 would wrap.
+  const auto args = parse({"--cycles", "-1", "--service", "-1", "--threads",
+                           "4294967296", "--seed", "18446744073709551615"});
+  EXPECT_EQ(args.get_int("cycles", 0), -1);  // signed flags still may be
+  EXPECT_THROW((void)args.get_uint("cycles", 0), std::invalid_argument);
+  EXPECT_THROW((void)args.get_uint("service", 4, 0xFFFFFFFFu),
+               std::invalid_argument);
+  EXPECT_THROW((void)args.get_uint("threads", 0, 0xFFFFFFFFu),
+               std::invalid_argument);
+  EXPECT_EQ(args.get_uint("seed", 0), ~std::uint64_t{0});
+  EXPECT_EQ(args.get_uint("missing", 7), 7u);
 }
 
 TEST(Cli, BareDashesRejected) {

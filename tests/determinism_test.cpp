@@ -15,14 +15,15 @@
 // drains) — so every case is also a regression test that fusing the
 // phases changed nothing observable. The SimdLevelsEqualScalar* cases
 // sweep both SIMD dispatch levels the CPU supports (scalar, AVX2) against
-// the scalar threads=1 reference across steered and planned traffic,
-// static and scheduled faults, and thread counts {1, 2, 4} — the
+// the scalar threads=1 reference across table-steered FTGCR traffic and
+// e-cube traffic that follows plans adopted at the source (the "Planned"
+// cells), static and scheduled faults, and thread counts {1, 2, 4} — the
 // vectorized classify / fabric-lookup kernels batch pure integer
-// functions, so every level must reproduce the metrics exactly. Planned
-// mode is additionally pinned to the serial reference simulator in
+// functions, so every level must reproduce the metrics exactly. The
+// simulator is additionally pinned to the serial reference simulator in
 // reference_sim_test.cpp.
 //
-// Cache counters (SimMetrics::plan_cache / hop_cache) are deliberately NOT
+// Cache counters (SimMetrics::plan_cache) are deliberately NOT
 // compared: the hit/miss split depends on which worker reaches a cold key
 // first. deterministic_equals() excludes them by contract.
 #include <gtest/gtest.h>
@@ -212,21 +213,26 @@ TEST(Determinism, SimdLevelsEqualScalarSteeredScheduled) {
   expect_simd_invariant(spec, "GC(8,2) steered scheduled");
 }
 
+/// E-cube has no next-hop fabric, so every packet adopts its plan at the
+/// source and the vector classify never takes the table fast path: these
+/// cells pin the arrival and plan-flag lanes instead of the gathered table
+/// lookups.
+GcSimSpec ecube_spec() {
+  GcSimSpec spec = base_spec(8, 1);
+  spec.router = SimRouterKind::kEcube;
+  return spec;
+}
+
 TEST(Determinism, SimdLevelsEqualScalarPlannedStatic) {
-  // fabric off = plan-at-injection packets: the vector classify sees no
-  // steered fast path, so this cell pins the arrival-predicate lanes
-  // instead of the gathered table lookups.
-  GcSimSpec spec = base_spec(8, 2);
+  GcSimSpec spec = ecube_spec();
   spec.faulty_nodes = 5;
-  spec.sim.fabric = false;
-  expect_simd_invariant(spec, "GC(8,2) planned static");
+  expect_simd_invariant(spec, "e-cube GC(8,1) static");
 }
 
 TEST(Determinism, SimdLevelsEqualScalarPlannedScheduled) {
-  GcSimSpec spec = base_spec(8, 2);
+  GcSimSpec spec = ecube_spec();
   spec.schedule = scheduled_faults(pow2(spec.n));
-  spec.sim.fabric = false;
-  expect_simd_invariant(spec, "GC(8,2) planned scheduled");
+  expect_simd_invariant(spec, "e-cube GC(8,1) scheduled");
 }
 
 TEST(Determinism, RepeatedRunsOfOneSimulatorAgree) {

@@ -1,18 +1,27 @@
-// Serial reference simulator: the test oracle for NetworkSim's planned mode
-// (SimConfig::fabric = false). It restates the model of sim/network.hpp in
-// its plainest form and shares only the simulator's inputs (topology, fault
-// set, router, counter-keyed TrafficModel draws), none of its machinery:
-// a std::deque per node, routes from Router::plan, link usability asked of
-// the topology and fault set, one next-fire cycle per node, every node
-// visited every cycle in ascending order, one thread, no SIMD. Per cycle:
-// due fault events apply (a node fault orphans the packets queued at or
-// forwarded to the node); last cycle's forwards join their queues in
-// ascending source order; due injections draw destination, then next gap,
-// from counter_key(seed, u, now); each node serves up to service_rate
-// packets from its queue front, stopping at the first whose link it used
-// this cycle or whose next node's start-of-service queue is full. A dead
-// planned hop counts a reroute and turns the packet adaptive. Repair events
-// and retry recovery are outside the model and refused.
+// Serial reference simulator: the test oracle for NetworkSim. It restates
+// the model of sim/network.hpp in its plainest form and shares only the
+// simulator's inputs (topology, fault set, routers, counter-keyed
+// TrafficModel draws), none of its machinery: a std::deque per node, routes
+// from Router::plan, link usability and node cleanliness asked of the
+// topology and fault set, one next-fire cycle per node, every node visited
+// every cycle in ascending order, one thread, no SIMD. Per cycle: due fault
+// events apply (a node fault orphans the packets queued at or forwarded to
+// the node); last cycle's forwards join their queues in ascending source
+// order; due injections draw destination, then next gap, from
+// counter_key(seed, u, now); each node serves up to service_rate packets
+// from its queue front, stopping at the first whose link it used this
+// cycle or whose next node's start-of-service queue is full.
+//
+// Routing is one decision tree. A packet at its destination is delivered;
+// one that has taken hop_limit hops is dropped. A packet following an
+// adopted plan takes the plan's next hop while it is usable; a dead one
+// counts a reroute and the plan is dropped. A packet with no plan, at a
+// clean node (every existing link usable) when the router steers by tables,
+// takes the fault-free hop: the first hop of `tables`' plan. Anywhere else
+// it counts a reroute if a fault blocks that fault-free hop, adopts
+// router.plan from where it stands, and is dropped for want of a route
+// when there is no plan or its first hop is unusable. Repair events and
+// retry recovery are outside the model and refused.
 #pragma once
 
 #include <algorithm>
@@ -36,10 +45,14 @@
 namespace gcube {
 
 /// Runs the reference model. `router` and `traffic` must consult `faults`,
-/// which scheduled events mutate.
+/// which scheduled events mutate. `tables` stands for the router's
+/// next-hop fabric: a fault-free router on the same cube (FFGCR, whose
+/// plans the fabric compiles) when the router steers by tables, or null
+/// when it has no supported fabric and every packet adopts a plan at its
+/// source.
 [[nodiscard]] inline SimMetrics run_reference_sim(
-    const Topology& topo, const Router& router, FaultSet& faults,
-    const SimConfig& cfg, const TrafficModel& traffic,
+    const Topology& topo, const Router& router, const Router* tables,
+    FaultSet& faults, const SimConfig& cfg, const TrafficModel& traffic,
     const FaultSchedule& schedule = {}) {
   const std::vector<FaultEvent>& events = schedule.events();
   if (cfg.retry_limit != 0 || cfg.retry_budget != 0 ||
@@ -50,9 +63,9 @@ namespace gcube {
   struct Packet {
     NodeId dst = 0;
     Cycle created = 0;
-    std::vector<Dim> route;  // Router::plan's hops, consumed front to back
-    std::uint32_t hops = 0;  // hops taken
-    bool adaptive = false;   // a planned hop died: Router::next_hop from here
+    std::uint32_t hops = 0;   // hops taken
+    std::vector<Dim> plan{};  // adopted plan; empty while table-steered
+    std::size_t next = 0;     // index of the adopted plan's next hop
   };
   constexpr Cycle kNever = ~Cycle{0};
   const std::uint64_t nodes = topo.node_count();
@@ -69,10 +82,17 @@ namespace gcube {
   SimMetrics m;
   m.measured_cycles = cfg.measure_cycles;
 
-  const auto usable_hop = [&](NodeId u, std::optional<Dim> hop) {
-    return hop && topo.has_link(u, *hop) && faults.link_usable(u, *hop)
-               ? hop
-               : std::nullopt;
+  const auto usable = [&](NodeId u, Dim c) {
+    return topo.has_link(u, c) && faults.link_usable(u, c);
+  };
+  const auto clean = [&](NodeId u) {
+    for (Dim c = 0; c < dims; ++c) {
+      if (topo.has_link(u, c) && !faults.link_usable(u, c)) return false;
+    }
+    return true;
+  };
+  const auto fault_free_hop = [&](NodeId u, NodeId dst) {
+    return tables->plan(u, dst).route->hops().front();
   };
   const auto schedule_gap = [&](NodeId u, CounterRng& rng, Cycle first) {
     const std::uint64_t gap = traffic.injection_gap(u, rng);
@@ -120,11 +140,8 @@ namespace gcube {
       if (measuring) ++m.generated;
       if (cfg.buffer_limit != 0 && queue[u].size() >= cfg.buffer_limit) {
         if (measuring) ++m.injections_blocked;
-      } else if (const RoutingResult plan = router.plan(u, dst);
-                 !plan.delivered()) {
-        if (measuring) ++m.dropped;
       } else {
-        queue[u].push_back({dst, now, plan.route->hops()});
+        queue[u].push_back({.dst = dst, .created = now});
         ++in_flight;
       }
       schedule_gap(u, rng, now);
@@ -139,7 +156,7 @@ namespace gcube {
            ++served) {
         Packet& p = q.front();
         std::optional<Dim> hop;
-        if (p.adaptive ? u == p.dst : p.hops == p.route.size()) {
+        if (u == p.dst) {
           if (measuring && p.created < cfg.warmup_cycles) {
             ++m.carryover_delivered;
           } else if (measuring) {
@@ -149,18 +166,34 @@ namespace gcube {
             m.latency_histogram.record(now - p.created);
           }
           if (measuring) ++m.service_ops;
-        } else if (p.adaptive && p.hops >= hop_limit) {
+        } else if (p.hops >= hop_limit) {
           if (measuring) ++m.dropped_hop_limit;
         } else {
-          hop = p.adaptive ? std::nullopt : usable_hop(u, p.route[p.hops]);
-          if (!p.adaptive && !hop) {
-            if (measuring) ++m.reroutes;
-            p.adaptive = true;
+          if (!p.plan.empty()) {
+            if (usable(u, p.plan[p.next])) {
+              hop = p.plan[p.next];
+            } else {
+              if (measuring) ++m.reroutes;
+              p.plan.clear();
+            }
           }
-          if (p.adaptive && !hop) {
-            hop = usable_hop(u, router.next_hop(u, p.dst));
+          if (!hop && tables != nullptr && clean(u)) {
+            hop = fault_free_hop(u, p.dst);
+          } else if (!hop) {
+            if (measuring && tables != nullptr &&
+                !usable(u, fault_free_hop(u, p.dst))) {
+              ++m.reroutes;
+            }
+            const RoutingResult plan = router.plan(u, p.dst);
+            if (plan.delivered() && !plan.route->empty() &&
+                usable(u, plan.route->hops().front())) {
+              p.plan = plan.route->hops();
+              p.next = 0;
+              hop = p.plan.front();
+            } else if (measuring) {
+              ++m.dropped_no_route;
+            }
           }
-          if (!hop && measuring) ++m.dropped_no_route;
         }
         if (!hop) {  // delivered or dropped: the packet leaves the network
           q.pop_front();
@@ -175,6 +208,7 @@ namespace gcube {
         used = now;
         if (measuring) ++m.service_ops;
         ++p.hops;
+        if (!p.plan.empty() && ++p.next == p.plan.size()) p.plan.clear();
         incoming[v].push_back(std::move(p));
         q.pop_front();
         moved = true;

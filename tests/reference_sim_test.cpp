@@ -1,18 +1,19 @@
-// Planned mode versus the serial reference simulator.
+// NetworkSim versus the serial reference simulator.
 //
-// NetworkSim with SimConfig::fabric = false — every packet carries
-// Router::plan's route from injection — must reproduce run_reference_sim
-// (reference_sim.hpp) on every deterministic metric, histogram buckets
-// included, at 1 and 4 threads. The reference shares none of the
-// simulator's machinery, so a match pins the active set, the timing wheel,
-// the batched advance at the running SIMD level, the shard mailboxes and
-// the fault overlay to the model they implement. The steered FFGCR cell
-// rides along because on a fault-free cube a steered packet takes exactly
-// the planned hops.
+// NetworkSim must reproduce run_reference_sim (reference_sim.hpp) on every
+// deterministic metric, histogram buckets included, at 1 and 4 threads.
+// The reference shares none of the simulator's machinery, so a match pins
+// the active set, the timing wheel, the batched advance at the running
+// SIMD level, the shard mailboxes, the fault overlay and the next-hop
+// fabric to the model they implement. Cells named "Planned" route traffic
+// that adopts router plans: FTGCR packets at fault-adjacent nodes (table
+// steering everywhere else), e-cube and unsupported-fabric packets at
+// their source. The "Steered" cell never adopts one.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -23,6 +24,7 @@
 #include "routing/ecube.hpp"
 #include "routing/ffgcr.hpp"
 #include "routing/ftgcr.hpp"
+#include "routing/next_hop_table.hpp"
 #include "sim/network.hpp"
 #include "sim_test_support.hpp"
 #include "topology/gaussian_cube.hpp"
@@ -38,7 +40,6 @@ SimConfig base_config() {
   cfg.warmup_cycles = 30;
   cfg.measure_cycles = 200;
   cfg.seed = 99;
-  cfg.fabric = false;
   cfg.allow_oversubscribe = true;  // 4 real workers on small machines too
   return cfg;
 }
@@ -72,8 +73,13 @@ SimMetrics run_cell(const Cell& cell, std::uint32_t threads) {
   const UniformTraffic traffic(gc.node_count(), cell.sim.injection_rate,
                                faults, cell.sim.seed);
   if (threads == 0) {
-    return run_reference_sim(gc, *router, faults, cell.sim, traffic,
-                             cell.schedule);
+    // Where the simulator steers by the router's fabric, the reference
+    // takes the same fault-free hop from FFGCR's plans on the same cube.
+    const NextHopFabric* fabric = router->fabric();
+    std::optional<FfgcrRouter> tables;
+    if (fabric != nullptr && fabric->supported()) tables.emplace(gc);
+    return run_reference_sim(gc, *router, tables ? &*tables : nullptr,
+                             faults, cell.sim, traffic, cell.schedule);
   }
   SimConfig cfg = cell.sim;
   cfg.threads = threads;
@@ -113,15 +119,18 @@ Cell with_finite_buffers(Cell cell) {
 }
 
 TEST(ReferenceSim, PlannedFtgcrGc8x2StaticFaults) {
-  expect_matches_reference({.label = "GC(8,2) static",
-                            .static_faults = {223, 15, 26, 103, 38}});
+  const SimMetrics m = expect_matches_reference(
+      {.label = "GC(8,2) static", .static_faults = {223, 15, 26, 103, 38}});
+  EXPECT_GT(m.reroutes, 0u);
 }
 
 TEST(ReferenceSim, PlannedFtgcrGc10x4StaticFaults) {
-  expect_matches_reference({.label = "GC(10,4) static",
-                            .n = 10,
-                            .modulus = 4,
-                            .static_faults = {5, 200, 411, 630, 999}});
+  const SimMetrics m =
+      expect_matches_reference({.label = "GC(10,4) static",
+                                .n = 10,
+                                .modulus = 4,
+                                .static_faults = {5, 200, 411, 630, 999}});
+  EXPECT_GT(m.reroutes, 0u);
 }
 
 TEST(ReferenceSim, PlannedFtgcrGc8x2ScheduledFaults) {
@@ -159,6 +168,8 @@ TEST(ReferenceSim, PlannedFtgcrRandomNodeFaults) {
   // and trip the hop-limit guard. The simulator's audited 1-in-64 sample
   // replays its recorded hops at delivery, while total_hops comes from the
   // per-packet hop count — which the reference keeps with no audit sample.
+  // Re-adopted FTGCR plans do not cycle here, so the automatic guard
+  // (16n + 64 hops) never fires; a 2n-hop guard drops the longest detours.
   Cell cell{.label = "GC(7,2) random node faults",
             .n = 7,
             .schedule = FaultSchedule::random_node_faults(pow2(7), 0.05, 350,
@@ -166,6 +177,7 @@ TEST(ReferenceSim, PlannedFtgcrRandomNodeFaults) {
   cell.sim.injection_rate = 0.15;
   cell.sim.warmup_cycles = 50;
   cell.sim.measure_cycles = 300;
+  cell.sim.reroute_hop_limit = 2 * 7;
   const SimMetrics m = expect_matches_reference(cell);
   EXPECT_GT(m.reroutes, 0u);
   EXPECT_GT(m.dropped_no_route, 0u);
@@ -174,12 +186,22 @@ TEST(ReferenceSim, PlannedFtgcrRandomNodeFaults) {
 }
 
 TEST(ReferenceSim, SteeredFfgcrFaultFree) {
-  Cell cell{.label = "steered FFGCR GC(10,4)",
-            .n = 10,
-            .modulus = 4,
-            .router = RouterKind::kFfgcr};
-  cell.sim.fabric = true;
-  expect_matches_reference(cell);
+  const SimMetrics m = expect_matches_reference({.label = "FFGCR GC(10,4)",
+                                                 .n = 10,
+                                                 .modulus = 4,
+                                                 .router = RouterKind::kFfgcr});
+  EXPECT_EQ(m.reroutes, 0u);
+}
+
+TEST(ReferenceSim, PlannedFtgcrUnsupportedFabricScheduledFaults) {
+  // alpha = 4 is past NextHopFabric::kMaxAlpha: no table steering, so
+  // every packet adopts FTGCR's plan at its source and re-adopts one
+  // wherever a scheduled fault kills its next hop.
+  const GaussianCube gc(12, 16);
+  const FaultSet none;
+  ASSERT_FALSE(FtgcrRouter(gc, none).fabric()->supported());
+  const Cell cell = scheduled("GC(12,16) scheduled", 12, 16);
+  EXPECT_GT(expect_matches_reference(cell).reroutes, 0u);
 }
 
 }  // namespace

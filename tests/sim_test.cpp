@@ -82,32 +82,30 @@ TEST(NetworkSim, CarryoverDeliveriesNeverInflateTheDeliveryRatio) {
   cfg.warmup_cycles = 40;
   cfg.measure_cycles = 60;
   cfg.seed = 7;
-  for (const bool modern : {true, false}) {
-    cfg.fabric = modern;
-    const SimMetrics m = NetworkSim(gc, router, none, cfg).run();
-    ASSERT_GT(m.generated, 0u);
-    EXPECT_GT(m.carryover_delivered, 0u)
-        << "warmup packets should straddle into this window";
-    EXPECT_LE(m.delivered, m.generated);
-    EXPECT_LE(m.delivery_ratio(), 1.0);
-  }
+  const SimMetrics m = NetworkSim(gc, router, none, cfg).run();
+  ASSERT_GT(m.generated, 0u);
+  EXPECT_GT(m.carryover_delivered, 0u)
+      << "warmup packets should straddle into this window";
+  EXPECT_LE(m.delivered, m.generated);
+  EXPECT_LE(m.delivery_ratio(), 1.0);
 }
 
-TEST(NetworkSim, FabricSteeringMatchesPlannedRoutingBitForBitFaultFree) {
-  // With no faults every node is overlay-clean, so a steered packet takes
-  // exactly the table hops — which are byte-identical to the plan the
-  // planned mode attaches at injection. The two execution modes must
-  // therefore produce identical metrics, not just similar ones.
-  const GaussianCube gc(8, 2);
+TEST(NetworkSim, RejectsRunsBeyondTheCycleRange) {
+  // A far-fire key packs the cycle above the node bits, so warmup +
+  // measure must neither overflow nor reach 2^(64 - kMaxDimension).
+  const GaussianCube gc(6, 2);
   const FfgcrRouter router(gc);
   const FaultSet none;
-  SimConfig cfg = quick_config();
-  cfg.fabric = true;
-  const SimMetrics steered = NetworkSim(gc, router, none, cfg).run();
-  cfg.fabric = false;
-  const SimMetrics planned = NetworkSim(gc, router, none, cfg).run();
-  ASSERT_GT(steered.delivered, 0u);
-  EXPECT_TRUE(steered.deterministic_equals(planned));
+  const Cycle range = Cycle{1} << (64 - kMaxDimension);
+  SimConfig wraps = quick_config();
+  wraps.measure_cycles = ~Cycle{0};  // warmup + measure overflows
+  EXPECT_THROW(NetworkSim(gc, router, none, wraps), std::invalid_argument);
+  SimConfig reaches = quick_config();
+  reaches.measure_cycles = range - reaches.warmup_cycles;
+  EXPECT_THROW(NetworkSim(gc, router, none, reaches), std::invalid_argument);
+  SimConfig fits = quick_config();
+  fits.measure_cycles = range - fits.warmup_cycles - 1;
+  EXPECT_NO_THROW(NetworkSim(gc, router, none, fits));
 }
 
 TEST(NetworkSim, LatencyAtLeastHopsPlusOne) {

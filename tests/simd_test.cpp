@@ -73,10 +73,10 @@ TEST(SimdKernels, FaultFreeHopsMatchScalarPerElement) {
 }
 
 TEST(SimdKernels, ClassifyFrontPacketsMatchesScalar) {
-  // Adversarial randomized records: flags span every steered/adaptive/
-  // planned/audited combination, hops sit on both sides of the limit
-  // (including equal), dst/plan_len hit the arrival predicates, and the
-  // clean window is a fresh random 64-bit mask per trial.
+  // Adversarial randomized records: flags span every adopted-plan/audited
+  // combination, hops sit on both sides of the limit (including equal),
+  // dst hits the arrival predicate, and the clean window is a fresh random
+  // 64-bit mask per trial.
   Xoshiro256 rng(47);
   const std::uint32_t hop_limit = 40;
   const NodeId base = 128;
@@ -89,13 +89,10 @@ TEST(SimdKernels, ClassifyFrontPacketsMatchesScalar) {
     for (unsigned i = 0; i < count; ++i) {
       PacketHot& h = records[i];
       nodes[i] = base + i;  // one packet per node slot, like the harvest
-      h.flags = static_cast<std::uint32_t>(rng.below(16));
+      h.flags = static_cast<std::uint32_t>(rng.below(4));  // both kPkt bits
       h.hops = static_cast<std::uint32_t>(rng.below(2 * hop_limit + 2));
-      h.plan_len = (rng.below(3) == 0)
-                       ? h.hops  // force the planned-arrival predicate
-                       : static_cast<std::uint32_t>(rng.below(64));
       h.dst = (rng.below(3) == 0)
-                  ? nodes[i]  // force the positional-arrival predicate
+                  ? nodes[i]  // force the arrival predicate
                   : static_cast<NodeId>(rng.below(1u << 20));
       hot[i] = &records[i];
     }
