@@ -5,10 +5,21 @@
 // *marked* faulty (an A/B-category link error) from a link being *unusable*
 // (marked faulty, or either endpoint node faulty) — routing cares about the
 // latter, categorization (fault/categorize.hpp) about the former.
+//
+// FaultSet is the one store of fault state: traffic, the routers, the
+// simulator and the precondition checks all read it directly. It keeps one
+// 32-bit word per node label — bit c set iff the dimension-c link at that
+// node is marked (set at both endpoints), bit 31 set iff the node itself
+// is faulty — so node_faulty and link_marked are one load and link_usable
+// is two. The words are not bound to a topology: the array grows on demand
+// to the largest label a fail_* call touches (4 bytes per label up to it)
+// and never shrinks, and a read past its end answers "not faulty".
+// Readers never write, so concurrent readers need no lock as long as no
+// mutator runs alongside them (the simulator mutates only at its serial
+// points).
 #pragma once
 
 #include <cstdint>
-#include <unordered_set>
 #include <vector>
 
 #include "util/bits.hpp"
@@ -31,56 +42,50 @@ struct LinkId {
 
 class FaultSet {
  public:
-  /// Marks node u faulty. Idempotent.
+  /// Marks node u faulty. Idempotent. Throws std::invalid_argument for
+  /// u >= 2^kMaxDimension.
   void fail_node(NodeId u);
 
   /// Marks the link in dimension c at node u faulty (either endpoint may be
-  /// given). Idempotent.
+  /// given). Idempotent. Throws std::invalid_argument for
+  /// u >= 2^kMaxDimension or c >= kMaxDimension.
   void fail_link(NodeId u, Dim c);
 
   /// Clears node u's fault mark (a transient fault healed — the node
   /// rebooted). Returns true iff u was faulty. Any link fault marks that
-  /// were recorded independently of the node remain in place.
+  /// were recorded independently of the node remain in place. Same range
+  /// checks as fail_node.
   bool repair_node(NodeId u);
 
   /// Clears the fault mark of the link in dimension c at node u (either
   /// endpoint may be given). Returns true iff the link was marked. The link
-  /// stays unusable while either endpoint node is still faulty.
+  /// stays unusable while either endpoint node is still faulty. Same range
+  /// checks as fail_link.
   bool repair_link(NodeId u, Dim c);
 
-  [[nodiscard]] bool node_faulty(NodeId u) const {
-    return faulty_nodes_set_.contains(u);
+  [[nodiscard]] bool node_faulty(NodeId u) const noexcept {
+    return (word(u) & kNodeBit) != 0;
   }
 
   /// True iff the link itself carries a fault mark (independent of endpoint
   /// node status).
-  [[nodiscard]] bool link_marked(NodeId u, Dim c) const {
-    return faulty_links_set_.contains(key(LinkId::of(u, c)));
+  [[nodiscard]] bool link_marked(NodeId u, Dim c) const noexcept {
+    return ((word(u) & kLinkBits) >> c) & 1u;
   }
 
   /// True iff a packet may traverse the link in dimension c from node u:
   /// the link is not marked faulty and neither endpoint node is faulty.
-  [[nodiscard]] bool link_usable(NodeId u, Dim c) const {
-    return !link_marked(u, c) && !node_faulty(u) &&
+  [[nodiscard]] bool link_usable(NodeId u, Dim c) const noexcept {
+    return (word(u) & (kNodeBit | (std::uint32_t{1} << c))) == 0 &&
            !node_faulty(flip_bit(u, c));
   }
 
   /// Mutation counter: bumped whenever the fault set actually changes —
-  /// failures AND repairs. Consumers that cache fault-dependent plans (the
-  /// routers' per-hop memoization) compare versions instead of subscribing
-  /// to callbacks; entries stamped before a repair go stale exactly like
-  /// entries stamped before a failure.
+  /// failures AND repairs. Consumers that cache fault-dependent state (the
+  /// routers' plan caches, the simulator's clean-node bitmap) compare
+  /// versions instead of subscribing to callbacks; entries stamped before a
+  /// repair go stale exactly like entries stamped before a failure.
   [[nodiscard]] std::uint64_t version() const noexcept { return version_; }
-
-  /// Number of mutations that *discarded* entries: clear() calls and
-  /// successful repairs. Incremental consumers of the insertion-order
-  /// vectors (fault/overlay.hpp) use this to tell "entries appended" from
-  /// "entries removed", which a version move alone cannot distinguish —
-  /// after a removal the vectors are no longer a superset of what the
-  /// consumer already applied, so it must rebuild.
-  [[nodiscard]] std::uint64_t generation() const noexcept {
-    return generation_;
-  }
 
   [[nodiscard]] std::size_t node_fault_count() const {
     return faulty_nodes_.size();
@@ -103,16 +108,19 @@ class FaultSet {
   void clear();
 
  private:
-  [[nodiscard]] static std::uint64_t key(LinkId l) noexcept {
-    return (static_cast<std::uint64_t>(l.lo) << 6) | l.dim;
+  static constexpr std::uint32_t kNodeBit = std::uint32_t{1} << 31;
+  static constexpr std::uint32_t kLinkBits = low_mask(kMaxDimension);
+
+  [[nodiscard]] std::uint32_t word(NodeId u) const noexcept {
+    return u < state_.size() ? state_[u] : 0;
   }
+  /// The word of label u, growing the array to cover it.
+  std::uint32_t& grow_to(NodeId u);
 
   std::vector<NodeId> faulty_nodes_;
   std::vector<LinkId> faulty_links_;
-  std::unordered_set<NodeId> faulty_nodes_set_;
-  std::unordered_set<std::uint64_t> faulty_links_set_;
+  std::vector<std::uint32_t> state_;  // per label: link marks + kNodeBit
   std::uint64_t version_ = 0;
-  std::uint64_t generation_ = 0;
 };
 
 }  // namespace gcube

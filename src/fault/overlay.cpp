@@ -6,80 +6,45 @@ namespace gcube {
 
 void FaultOverlay::attach(const Topology& topo) {
   topo_ = &topo;
-  const std::uint64_t nodes = topo.node_count();
-  const Dim n = topo.dims();
-  full_.assign(nodes, 0);
-  for (NodeId u = 0; u < nodes; ++u) {
-    std::uint32_t mask = 0;
-    for (Dim c = 0; c < n; ++c) {
-      if (topo.has_link(u, c)) mask |= std::uint32_t{1} << c;
-    }
-    full_[u] = mask;
-  }
-  usable_ = full_;
-  clean_.reset(nodes);
-  for (NodeId u = 0; u < nodes; ++u) clean_.set(u);
-  nodes_seen_ = 0;
-  links_seen_ = 0;
-  version_seen_ = ~std::uint64_t{0};
-  generation_seen_ = 0;
-}
-
-void FaultOverlay::apply_node(NodeId v) {
-  if (v >= usable_.size()) return;  // foreign fault entry: not our topology
-  // A faulty node kills all of its incident links, in both directions.
-  std::uint32_t links = full_[v];
-  usable_[v] = 0;
-  clean_.assign(v, full_[v] == 0);
-  while (links != 0) {
-    const Dim c = lsb_index(links);
-    links &= links - 1;
-    const NodeId w = flip_bit(v, c);
-    usable_[w] &= ~(std::uint32_t{1} << c);
-    reclean(w);
-  }
-}
-
-void FaultOverlay::apply_link(LinkId l) {
-  if (l.lo >= usable_.size() || l.hi() >= usable_.size()) return;
-  const std::uint32_t bit = std::uint32_t{1} << l.dim;
-  usable_[l.lo] &= ~bit;
-  usable_[l.hi()] &= ~bit;
-  reclean(l.lo);
-  reclean(l.hi());
-}
-
-void FaultOverlay::rebuild(const FaultSet& faults) {
-  usable_ = full_;
-  for (NodeId u = 0; u < usable_.size(); ++u) clean_.set(u);
-  nodes_seen_ = 0;
-  links_seen_ = 0;
-  for (const NodeId v : faults.faulty_nodes()) apply_node(v);
-  for (const LinkId l : faults.faulty_links()) apply_link(l);
-  nodes_seen_ = faults.faulty_nodes().size();
-  links_seen_ = faults.faulty_links().size();
+  faults_ = nullptr;
+  clean_.fill(topo.node_count());
 }
 
 void FaultOverlay::refresh(const FaultSet& faults) {
   GCUBE_REQUIRE(topo_ != nullptr, "overlay refreshed before attach");
-  if (version_seen_ == faults.version()) return;
-  const std::vector<NodeId>& nodes = faults.faulty_nodes();
-  const std::vector<LinkId>& links = faults.faulty_links();
-  if (generation_seen_ != faults.generation()) {
-    // Entries were discarded (clear() or a repair) since the last refresh:
-    // the cursors no longer describe a prefix of the vectors, even if they
-    // regrew past them, and removals cannot be replayed incrementally.
-    rebuild(faults);
-    generation_seen_ = faults.generation();
-  } else {
-    for (; nodes_seen_ < nodes.size(); ++nodes_seen_) {
-      apply_node(nodes[nodes_seen_]);
-    }
-    for (; links_seen_ < links.size(); ++links_seen_) {
-      apply_link(links[links_seen_]);
+  if (faults_ == &faults && version_seen_ == faults.version()) return;
+  faults_ = &faults;
+  version_seen_ = faults.version();
+  const std::uint64_t nodes = topo_->node_count();
+  const Dim n = topo_->dims();
+  clean_.fill(nodes);
+  // Entries outside the topology belong to some other network: skip them.
+  for (const NodeId v : faults.faulty_nodes()) {
+    if (v >= nodes) continue;
+    // A faulty node kills every existing link of its own, which dirties
+    // it and each neighbor (a node with no links stays clean).
+    for (Dim c = 0; c < n; ++c) {
+      if (!topo_->has_link(v, c)) continue;
+      clean_.clear(v);
+      clean_.clear(flip_bit(v, c));
     }
   }
-  version_seen_ = faults.version();
+  for (const LinkId l : faults.faulty_links()) {
+    if (l.dim >= n || l.hi() >= nodes || !topo_->has_link(l.lo, l.dim)) {
+      continue;
+    }
+    clean_.clear(l.lo);
+    clean_.clear(l.hi());
+  }
+}
+
+std::uint32_t FaultOverlay::usable_mask(NodeId u) const {
+  std::uint32_t mask = 0;
+  for (Dim c = 0; c < topo_->dims(); ++c) {
+    const bool usable = faults_ == nullptr || faults_->link_usable(u, c);
+    if (usable && topo_->has_link(u, c)) mask |= std::uint32_t{1} << c;
+  }
+  return mask;
 }
 
 }  // namespace gcube

@@ -21,16 +21,6 @@ RoutingResult FtgcrRouter::plan(NodeId s, NodeId d) const {
   return plan_with_stats(s, d, stats);
 }
 
-const FaultOverlay& FtgcrRouter::fault_view() const {
-  const std::lock_guard<std::mutex> lock(view_mutex_);
-  if (!view_attached_) {
-    view_.attach(gc_);
-    view_attached_ = true;
-  }
-  view_.refresh(faults_);
-  return view_;
-}
-
 namespace {
 
 /// Fault-aware BFS over the whole cube — the strategy's last-resort global
@@ -38,7 +28,7 @@ namespace {
 /// Neighbors are visited in ascending dimension order, so the path is the
 /// first shortest one in that order.
 std::optional<std::vector<Dim>> global_bfs(const GaussianCube& gc,
-                                           const FaultOverlay& view,
+                                           const FaultSet& faults,
                                            NodeId start, NodeId dest) {
   if (start == dest) return std::vector<Dim>{};
   // The dimension each reached node was first entered along; the source
@@ -50,10 +40,16 @@ std::optional<std::vector<Dim>> global_bfs(const GaussianCube& gc,
   arrival[start] = kSource;
   for (std::size_t head = 0; head < queue.size(); ++head) {
     const NodeId u = queue[head];
-    for (std::uint32_t m = view.usable_mask(u); m != 0; m &= m - 1) {
-      const Dim c = lsb_index(m);
+    // The cube's links at u: Dim(k) of u's ending class k, plus the tree
+    // dimensions below alpha whose link u carries.
+    NodeId links = gc.high_dims_mask(gc.ending_class(u));
+    for (Dim c = 0; c < gc.alpha(); ++c) {
+      if (gc.has_link(u, c)) links |= NodeId{1} << c;
+    }
+    for (; links != 0; links &= links - 1) {
+      const Dim c = lsb_index(links);
       const NodeId v = flip_bit(u, c);
-      if (arrival[v] != kUnreached) continue;
+      if (arrival[v] != kUnreached || !faults.link_usable(u, c)) continue;
       arrival[v] = static_cast<std::uint8_t>(c);
       if (v == dest) {
         std::vector<Dim> hops;
@@ -72,7 +68,7 @@ std::optional<std::vector<Dim>> global_bfs(const GaussianCube& gc,
 }  // namespace
 
 std::optional<Route> FtgcrRouter::fault_free_route_if_clean(
-    NodeId s, NodeId d, const FaultOverlay& view) const {
+    NodeId s, NodeId d) const {
   const std::shared_ptr<const GcRoutePlan> itinerary =
       itineraries_.get(gc_, tree_, s, d);
   Route route(s);
@@ -84,7 +80,7 @@ std::optional<Route> FtgcrRouter::fault_free_route_if_clean(
   // tree-edge dimension, and an already-satisfied leaf detour is skipped —
   // so a clean result is hop-for-hop what the full machinery would emit.
   auto append_checked = [&](Dim c) {
-    if (!view.link_usable(cur, c)) {
+    if (!faults_.link_usable(cur, c)) {
       clean = false;
       return false;
     }
@@ -164,8 +160,7 @@ RoutingResult FtgcrRouter::plan_with_stats(NodeId s, NodeId d,
   // Fast path: when no hop of the fault-free composite route is unusable,
   // the full machinery below would reproduce exactly that route with zero
   // stats — skip it. Faults are sparse, so this is the common case.
-  const FaultOverlay& view = fault_view();
-  if (std::optional<Route> fast = fault_free_route_if_clean(s, d, view)) {
+  if (std::optional<Route> fast = fault_free_route_if_clean(s, d)) {
     result.route = std::move(*fast);
     return result;
   }
@@ -173,8 +168,8 @@ RoutingResult FtgcrRouter::plan_with_stats(NodeId s, NodeId d,
   GcRoutePlan itinerary = *itineraries_.get(gc_, tree_, s, d);
   Route route(s);
   NodeId cur = s;
-  const auto usable = [&view](NodeId u, Dim c) {
-    return view.link_usable(u, c);
+  const auto usable = [this](NodeId u, Dim c) {
+    return faults_.link_usable(u, c);
   };
 
   /// Takes the pending high-bit mask of class `cls` out of the itinerary.
@@ -213,7 +208,7 @@ RoutingResult FtgcrRouter::plan_with_stats(NodeId s, NodeId d,
     const EhFaultOracle oracle{
         [&](NodeId u) { return faults_.node_faulty(emb.from_eh(u)); },
         [&](NodeId u, Dim eh_dim) {
-          return view.link_usable(emb.from_eh(u), emb.to_gc_dim(eh_dim));
+          return usable(emb.from_eh(u), emb.to_gc_dim(eh_dim));
         }};
     FrehStats freh_stats;
     RoutingResult leg = informed_eh_route(emb.eh(), oracle, emb.to_eh(cur),
@@ -237,7 +232,7 @@ RoutingResult FtgcrRouter::plan_with_stats(NodeId s, NodeId d,
   // intermediate at a pass-through class) without hiding it: counted in
   // stats.global_replans.
   auto global_replan = [&]() -> bool {
-    const auto tail = global_bfs(gc_, view, cur, d);
+    const auto tail = global_bfs(gc_, faults_, cur, d);
     if (!tail) return false;
     ++stats.global_replans;
     for (const Dim c : *tail) {

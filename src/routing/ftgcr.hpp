@@ -28,26 +28,19 @@
 // found, is cycle-free in the fault-free case, and is at most 2F hops
 // longer than FfgcrRouter::optimal_length when F faults are encountered.
 //
-// Link usability on the planning path is read from a dense view of the
-// fault set — a FaultOverlay (fault/overlay.hpp) holding one usable-link
-// mask per node, so a link test is one load instead of up to three hash
-// probes. Every plan takes the view under a mutex: the first plan attaches
-// it to the cube (lazily, so constructing a router costs no more than
-// before), and each plan refreshes it incrementally if FaultSet::version()
-// has moved since the previous one, which is a no-op otherwise. The view
-// relies on the rules the plan caches already rely on: the FaultSet is not
-// mutated while a plan is running (the simulator mutates faults only at
-// its serial commit), and it changes only through its own mutators, whose
-// version only grows — assigning another FaultSet over it could rewind
-// the version and leave both the caches and the view stale. Node-fault
-// checks still go to the FaultSet; a plan makes only a few of them.
+// Every fault test on the planning path reads the FaultSet directly: its
+// dense store answers a link test in two loads, so the planner keeps no
+// copy of its own and needs no lock. Plans rely on the rules the plan
+// caches already rely on: the FaultSet is not mutated while a plan is
+// running (the simulator mutates faults only at its serial commit), and it
+// changes only through its own mutators, whose version only grows —
+// assigning another FaultSet over it could rewind the version and leave
+// the caches stale.
 #pragma once
 
 #include <memory>
-#include <mutex>
 
 #include "fault/fault_set.hpp"
-#include "fault/overlay.hpp"
 #include "routing/ffgcr.hpp"
 #include "routing/next_hop_table.hpp"
 #include "routing/router.hpp"
@@ -115,17 +108,10 @@ class FtgcrRouter final : public Router {
   /// as any hop on it is unusable. The overwhelmingly common fast path:
   /// faults are sparse, so most routes never meet one.
   [[nodiscard]] std::optional<Route> fault_free_route_if_clean(
-      NodeId s, NodeId d, const FaultOverlay& view) const;
-
-  /// The dense view of faults_, attached on first use and brought up to
-  /// the FaultSet's current version. Safe to call from concurrent plans.
-  [[nodiscard]] const FaultOverlay& fault_view() const;
+      NodeId s, NodeId d) const;
 
   const GaussianCube& gc_;
   const FaultSet& faults_;
-  mutable std::mutex view_mutex_;
-  mutable FaultOverlay view_;  // attached and refreshed under view_mutex_
-  mutable bool view_attached_ = false;
   GaussianTree tree_;
   NextHopFabric fabric_;
   mutable GcItineraryCache itineraries_;

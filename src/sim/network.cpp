@@ -32,9 +32,15 @@ NetworkSim::NetworkSim(const Topology& topo, const Router& router,
                                                : 16 * topo.dims() + 64) {
   GCUBE_REQUIRE(config.service_rate >= 1, "service rate must be positive");
   GCUBE_REQUIRE(config.measure_cycles >= 1, "nothing to measure");
-  // A far-fire key holds the cycle above kFireNodeBits node bits, so every
-  // cycle of the run must fit in the remaining 64 - kFireNodeBits.
-  constexpr Cycle kCycleRange = Cycle{1} << (64 - kFireNodeBits);
+  // Link stamps hold (now + 1) mod 2^32 and an unused link holds 0, so a
+  // run must end below 2^32 cycles for a stamp to name one cycle. That
+  // bound covers the other cycle-derived keys too: a far-fire key puts the
+  // cycle above kFireNodeBits node bits, and packet ids
+  // (now * node_count + u, node_count <= 2^kMaxDimension) fit in
+  // 32 + kMaxDimension = 58 bits.
+  constexpr unsigned kCycleBits = 32;
+  static_assert(kCycleBits + kFireNodeBits <= 64);
+  constexpr Cycle kCycleRange = Cycle{1} << kCycleBits;
   GCUBE_REQUIRE(config.warmup_cycles < kCycleRange &&
                     config.measure_cycles < kCycleRange - config.warmup_cycles,
                 "warmup + measure cycles exceed the simulator's cycle range");
@@ -94,6 +100,10 @@ NetworkSim::NetworkSim(const Topology& topo, const Router& router,
 void NetworkSim::attach_schedule(FaultSet& faults,
                                  const FaultSchedule& schedule) {
   const std::vector<FaultEvent>& events = schedule.events();
+  // Replays the static set plus the node events in order: traffic redraws
+  // destinations until it finds a live node other than the source, so a
+  // cycle that ends with fewer than two live nodes would hang the run.
+  FaultSet replay = faults;
   for (std::size_t i = 0; i < events.size(); ++i) {
     const FaultEvent& e = events[i];
     GCUBE_REQUIRE(e.node < topo_.node_count(),
@@ -104,6 +114,13 @@ void NetworkSim::attach_schedule(FaultSet& faults,
     // silently skip any event filed behind a later-cycle one.
     GCUBE_REQUIRE(i == 0 || events[i - 1].cycle <= e.cycle,
                   "fault schedule events must be sorted by cycle");
+    if (e.kind == FaultEvent::Kind::kNode) replay.fail_node(e.node);
+    if (e.kind == FaultEvent::Kind::kRepairNode) replay.repair_node(e.node);
+    const bool cycle_done =
+        i + 1 == events.size() || events[i + 1].cycle != e.cycle;
+    GCUBE_REQUIRE(!cycle_done || replay.node_fault_count() + 2 <= node_count_,
+                  "fault schedule leaves fewer than two live nodes at cycle " +
+                      std::to_string(e.cycle));
   }
   live_faults_ = &faults;
   schedule_events_ = events;
@@ -235,10 +252,8 @@ void NetworkSim::apply_fault_events(Cycle now, bool measuring) {
         break;
     }
   }
-  // Serial point: bring the overlay masks up to date before workers read
-  // them. No-op (one version compare) when nothing changed. A repair bumps
-  // the fault set's generation, which forces the full rebuild an
-  // incremental (append-only) refresh cannot express.
+  // Serial point: rebuild the clean-node bitmap before workers read it.
+  // No-op (one version compare) when nothing changed.
   overlay_.refresh(faults_);
   no_faults_ = faults_.empty();
 }
@@ -568,7 +583,7 @@ void NetworkSim::serve_node(unsigned w, NodeId u, Cycle now, bool measuring,
         // adopted hop is still alive before taking it.
         PacketCold& cd = cold_of(ref);
         const Dim pc = cd.plan->hops()[cd.steer_next];
-        if (overlay_.link_usable(u, pc)) {
+        if (faults_.link_usable(u, pc)) {
           hop = pc;
         } else {
           if (measuring) ++m.reroutes;
@@ -588,13 +603,13 @@ void NetworkSim::serve_node(unsigned w, NodeId u, Cycle now, bool measuring,
           // here. A reroute is counted when a fault actually deflects the
           // packet off its fault-free table hop.
           if (measuring && fabric_ != nullptr &&
-              !overlay_.link_usable(u, fabric_->fault_free_hop(u, h.dst))) {
+              !faults_.link_usable(u, fabric_->fault_free_hop(u, h.dst))) {
             ++m.reroutes;
           }
           std::shared_ptr<const Route> adopted =
               router_.plan_shared(u, h.dst);
           if (adopted == nullptr || adopted->length() == 0 ||
-              !overlay_.link_usable(u, adopted->hops().front())) {
+              !faults_.link_usable(u, adopted->hops().front())) {
             strand();  // no usable continuation (dst dead or region cut off)
             continue;
           }
@@ -1280,9 +1295,10 @@ void NetworkSim::apply_checkpoint(const SimCheckpoint& ck) {
   match(ck.next_event <= schedule_events_.size(), "fault schedule cursor");
 
   // Fault state. Dynamic mode rebuilds the live set by replaying the
-  // captured lists in insertion order (identical vectors AND hash state);
-  // the overlay refresh that follows in run() sees the generation bump
-  // and rebuilds fully. Static mode cannot be mutated — verify instead.
+  // captured lists in insertion order, which restores identical lists and
+  // dense words; the overlay refresh that follows in run() sees the
+  // version move and rebuilds. Static mode cannot be mutated — verify
+  // instead.
   if (live_faults_ != nullptr) {
     live_faults_->clear();
     for (const NodeId u : ck.faulty_nodes) {

@@ -22,8 +22,10 @@
 // guard are dropped_hop_limit, packets queued at a dying node are
 // orphaned_by_node_fault). Schedules may also contain *repair* events —
 // transient faults that heal — which invalidate the routers' plan caches
-// and the fault overlay exactly like failures do. With an empty schedule
-// dynamic mode is bit-for-bit identical to static mode.
+// and the clean-node bitmap exactly like failures do. A schedule that
+// leaves fewer than two live nodes after some cycle's events is refused
+// at construction. With an empty schedule dynamic mode is bit-for-bit
+// identical to static mode.
 //
 // Transient-fault recovery (off by default; SimConfig::retry_limit /
 // retry_budget). Instead of hard-dropping a packet with no usable
@@ -67,7 +69,7 @@
 // add one mid-cycle barrier so backpressure reads a consistent phase-A
 // occupancy snapshot.
 //
-// Fault-schedule application, fault-overlay refresh, and global
+// Fault-schedule application, the clean-node bitmap refresh, and global
 // accounting (in-flight depth, stall detection) happen in that fused
 // serial commit. Every per-node decision therefore depends only on
 // start-of-cycle committed state, per-(node, cycle) counter RNG draws
@@ -101,17 +103,18 @@
 //  * Next-hop fabric steering: packets are injected with NO plan. At
 //    service time, a node the FaultOverlay calls clean — and whose router
 //    exposes a supported NextHopFabric — takes the fabric's O(1) table hop
-//    with no per-link checks at all (the overlay guarantees every link
+//    with no per-link checks at all (the bitmap guarantees every link
 //    there is usable). Anywhere else the packet adopts the router's full
-//    plan from that node and follows it with per-hop usability checks,
-//    adopting a fresh plan (SimMetrics::reroutes) if a later fault
-//    invalidates it. A router with no supported fabric (e-cube, GC with
-//    alpha > NextHopFabric::kMaxAlpha) therefore adopts its plan at the
-//    source. This keeps plan-cache lookups, shared_ptr traffic and
-//    per-hop link checks off the fault-free common case. The overlay is
-//    refreshed at the serial points, so dynamic fault schedules work
-//    unchanged. The test suite checks this path against a plain serial
-//    reference simulator (tests/reference_sim.hpp) metric for metric.
+//    plan from that node and follows it with per-hop usability checks
+//    against the FaultSet, adopting a fresh plan (SimMetrics::reroutes) if
+//    a later fault invalidates it. A router with no supported fabric
+//    (e-cube, GC with alpha > NextHopFabric::kMaxAlpha) therefore adopts
+//    its plan at the source. This keeps plan-cache lookups, shared_ptr
+//    traffic and per-hop link checks off the fault-free common case. The
+//    bitmap is rebuilt at the serial points whenever the fault set's
+//    version moves, so dynamic fault schedules work unchanged. The test
+//    suite checks this path against a plain serial reference simulator
+//    (tests/reference_sim.hpp) metric for metric.
 //
 // Two deliberate semantic refinements versus the old serial-only core,
 // both required for order-independence (and covered by the contract):
@@ -238,8 +241,9 @@ class NetworkSim {
              const FaultSet& faults, const SimConfig& config,
              const TrafficModel* traffic);
 
-  /// Validates the schedule (in-range, sorted by cycle) and switches the
-  /// simulator to dynamic-fault mode.
+  /// Validates the schedule (in-range, sorted by cycle, at least two live
+  /// nodes after every cycle's events) and switches the simulator to
+  /// dynamic-fault mode.
   void attach_schedule(FaultSet& faults, const FaultSchedule& schedule);
 
   /// Resolves the worker count and (re)builds all run state: shards with
@@ -259,7 +263,8 @@ class NetworkSim {
 
   /// Applies every schedule event due at `now` (serial point), orphans
   /// packets queued at — or in a mailbox toward — nodes that just died,
-  /// re-arms injection at repaired nodes, and refreshes the fault overlay.
+  /// re-arms injection at repaired nodes, and refreshes the clean-node
+  /// bitmap.
   void apply_fault_events(Cycle now, bool measuring);
   /// Serial point: re-offers every parked packet whose wake time is due —
   /// retries resume at their strand node, retransmits relaunch from the
@@ -312,7 +317,8 @@ class NetworkSim {
   std::size_t discard_packets_at(NodeId u);
 
   /// Node index width inside a far-fire key; node_count <= 2^kMaxDimension
-  /// by construction, leaving 64 - kFireNodeBits bits of cycle headroom.
+  /// by construction, and the constructor keeps every cycle below 2^32, so
+  /// the cycle fits in the 64 - kFireNodeBits bits above it.
   static constexpr unsigned kFireNodeBits = kMaxDimension;
   static constexpr std::uint64_t kFireNodeMask =
       (std::uint64_t{1} << kFireNodeBits) - 1;
@@ -363,9 +369,9 @@ class NetworkSim {
   SimConfig config_;
   UniformTraffic default_traffic_;   // used when no model is supplied
   const TrafficModel& traffic_;
-  /// Dense link-usability masks; refreshed at serial points, read by all
-  /// workers. Backs every usability check (its answer is
-  /// pure-function-equal to topo.has_link && faults.link_usable).
+  /// Clean-node bitmap (every existing link usable); refreshed at serial
+  /// points, read by all workers' classify passes. Per-link usability is
+  /// asked of faults_ directly.
   FaultOverlay overlay_;
   /// The router's table fabric when present AND supported; null otherwise
   /// (then every packet adopts the router's plan at its source).
@@ -378,17 +384,18 @@ class NetworkSim {
   /// sweep select between them).
   SimdLevel simd_ = SimdLevel::kScalar;
   /// True while the fault set is empty; refreshed at the serial points.
-  /// Lets table steering skip the per-node overlay loads entirely on
+  /// Lets table steering skip the clean-window loads entirely on
   /// fault-free runs (every node is trivially clean).
   bool no_faults_ = false;
   Cycle total_cycles_ = 0;   // warmup + measure, for fire scheduling
   std::vector<Shard> shards_;
   std::vector<Ring<PacketRef>> queues_;  // per-node FIFO, owner-shard only
-  /// Directed link stamps, owner-shard only. 32-bit on purpose: stamps are
-  /// compared for equality against (now + 1) mod 2^32 and cleared at every
-  /// run() start, so they alias only past 2^32 cycles in ONE run — far
-  /// beyond any simulated window — and halving the array keeps more of the
-  /// per-hop working set in cache.
+  /// Directed link stamps, owner-shard only: a link is busy this cycle iff
+  /// its stamp equals now + 1. 32-bit on purpose, which halves the array
+  /// and keeps more of the per-hop working set in cache; the constructor
+  /// refuses runs of 2^32 cycles or more, so now + 1 never wraps to the
+  /// 0 that marks an unused link and no two cycles of a run share a stamp.
+  /// Cleared at every run() start.
   std::vector<std::uint32_t> link_busy_;
   std::vector<std::uint32_t> occ_;  // phase-A occupancy snapshot
   SimMetrics metrics_;  // serial/global fields; shard partials absorbed in

@@ -18,6 +18,12 @@ class NodeBitmap {
  public:
   /// Sizes the bitmap for indices [0, bits) and clears every bit.
   void reset(std::uint64_t bits) { words_.assign((bits + 63) / 64, 0); }
+  /// Sizes the bitmap for indices [0, bits) and sets every bit; bits past
+  /// the end of the last word stay clear.
+  void fill(std::uint64_t bits) {
+    words_.assign((bits + 63) / 64, ~std::uint64_t{0});
+    if (bits % 64 != 0) words_.back() >>= 64 - bits % 64;
+  }
 
   void set(std::uint64_t i) noexcept {
     words_[i >> 6] |= std::uint64_t{1} << (i & 63);

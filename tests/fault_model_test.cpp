@@ -2,10 +2,16 @@
 // N(k)/t_k closed form, and the T(GC) tolerance bound (Figure 4).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+#include <utility>
+#include <vector>
+
 #include "fault/categorize.hpp"
 #include "fault/fault_set.hpp"
 #include "fault/tolerance_bound.hpp"
 #include "topology/gaussian_cube.hpp"
+#include "util/rng.hpp"
 
 namespace gcube {
 namespace {
@@ -47,6 +53,148 @@ TEST(FaultSet, ClearResets) {
   f.clear();
   EXPECT_TRUE(f.empty());
   EXPECT_TRUE(f.link_usable(0, 0));
+}
+
+/// A plain model of FaultSet: ordered sets for membership, vectors for
+/// the insertion order, and a counter of the mutations that changed it.
+struct FaultModel {
+  std::set<NodeId> nodes;
+  std::set<std::pair<NodeId, Dim>> links;  // (lower endpoint, dim)
+  std::vector<NodeId> node_order;
+  std::vector<LinkId> link_order;
+  std::uint64_t changes = 0;
+
+  static std::pair<NodeId, Dim> key(NodeId u, Dim c) {
+    return {u & ~(NodeId{1} << c), c};
+  }
+  bool marked(NodeId u, Dim c) const { return links.contains(key(u, c)); }
+  bool usable(NodeId u, Dim c) const {
+    return !marked(u, c) && !nodes.contains(u) &&
+           !nodes.contains(flip_bit(u, c));
+  }
+  void fail_node(NodeId u) {
+    if (nodes.insert(u).second) {
+      node_order.push_back(u);
+      ++changes;
+    }
+  }
+  void fail_link(NodeId u, Dim c) {
+    if (links.insert(key(u, c)).second) {
+      link_order.push_back(LinkId::of(u, c));
+      ++changes;
+    }
+  }
+  bool repair_node(NodeId u) {
+    if (nodes.erase(u) == 0) return false;
+    std::erase(node_order, u);
+    ++changes;
+    return true;
+  }
+  bool repair_link(NodeId u, Dim c) {
+    if (links.erase(key(u, c)) == 0) return false;
+    std::erase(link_order, LinkId::of(u, c));
+    ++changes;
+    return true;
+  }
+  void clear() {
+    if (nodes.empty() && links.empty()) return;
+    nodes.clear();
+    links.clear();
+    node_order.clear();
+    link_order.clear();
+    ++changes;
+  }
+};
+
+/// Every read of `f` on labels [0, reach) and dimensions [0, dims) must
+/// agree with the model, and so must the lists, counts and emptiness.
+void expect_matches(const FaultSet& f, const FaultModel& m, NodeId reach,
+                    Dim dims) {
+  ASSERT_EQ(f.faulty_nodes(), m.node_order);
+  ASSERT_EQ(f.faulty_links(), m.link_order);
+  ASSERT_EQ(f.node_fault_count(), m.nodes.size());
+  ASSERT_EQ(f.link_fault_count(), m.links.size());
+  ASSERT_EQ(f.empty(), m.nodes.empty() && m.links.empty());
+  for (NodeId u = 0; u < reach; ++u) {
+    ASSERT_EQ(f.node_faulty(u), m.nodes.contains(u)) << "u=" << u;
+    for (Dim c = 0; c < dims; ++c) {
+      ASSERT_EQ(f.link_marked(u, c), m.marked(u, c)) << u << "/" << c;
+      ASSERT_EQ(f.link_usable(u, c), m.usable(u, c)) << u << "/" << c;
+    }
+  }
+}
+
+TEST(FaultSet, MatchesSetModelUnderRandomMutations) {
+  // Random fail / repair / clear sequences over GC(10,4) labels. Reads
+  // reach past the largest label touched (the store grows on demand and
+  // answers "not faulty" beyond its end) and past the cube's dimensions.
+  const GaussianCube gc(10, 4);
+  const auto nodes = static_cast<NodeId>(gc.node_count());
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    Xoshiro256 rng(seed);
+    FaultSet f;
+    FaultModel m;
+    const std::uint64_t base = f.version();
+    for (int step = 0; step < 300; ++step) {
+      const auto u = static_cast<NodeId>(rng.below(nodes));
+      const auto c = static_cast<Dim>(rng.below(gc.dims()));
+      const std::uint64_t op = rng.below(20);
+      if (op < 5) {
+        f.fail_node(u);
+        m.fail_node(u);
+      } else if (op < 11) {
+        f.fail_link(u, c);
+        m.fail_link(u, c);
+      } else if (op < 14 && !m.node_order.empty()) {
+        const NodeId v = m.node_order[rng.below(m.node_order.size())];
+        ASSERT_TRUE(f.repair_node(v));
+        ASSERT_TRUE(m.repair_node(v));
+      } else if (op < 17 && !m.link_order.empty()) {
+        const LinkId l = m.link_order[rng.below(m.link_order.size())];
+        // Either endpoint names the link.
+        const NodeId end = rng.below(2) == 0 ? l.lo : l.hi();
+        ASSERT_TRUE(f.repair_link(end, l.dim));
+        ASSERT_TRUE(m.repair_link(end, l.dim));
+      } else if (op < 18) {
+        ASSERT_EQ(f.repair_node(u), m.repair_node(u));
+      } else if (op < 19) {
+        ASSERT_EQ(f.repair_link(u, c), m.repair_link(u, c));
+      } else if (rng.below(4) == 0) {
+        f.clear();
+        m.clear();
+      }
+      ASSERT_EQ(f.version() - base, m.changes) << "seed=" << seed;
+      if (step % 25 == 0 || step == 299) {
+        expect_matches(f, m, 2 * nodes, gc.dims() + 2);
+      } else {
+        // Between sweeps, check the touched label and its link.
+        ASSERT_EQ(f.node_faulty(u), m.nodes.contains(u));
+        ASSERT_EQ(f.link_marked(u, c), m.marked(u, c));
+        ASSERT_EQ(f.link_usable(u, c), m.usable(u, c));
+      }
+    }
+  }
+}
+
+TEST(FaultSet, RejectsOutOfRangeLabelsAndDimensions) {
+  FaultSet f;
+  f.fail_node(5);
+  const std::uint64_t v = f.version();
+  const NodeId too_big = NodeId{1} << kMaxDimension;
+  EXPECT_THROW(f.fail_node(too_big), std::invalid_argument);
+  EXPECT_THROW(f.fail_link(too_big, 0), std::invalid_argument);
+  EXPECT_THROW(f.fail_link(0, kMaxDimension), std::invalid_argument);
+  EXPECT_THROW(f.fail_link(0, 40), std::invalid_argument);
+  EXPECT_THROW((void)f.repair_node(too_big), std::invalid_argument);
+  EXPECT_THROW((void)f.repair_link(~NodeId{0}, 0), std::invalid_argument);
+  EXPECT_THROW((void)f.repair_link(5, kMaxDimension), std::invalid_argument);
+  EXPECT_EQ(f.version(), v);  // a refused mutation changes nothing
+  EXPECT_EQ(f.faulty_nodes(), std::vector<NodeId>{5});
+  EXPECT_TRUE(f.faulty_links().empty());
+  // Reads are never refused: past the store's end nothing is faulty.
+  EXPECT_FALSE(f.node_faulty(too_big));
+  EXPECT_FALSE(f.link_marked(too_big, kMaxDimension));
+  EXPECT_TRUE(f.link_usable(too_big, 0));
 }
 
 TEST(LinkId, HiEndpoint) {

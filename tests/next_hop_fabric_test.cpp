@@ -1,8 +1,8 @@
 // Next-hop fabric property tests.
 //
 // The fabric compiles FFGCR's stepwise decision into flat tables
-// (routing/next_hop_table.hpp) and the fault overlay flattens FaultSet
-// queries into per-node masks (fault/overlay.hpp). The simulator steers
+// (routing/next_hop_table.hpp) and the fault overlay keeps a bitmap of the
+// nodes whose every link is usable (fault/overlay.hpp). The simulator steers
 // packets through the composite (clean node -> fabric lookup, patched node
 // -> full FTGCR machinery), so the properties checked here are exactly the
 // ones the hot path relies on:
@@ -10,8 +10,8 @@
 //  * the table answer is byte-identical to the plan machinery's first hop
 //    for FFGCR always, and for FTGCR whenever the fault set is empty;
 //  * following fabric hops reproduces the full optimal route;
-//  * the overlay agrees bit-for-bit with the hash-based FaultSet view,
-//    incrementally refreshed or rebuilt from scratch;
+//  * the overlay agrees bit-for-bit with the FaultSet, refreshed step by
+//    step through failures and repairs or rebuilt from scratch;
 //  * at overlay-clean nodes the fabric hop is usable as-is; at patched
 //    nodes the machinery's (version-stamped) answer is what steering uses.
 #include <gtest/gtest.h>
@@ -147,7 +147,7 @@ TEST(NextHopFabricTest, FtgcrFaultFreeNextHopIsTheTableAnswer) {
   }
 }
 
-TEST(NextHopFabricTest, OverlayAgreesWithFaultSetHashView) {
+TEST(NextHopFabricTest, OverlayAgreesWithFaultSet) {
   for (const Shape shape : kShapes) {
     const GaussianCube gc(shape.n, shape.modulus);
     FaultSet faults = draw_faults(gc, shape.tolerable_faults, 91 + shape.n);
@@ -157,54 +157,63 @@ TEST(NextHopFabricTest, OverlayAgreesWithFaultSetHashView) {
     overlay.refresh(faults);
     for (NodeId u = 0; u < gc.node_count(); ++u) {
       bool clean = true;
+      std::uint32_t usable = 0;
       for (Dim c = 0; c < gc.dims(); ++c) {
-        const bool expect = gc.has_link(u, c) && faults.link_usable(u, c);
-        ASSERT_EQ(overlay.link_usable(u, c), expect)
-            << gc.name() << " u=" << u << " c=" << c;
-        if (gc.has_link(u, c) && !faults.link_usable(u, c)) clean = false;
+        if (!gc.has_link(u, c)) continue;
+        if (faults.link_usable(u, c)) {
+          usable |= std::uint32_t{1} << c;
+        } else {
+          clean = false;
+        }
       }
+      ASSERT_EQ(overlay.usable_mask(u), usable) << gc.name() << " u=" << u;
       ASSERT_EQ(overlay.clean_window(u) & 1, clean ? 1u : 0u)
           << gc.name() << " u=" << u;
     }
   }
 }
 
-TEST(NextHopFabricTest, IncrementalOverlayRefreshMatchesFreshRebuild) {
+TEST(NextHopFabricTest, RefreshedOverlayMatchesFreshRebuild) {
   const GaussianCube gc(10, 4);
   FaultSet faults;
-  FaultOverlay incremental;
-  incremental.attach(gc);
-  incremental.refresh(faults);
-  Xoshiro256 rng(77);
-  for (int step = 0; step < 12; ++step) {
-    if (step % 3 == 2) {
-      faults.fail_link(static_cast<NodeId>(rng.below(gc.node_count())),
-                       static_cast<Dim>(rng.below(gc.alpha() + 1)));
-    } else {
-      faults.fail_node(static_cast<NodeId>(rng.below(gc.node_count())));
-    }
-    incremental.refresh(faults);
+  FaultOverlay refreshed;
+  refreshed.attach(gc);
+  refreshed.refresh(faults);
+  const auto expect_fresh = [&](int step) {
     FaultOverlay fresh;
     fresh.attach(gc);
     fresh.refresh(faults);
+    for (NodeId base = 0; base < gc.node_count(); base += 64) {
+      ASSERT_EQ(refreshed.clean_window(base), fresh.clean_window(base))
+          << "step=" << step << " base=" << base;
+    }
     for (NodeId u = 0; u < gc.node_count(); ++u) {
-      ASSERT_EQ(incremental.usable_mask(u), fresh.usable_mask(u))
+      ASSERT_EQ(refreshed.usable_mask(u), fresh.usable_mask(u))
           << "step=" << step << " u=" << u;
     }
+  };
+  Xoshiro256 rng(77);
+  for (int step = 0; step < 18; ++step) {
+    if (step % 3 == 2) {
+      faults.fail_link(static_cast<NodeId>(rng.below(gc.node_count())),
+                       static_cast<Dim>(rng.below(gc.alpha() + 1)));
+    } else if (step % 6 == 4) {
+      // A repair must clean the node and its neighbors again.
+      const std::vector<NodeId>& dead = faults.faulty_nodes();
+      ASSERT_TRUE(faults.repair_node(dead[rng.below(dead.size())]));
+    } else {
+      faults.fail_node(static_cast<NodeId>(rng.below(gc.node_count())));
+    }
+    refreshed.refresh(faults);
+    expect_fresh(step);
   }
-  // clear() + regrow past the old cursor positions must trigger a rebuild,
-  // not a bogus incremental suffix application.
+  // clear() + regrow past the old list lengths must still be seen.
   faults.clear();
   for (int i = 0; i < 20; ++i) {
     faults.fail_node(static_cast<NodeId>(rng.below(gc.node_count())));
   }
-  incremental.refresh(faults);
-  FaultOverlay fresh;
-  fresh.attach(gc);
-  fresh.refresh(faults);
-  for (NodeId u = 0; u < gc.node_count(); ++u) {
-    ASSERT_EQ(incremental.usable_mask(u), fresh.usable_mask(u)) << u;
-  }
+  refreshed.refresh(faults);
+  expect_fresh(-1);
 }
 
 TEST(NextHopFabricTest, SteeringCompositeMatchesRoutersUnderFaults) {

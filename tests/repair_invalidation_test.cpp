@@ -2,7 +2,7 @@
 // repair events, a long-lived router (whose version-stamped plan/hop
 // caches were populated at every intermediate fault state) must answer
 // byte-identically to a fresh router built over the same *final* fault
-// set, and an incrementally-refreshed FaultOverlay must equal a
+// set, and a FaultOverlay refreshed at every step must equal a
 // from-scratch rebuild. This is exactly the stale-state bug class repairs
 // introduce: failures only ever shrink the usable link set (so a stale
 // "usable" answer is caught by the per-hop checks), while repairs grow it
@@ -105,7 +105,8 @@ TEST_P(RepairInvalidationTest, RouterAndOverlayMatchFreshRebuild) {
   for (NodeId u = 0; u < nodes; ++u) {
     ASSERT_EQ(overlay.usable_mask(u), fresh_overlay.usable_mask(u))
         << "overlay mask diverged at node " << u;
-    ASSERT_EQ(overlay.full_mask(u), fresh_overlay.full_mask(u));
+    ASSERT_EQ(overlay.clean_window(u) & 1, fresh_overlay.clean_window(u) & 1)
+        << "clean bit diverged at node " << u;
   }
 
   Xoshiro256 probe(0xabcdULL + c.n);
@@ -131,11 +132,9 @@ TEST(RepairSemantics, RepairIsIdempotentAndVersioned) {
   EXPECT_FALSE(f.repair_node(3));  // nothing to repair
   f.fail_node(3);
   const std::uint64_t v1 = f.version();
-  const std::uint64_t g1 = f.generation();
   EXPECT_TRUE(f.repair_node(3));
   EXPECT_FALSE(f.node_faulty(3));
   EXPECT_GT(f.version(), v1);      // caches must go stale
-  EXPECT_GT(f.generation(), g1);   // incremental consumers must rebuild
   EXPECT_FALSE(f.repair_node(3));  // second repair is a no-op
   EXPECT_TRUE(f.empty());
 

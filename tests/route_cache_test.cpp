@@ -215,11 +215,11 @@ TEST(RouteCacheTest, FtgcrRepeatedQueriesAreStableWithinVersion) {
   }
 }
 
-TEST(RouteCacheTest, ConcurrentPlansMatchFreshRouterAcrossViewRefreshes) {
-  // FTGCR plans read a dense fault view that the first plan after a
-  // FaultSet mutation brings up to date — incrementally after a failure, by
-  // a full rebuild after a repair — while other threads are already
-  // planning. Every answer must equal a fresh serial router's.
+TEST(RouteCacheTest, ConcurrentPlansMatchFreshRouterAcrossFaultVersions) {
+  // After each FaultSet mutation — a failure, then a repair — four threads
+  // plan at once, reading the fault set directly and racing on the
+  // version-stamped caches, whose entries from the previous version must
+  // all read as stale. Every answer must equal a fresh serial router's.
   const GaussianCube gc(10, 4);
   FaultSet faults;
   faults.fail_node(77);
@@ -228,7 +228,7 @@ TEST(RouteCacheTest, ConcurrentPlansMatchFreshRouterAcrossViewRefreshes) {
   constexpr NodeId kLinkNode = 300;
   constexpr Dim kLinkDim = 0;
   // Sources at the mutated link plan around it; the random pairs mostly
-  // take the fault-free fast path. Both read the view.
+  // take the fault-free fast path. Both read the fault set.
   std::vector<std::pair<NodeId, NodeId>> pairs =
       sample_pairs(gc, faults, 240, 808);
   for (const NodeId s : {kLinkNode, flip_bit(kLinkNode, kLinkDim)}) {

@@ -91,12 +91,12 @@ TEST(NetworkSim, CarryoverDeliveriesNeverInflateTheDeliveryRatio) {
 }
 
 TEST(NetworkSim, RejectsRunsBeyondTheCycleRange) {
-  // A far-fire key packs the cycle above the node bits, so warmup +
-  // measure must neither overflow nor reach 2^(64 - kMaxDimension).
+  // Link stamps hold (now + 1) mod 2^32, so warmup + measure must neither
+  // overflow nor reach 2^32.
   const GaussianCube gc(6, 2);
   const FfgcrRouter router(gc);
   const FaultSet none;
-  const Cycle range = Cycle{1} << (64 - kMaxDimension);
+  const Cycle range = Cycle{1} << 32;
   SimConfig wraps = quick_config();
   wraps.measure_cycles = ~Cycle{0};  // warmup + measure overflows
   EXPECT_THROW(NetworkSim(gc, router, none, wraps), std::invalid_argument);
@@ -433,6 +433,44 @@ TEST(DynamicFaults, RejectsOutOfRangeEvents) {
   FaultSchedule bad_dim;
   bad_dim.fail_link_at(10, 1, 9);
   EXPECT_THROW(NetworkSim(gc, router, faults, quick_config(), bad_dim),
+               std::invalid_argument);
+}
+
+TEST(DynamicFaults, RefusesSchedulesThatLeaveOneLiveNode) {
+  // Traffic redraws a destination until it finds a live node other than
+  // the source, so a cycle that ends with one live node would hang run().
+  // Q3 with e-cube at rate 0.5, nodes 1..last failing at cycle 5.
+  const GaussianCube gc(3, 1);
+  const EcubeRouter router(gc);
+  SimConfig cfg;
+  cfg.injection_rate = 0.5;
+  cfg.warmup_cycles = 0;
+  cfg.measure_cycles = 100;
+  cfg.threads = 1;
+  const auto fail_range = [](NodeId last) {
+    FaultSchedule schedule;
+    for (NodeId u = 1; u <= last; ++u) schedule.fail_node_at(5, u);
+    return schedule;
+  };
+  FaultSet faults;
+  EXPECT_THROW(NetworkSim(gc, router, faults, cfg, fail_range(7)),
+               std::invalid_argument);
+  const SimMetrics m = NetworkSim(gc, router, faults, cfg, fail_range(6)).run();
+  EXPECT_EQ(m.fault_events, 6u);
+  EXPECT_GT(m.delivered, 0u);
+
+  // Liveness is judged after each cycle's events, repairs included, and
+  // the static set counts too.
+  FaultSchedule healed = fail_range(7);
+  healed.repair_node_at(5, 7);
+  FaultSet fresh;
+  EXPECT_NO_THROW(NetworkSim(gc, router, fresh, cfg, healed));
+  FaultSchedule late = fail_range(7);
+  late.repair_node_at(6, 7);
+  EXPECT_THROW(NetworkSim(gc, router, fresh, cfg, late), std::invalid_argument);
+  FaultSet static_faults;
+  static_faults.fail_node(7);
+  EXPECT_THROW(NetworkSim(gc, router, static_faults, cfg, fail_range(6)),
                std::invalid_argument);
 }
 
