@@ -14,8 +14,8 @@
 //
 // The claim this ablation documents: with repairs and retries the delivery
 // ratio recovers to >= 0.99 while the identical churn made permanent stays
-// degraded. Emits BENCH_recovery.json (--out=<path>; --quick shrinks the
-// run for CI) checked by scripts/check_bench_json.py.
+// degraded. The checks below enforce it through the exit status. Emits
+// BENCH_recovery.json (--out=<path>; --quick shrinks the run for CI).
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -179,6 +179,8 @@ int main(int argc, char** argv) {
   // The headline claims, enforced so a regression fails loudly: accounting
   // closes in every cell, retries over healing faults recover delivery to
   // >= 0.99, and the identical churn made permanent stays strictly worse.
+  // The schedules themselves are checked too: the transient one applied
+  // repairs and its permanent copy applied none.
   bool ok = true;
   for (const Cell& c : cells) {
     if (!accounting_closed(c.metrics)) {
@@ -196,6 +198,15 @@ int main(int argc, char** argv) {
   if (healed <= broken) {
     std::cout << "WARNING: permanent churn should stay degraded ("
               << broken << " vs " << healed << ")\n";
+    ok = false;
+  }
+  if (cells[1].metrics.repairs_applied == 0) {
+    std::cout << "WARNING: transient_retry applied no repairs\n";
+    ok = false;
+  }
+  if (cells[3].metrics.repairs_applied != 0) {
+    std::cout << "WARNING: permanent applied "
+              << cells[3].metrics.repairs_applied << " repairs\n";
     ok = false;
   }
   if (ok) {

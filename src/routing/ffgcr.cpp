@@ -100,19 +100,6 @@ std::shared_ptr<const Route> FfgcrRouter::plan_shared(NodeId s,
   return route;
 }
 
-std::optional<Dim> FfgcrRouter::next_hop(NodeId cur, NodeId dst) const {
-  if (cur == dst) return std::nullopt;
-  if (fabric_.supported()) return fabric_.fault_free_hop(cur, dst);
-  const std::uint64_t key = pack_node_pair(cur, dst);
-  if (auto hit = hop_cache_.find(key, 0)) return *hit;
-  const std::shared_ptr<const Route> route = plan_shared(cur, dst);
-  GCUBE_REQUIRE(route != nullptr && !route->empty(),
-                "FFGCR always routes between distinct nodes");
-  const Dim c = route->hops().front();
-  hop_cache_.insert(key, 0, c);
-  return c;
-}
-
 std::size_t FfgcrRouter::optimal_length(NodeId s, NodeId d) const {
   const std::shared_ptr<const GcRoutePlan> itinerary =
       itineraries_.get(gc_, tree_, s, d);

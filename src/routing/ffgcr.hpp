@@ -19,9 +19,9 @@
 // Caching. The itinerary depends only on (class(s), s ^ d) — a key space
 // of 2^(alpha + n), far smaller than the (s, d) pair space — so itineraries
 // are memoized in a GcItineraryCache shared-ownership table and executed
-// without mutation. Full routes and stepwise next hops are memoized per
-// (s, d) in sharded open-addressed tables (util/flat_cache.hpp); FFGCR is
-// fault-blind, so its entries never go stale.
+// without mutation. Full routes are memoized per (s, d) in a sharded
+// open-addressed table (util/flat_cache.hpp); FFGCR is fault-blind, so its
+// entries never go stale.
 #pragma once
 
 #include <map>
@@ -74,16 +74,9 @@ class FfgcrRouter final : public Router {
   /// Memoized shared route; FFGCR never fails, so the result is non-null.
   [[nodiscard]] std::shared_ptr<const Route> plan_shared(
       NodeId s, NodeId d) const override;
-  /// Stepwise plan: a table lookup through the next-hop fabric when the
-  /// modulus supports it (no caches touched), the memoized plan-based path
-  /// otherwise. Routes are optimal either way, so first-hop iteration
-  /// strictly shrinks the remaining distance and always terminates at dst.
-  [[nodiscard]] std::optional<Dim> next_hop(NodeId cur,
-                                            NodeId dst) const override;
-  /// Counters for the (s, d) route cache and the (cur, dst) hop cache; the
-  /// hop cache stays untouched (all-zero) when the fabric serves next_hop.
+  /// Counters for the (s, d) route cache.
   [[nodiscard]] RouterCacheStats cache_stats() const override {
-    return {plan_cache_.stats(), hop_cache_.stats()};
+    return {plan_cache_.stats()};
   }
   [[nodiscard]] const NextHopFabric* fabric() const override {
     return &fabric_;
@@ -106,7 +99,6 @@ class FfgcrRouter final : public Router {
   NextHopFabric fabric_;
   mutable GcItineraryCache itineraries_;
   mutable ShardedVersionCache<std::shared_ptr<const Route>> plan_cache_;
-  mutable ShardedVersionCache<Dim> hop_cache_;
 };
 
 }  // namespace gcube

@@ -355,27 +355,4 @@ std::shared_ptr<const Route> FtgcrRouter::plan_shared(NodeId s,
   return route;
 }
 
-std::optional<Dim> FtgcrRouter::next_hop(NodeId cur, NodeId dst) const {
-  if (cur == dst) return std::nullopt;
-  // Fault-free fast path: with zero faults every route is clean, so the
-  // machinery's first hop is FFGCR's — a pure table lookup. Gated on
-  // faults_.empty(), NOT on cur being locally clean: a fault anywhere
-  // downstream can steer informed_subcube_route onto a different first
-  // dimension even at a node whose own links are all usable.
-  if (fabric_.supported() && faults_.empty()) {
-    return fabric_.fault_free_hop(cur, dst);
-  }
-  const std::uint64_t key = pack_node_pair(cur, dst);
-  const std::uint64_t version = faults_.version();
-  if (auto hit = hop_cache_.find(key, version)) return *hit;
-  // Planning through plan_shared warms the route cache for free: a packet
-  // re-planned here and a packet injected for the same pair share work.
-  const std::shared_ptr<const Route> r = plan_shared(cur, dst);
-  const std::optional<Dim> hop = r != nullptr && !r->empty()
-                                     ? std::optional<Dim>(r->hops().front())
-                                     : std::nullopt;
-  hop_cache_.insert(key, version, hop);
-  return hop;
-}
-
 }  // namespace gcube

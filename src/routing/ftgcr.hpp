@@ -77,21 +77,10 @@ class FtgcrRouter final : public Router {
   /// Failures (dst dead, cube disconnected) memoize as nullptr.
   [[nodiscard]] std::shared_ptr<const Route> plan_shared(
       NodeId s, NodeId d) const override;
-  /// Stepwise plan against the *live* fault set. While the fault set is
-  /// empty (and the modulus supports the fabric) the answer is a pure
-  /// table lookup — the machinery would emit exactly the fault-free
-  /// composite route, so its first hop is the fabric's, with no cache
-  /// traffic at all. Under faults, entries are keyed on (cur, dst) and
-  /// version-stamped, so a FaultSet::version() move makes stale entries
-  /// misses (no global invalidation pass) and mid-run fault arrivals are
-  /// picked up on the next hop. Failures (dst dead, cube disconnected)
-  /// memoize too.
-  [[nodiscard]] std::optional<Dim> next_hop(NodeId cur,
-                                            NodeId dst) const override;
-  /// Counters for the version-stamped route and hop caches; `stale` tallies
-  /// lookups that found an entry superseded by a FaultSet::version() move.
+  /// Counters for the version-stamped route cache; `stale` tallies lookups
+  /// that found an entry superseded by a FaultSet::version() move.
   [[nodiscard]] RouterCacheStats cache_stats() const override {
-    return {plan_cache_.stats(), hop_cache_.stats()};
+    return {plan_cache_.stats()};
   }
   [[nodiscard]] const NextHopFabric* fabric() const override {
     return &fabric_;
@@ -116,7 +105,6 @@ class FtgcrRouter final : public Router {
   NextHopFabric fabric_;
   mutable GcItineraryCache itineraries_;
   mutable ShardedVersionCache<std::shared_ptr<const Route>> plan_cache_;
-  mutable ShardedVersionCache<std::optional<Dim>> hop_cache_;
 };
 
 }  // namespace gcube

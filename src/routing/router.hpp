@@ -1,4 +1,5 @@
-// Router interface: source-route planners with an online stepwise view.
+// Router interface: source-route planners, with a stepwise view of their
+// plans.
 //
 // Planners produce complete Routes. This matches the paper's execution
 // model: the tree itinerary is computed at the source (O(n) message
@@ -8,11 +9,10 @@
 //
 // FTGCR is additionally an *online, distributed* strategy (paper §5): a
 // node can pick the next hop from its current fault knowledge. next_hop()
-// exposes that stepwise view: the first hop of a route from the current
-// node under current faults. The simulator does not call it (packets
-// adopt whole plans through plan_shared); the routing tests and the
-// per-layer benchmarks do. Fault-aware routers memoize these answers per
-// (cur, dst) and invalidate on FaultSet::version() changes.
+// gives that stepwise view as the first hop of plan_shared(cur, dst), so it
+// shares the plan cache and its FaultSet::version() invalidation. The
+// simulator does not call it (packets adopt whole plans through
+// plan_shared); the routing tests and the per-layer benchmarks do.
 #pragma once
 
 #include <memory>
@@ -27,23 +27,21 @@ namespace gcube {
 
 class NextHopFabric;
 
-/// Lookup counters for a router's memoization layers: whole-route planning
-/// (plan_shared) and stepwise next-hop re-planning. Cumulative since router
-/// construction; consumers snapshot-and-subtract to scope a measurement
-/// window. Diagnostics only — under concurrent lookups the split between
-/// hits and misses can vary run to run even when routing results do not.
+/// Lookup counters for a router's plan cache (plan_shared). Cumulative
+/// since router construction; consumers snapshot-and-subtract to scope a
+/// measurement window. Diagnostics only — under concurrent lookups the
+/// split between hits and misses can vary run to run even when routing
+/// results do not.
 struct RouterCacheStats {
   CacheStats plan;
-  CacheStats hop;
 
   RouterCacheStats& operator+=(const RouterCacheStats& o) noexcept {
     plan += o.plan;
-    hop += o.hop;
     return *this;
   }
   [[nodiscard]] RouterCacheStats operator-(
       const RouterCacheStats& o) const noexcept {
-    return {plan - o.plan, hop - o.hop};
+    return {plan - o.plan};
   }
   friend bool operator==(const RouterCacheStats&,
                          const RouterCacheStats&) = default;
@@ -72,19 +70,18 @@ class Router {
   }
 
   /// Stepwise interface: the dimension of the first hop of a route from
-  /// cur to dst under the router's *current* fault knowledge, or nullopt
-  /// when cur == dst or no route exists. The default derives it from
-  /// plan(); fault-aware routers override with memoized re-plans.
-  [[nodiscard]] virtual std::optional<Dim> next_hop(NodeId cur,
-                                                    NodeId dst) const {
+  /// cur to dst under the router's *current* fault knowledge — the first
+  /// hop of plan_shared(cur, dst) — or nullopt when cur == dst or no route
+  /// exists.
+  [[nodiscard]] std::optional<Dim> next_hop(NodeId cur, NodeId dst) const {
     if (cur == dst) return std::nullopt;
-    const RoutingResult r = plan(cur, dst);
-    if (!r.delivered() || r.route->empty()) return std::nullopt;
-    return r.route->hops().front();
+    const std::shared_ptr<const Route> r = plan_shared(cur, dst);
+    if (r == nullptr || r->empty()) return std::nullopt;
+    return r->hops().front();
   }
 
-  /// Cumulative cache counters for the router's plan/hop memoization.
-  /// Routers without caches report all-zero stats.
+  /// Cumulative counters of the router's plan cache. Routers without one
+  /// report all-zero stats.
   [[nodiscard]] virtual RouterCacheStats cache_stats() const { return {}; }
 
   /// The router's precomputed next-hop tables (routing/next_hop_table.hpp),

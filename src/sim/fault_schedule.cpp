@@ -1,6 +1,7 @@
 #include "sim/fault_schedule.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <fstream>
 #include <sstream>
@@ -142,17 +143,31 @@ FaultSchedule FaultSchedule::parse(std::istream& in) {
     return std::invalid_argument("fault schedule line " +
                                  std::to_string(line_no) + ": " + what);
   };
+  // Each numeric field must be a whole unsigned decimal token: stream
+  // extraction into an unsigned type reads "-5" as 2^64 - 5.
+  const auto number = [&bad](const std::string& field,
+                             const std::string& token) {
+    std::uint64_t value = 0;
+    const char* end = token.data() + token.size();
+    const auto [stop, ec] = std::from_chars(token.data(), end, value);
+    if (ec != std::errc{} || stop != end) {
+      throw bad(field + " '" + token + "' is not an unsigned integer");
+    }
+    return value;
+  };
   while (std::getline(in, line)) {
     ++line_no;
     const auto first = line.find_first_not_of(" \t\r");
     if (first == std::string::npos || line[first] == '#') continue;
     std::istringstream fields(line);
-    Cycle cycle = 0;
+    std::string cycle_token;
     std::string kind;
-    std::uint64_t node = 0;
-    if (!(fields >> cycle >> kind >> node)) {
+    std::string node_token;
+    if (!(fields >> cycle_token >> kind >> node_token)) {
       throw bad("expected '<cycle> node|link|repair-node|repair-link <id> ...'");
     }
+    const Cycle cycle = number("cycle", cycle_token);
+    const std::uint64_t node = number("node id", node_token);
     // Reject ids no topology can hold here, with the line number; the
     // tighter per-topology bound is checked when the schedule is attached.
     if (node >= pow2(kMaxDimension)) {
@@ -162,9 +177,11 @@ FaultSchedule FaultSchedule::parse(std::istream& in) {
     const bool is_link = kind == "link" || kind == "repair-link";
     std::uint64_t dim = 0;
     if (is_link) {
-      if (!(fields >> dim)) {
+      std::string dim_token;
+      if (!(fields >> dim_token)) {
         throw bad("link events need '<cycle> " + kind + " <node> <dim>'");
       }
+      dim = number("dimension", dim_token);
       if (dim >= kMaxDimension) {
         throw bad("dimension " + std::to_string(dim) + " out of range (max " +
                   std::to_string(kMaxDimension - 1) + ")");

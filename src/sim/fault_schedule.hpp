@@ -88,9 +88,10 @@ class FaultSchedule {
   ///   <cycle> repair-node <node-id>
   ///   <cycle> repair-link <node-id> <dim>
   /// Blank lines and lines starting with '#' are ignored. Throws
-  /// std::invalid_argument (with the line number) on malformed input,
-  /// unknown event keywords, or ids too large for any supported topology
-  /// (node >= 2^kMaxDimension, dim >= kMaxDimension); the tighter
+  /// std::invalid_argument (with the line number) on malformed input, a
+  /// number that is not a whole unsigned decimal token (quoted in the
+  /// message), unknown event keywords, or ids too large for any supported
+  /// topology (node >= 2^kMaxDimension, dim >= kMaxDimension); the tighter
   /// per-topology bound is enforced when the schedule is attached to a
   /// simulation.
   [[nodiscard]] static FaultSchedule parse(std::istream& in);

@@ -5,6 +5,8 @@
 #include <map>
 #include <set>
 #include <sstream>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/fault_schedule.hpp"
@@ -79,6 +81,32 @@ TEST(FaultSchedule, ParseErrorsCarryTheLineNumber) {
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find("line 3"), std::string::npos)
         << e.what();
+  }
+}
+
+TEST(FaultSchedule, NumbersMustBeWholeUnsignedTokens) {
+  // Stream extraction into an unsigned field read "-5" as 2^64 - 5: a
+  // cycle that never came, or a node id reported as 18446744073709551615.
+  // The error names the field, quotes the token and gives the line.
+  const std::pair<const char*, const char*> cases[] = {
+      {"-5 node 3\n", "cycle '-5'"},
+      {"5 node -1\n", "node id '-1'"},
+      {"5 link 12 -2\n", "dimension '-2'"},
+      {"5 repair-link 12 -2\n", "dimension '-2'"},
+      {"5 repair-node +7\n", "node id '+7'"},
+      {"5 node 7x\n", "node id '7x'"},
+      {"99999999999999999999 node 3\n", "cycle '99999999999999999999'"},
+  };
+  for (const auto& [body, token] : cases) {
+    std::istringstream in(std::string("# header\n10 node 1\n") + body);
+    try {
+      (void)FaultSchedule::parse(in);
+      ADD_FAILURE() << "should reject: " << body;
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("line 3"), std::string::npos) << what;
+      EXPECT_NE(what.find(token), std::string::npos) << what;
+    }
   }
 }
 

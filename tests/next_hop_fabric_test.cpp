@@ -93,7 +93,7 @@ TEST(NextHopFabricTest, FfgcrTableMatchesPlanMachineryByteForByte) {
       ASSERT_TRUE(plan.delivered());
       EXPECT_EQ(fabric->fault_free_hop(s, d), plan.route->hops().front())
           << gc.name() << " s=" << s << " d=" << d;
-      // And next_hop — the table-driven entry point — agrees with it.
+      // And next_hop, the router's stepwise view, agrees with it.
       EXPECT_EQ(router.next_hop(s, d),
                 std::optional<Dim>(plan.route->hops().front()));
     }
@@ -142,8 +142,6 @@ TEST(NextHopFabricTest, FtgcrFaultFreeNextHopIsTheTableAnswer) {
       EXPECT_EQ(router.next_hop(s, d),
                 std::optional<Dim>(fabric.fault_free_hop(s, d)));
     }
-    // The fast path must leave the caches untouched.
-    EXPECT_EQ(router.cache_stats().hop.lookups(), 0u);
   }
 }
 
@@ -252,7 +250,7 @@ TEST(NextHopFabricTest, SteeringCompositeMatchesRoutersUnderFaults) {
 
 TEST(NextHopFabricTest, LargeModulusFallsBackUnsupported) {
   // alpha = 4 would need a 2^24-entry tree table; the fabric declines and
-  // the routers keep their plan-based stepwise path.
+  // the simulator adopts plans at the source.
   const GaussianCube gc(12, 16);
   const FfgcrRouter router(gc);
   ASSERT_NE(router.fabric(), nullptr);

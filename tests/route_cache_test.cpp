@@ -1,7 +1,7 @@
 // Route-cache coherence tests (simulator hot-path support).
 //
-// The routers memoize plans and per-hop decisions in sharded version-
-// stamped caches (util/flat_cache.hpp) keyed on FaultSet::version(). The
+// The routers memoize plans in sharded version-stamped caches
+// (util/flat_cache.hpp) keyed on FaultSet::version(). The
 // property asserted here: a router that has been serving — and caching —
 // queries for a while is observationally identical to a freshly
 // constructed router over the same topology and fault set, before and
@@ -123,14 +123,8 @@ TEST(RouteCacheTest, FtgcrCachedQueriesMatchFreshAcrossMutations) {
 TEST(RouteCacheTest, CountersTallyHitsMissesAndStale) {
   const GaussianCube gc(8, 2);
   FaultSet faults;
-  // Pre-seed one marked link: with a fault-free set next_hop would be
-  // served by the table fabric without touching any cache (asserted in
-  // FaultFreeFtgcrNextHopBypassesTheCaches below); the counter behavior
-  // under test here is the cache machinery's.
-  faults.fail_link(5, 0);
   const FtgcrRouter router(gc, faults);
   EXPECT_EQ(router.cache_stats().plan.lookups(), 0u);
-  EXPECT_EQ(router.cache_stats().hop.lookups(), 0u);
 
   (void)router.plan_shared(3, 200);  // cold: one plan miss
   const RouterCacheStats cold = router.cache_stats();
@@ -143,31 +137,23 @@ TEST(RouteCacheTest, CountersTallyHitsMissesAndStale) {
   EXPECT_EQ(warm.plan.hits, 1u);
   EXPECT_EQ(warm.plan.misses, 1u);
 
-  // A cold next_hop misses the hop cache, then warms itself through
-  // plan_shared — which hits the route just cached above.
+  // next_hop reads the first hop of the cached plan: another hit.
   (void)router.next_hop(3, 200);
-  const RouterCacheStats hop_cold = router.cache_stats();
-  EXPECT_EQ(hop_cold.hop.misses, 1u);
-  EXPECT_EQ(hop_cold.hop.hits, 0u);
-  EXPECT_EQ(hop_cold.plan.hits, 2u);
-  (void)router.next_hop(3, 200);
-  EXPECT_EQ(router.cache_stats().hop.hits, 1u);
+  EXPECT_EQ(router.cache_stats().plan.hits, 2u);
 
   // A fault-set mutation strands every cached entry behind an old version
-  // stamp: the next lookups find them and count them stale, not hit.
+  // stamp: the next lookup finds it and counts it stale, not hit.
   faults.fail_node(70);
   (void)router.plan_shared(3, 200);
-  (void)router.next_hop(3, 200);
   const RouterCacheStats bumped = router.cache_stats();
   EXPECT_EQ(bumped.plan.stale, 1u);
-  EXPECT_EQ(bumped.hop.stale, 1u);
-  EXPECT_EQ(bumped.plan.hits, 3u);  // next_hop's refill hits the refresh
+  EXPECT_EQ(bumped.plan.hits, 2u);
 
   // Snapshot deltas scope counters to a window.
   const RouterCacheStats window = bumped - warm;
   EXPECT_EQ(window.plan.stale, 1u);
   EXPECT_EQ(window.plan.misses, 0u);
-  EXPECT_EQ(window.hop.lookups(), 3u);  // cold miss, warm hit, stale
+  EXPECT_EQ(window.plan.lookups(), 2u);  // next_hop's hit, stale
 }
 
 TEST(RouteCacheTest, FfgcrCountersNeverGoStale) {
@@ -179,24 +165,9 @@ TEST(RouteCacheTest, FfgcrCountersNeverGoStale) {
   }
   const RouterCacheStats stats = router.cache_stats();
   EXPECT_EQ(stats.plan.misses, 1u);
-  // 2 hits: passes 2 and 3 of plan_shared. next_hop is answered by the
-  // table fabric on this shape and never reaches either cache.
-  EXPECT_EQ(stats.plan.hits, 2u);
+  // 5 hits: passes 2 and 3 of plan_shared, and next_hop on every pass.
+  EXPECT_EQ(stats.plan.hits, 5u);
   EXPECT_EQ(stats.plan.stale, 0u);  // fault-blind: no version to outdate
-  EXPECT_EQ(stats.hop.lookups(), 0u);
-}
-
-TEST(RouteCacheTest, FaultFreeFtgcrNextHopBypassesTheCaches) {
-  // The simulator's fault-free fast path: with an empty fault set FTGCR's
-  // next_hop is a pure table lookup — no cache traffic, no version checks.
-  const GaussianCube gc(8, 2);
-  const FaultSet faults;
-  const FtgcrRouter router(gc, faults);
-  for (const auto& [s, d] : sample_pairs(gc, faults, 50, 606)) {
-    ASSERT_TRUE(router.next_hop(s, d).has_value());
-  }
-  EXPECT_EQ(router.cache_stats().plan.lookups(), 0u);
-  EXPECT_EQ(router.cache_stats().hop.lookups(), 0u);
 }
 
 TEST(RouteCacheTest, FtgcrRepeatedQueriesAreStableWithinVersion) {
