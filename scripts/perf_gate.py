@@ -18,10 +18,13 @@ HEAD fails when
   1. a head run is not correct, or a larger share of its attempted packets
      fails than in its base pair;
   2. a simulated metric (EXACT_SIMULATED) differs on any seed, or a traced
-     work count (EXACT_COUNTS) differs. When HEAD's CHANGES.md adds a line
-     containing MARKER, the simulated metrics are judged against their
-     bounds instead, like host time, and the work counts, which have no
-     bound, are only reported;
+     work count (EXACT_COUNTS) differs. HEAD's CHANGES.md may exempt some
+     of these metrics with a line it adds: the text after MARKER starts
+     with a comma-separated list of their names, as in
+     "Behaviour change: sim.reroutes, avg_hops. Why they move ...". A named
+     simulated metric is judged against its bound instead, like host time;
+     a named work count, which has no bound, is only reported. A MARKER
+     followed by anything else exempts every one of them;
   3. the median of a host-time metric's per-pair head/base ratios is worse
      than its BENCHMARK.json bound, in the metric's "better" direction
      (every other end-to-end metric of BENCHMARK.json is host time).
@@ -40,6 +43,7 @@ import filecmp
 import json
 import math
 import os
+import re
 import shutil
 import statistics
 import subprocess
@@ -55,6 +59,14 @@ EXACT_SIMULATED = ("delivery_ratio", "avg_latency_cycles",
 EXACT_COUNTS = ("routing.plan_cache.lookups", "routing.plan_cache.misses",
                 "routing.plan_cache.stale", "fault.events", "sim.reroutes",
                 "sim.parked_retries", "sim.service_ops", "sim.hops")
+EXACT = EXACT_SIMULATED + EXACT_COUNTS
+# One exact-rule metric name, bare or in backticks, not running on into a
+# longer name.
+_EXACT_NAME = re.compile(
+    r"\s*(`?)(" + "|".join(re.escape(n) for n in sorted(EXACT, key=len,
+                                                       reverse=True))
+    + r")\1(?![\w.]*\w)")
+_LIST_COMMA = re.compile(r"\s*,")
 
 
 def pair_ratio(base, head):
@@ -83,14 +95,20 @@ def judge(spec, pairs, traces, behaviour_change):
     spec is BENCHMARK.json as parsed. pairs maps each workload to its
     (base, head) pairs of perfbench JSON summaries in seed order, traces
     each workload to its (base, head) --trace 1 summaries; a run that
-    printed no summary is None. behaviour_change is True when HEAD declares
-    one (MARKER). Returns (rows, failures): rows are (workload, metric,
-    base median, head median, median pair ratio, min pair ratio, max pair
-    ratio, verdict) tuples, failures a list of messages, empty when HEAD
-    passes.
+    printed no summary is None. behaviour_change is what HEAD declares
+    (see declares_behaviour_change): True exempts every exact-rule metric,
+    a collection of names exempts those, False none. Returns (rows,
+    failures): rows are (workload, metric, base median, head median,
+    median pair ratio, min pair ratio, max pair ratio, verdict) tuples,
+    failures a list of messages, empty when HEAD passes.
     """
     rows = []
     failures = []
+
+    def exact(name):
+        if behaviour_change is True:
+            return False
+        return not (behaviour_change and name in behaviour_change)
 
     def check_runs(workload, where, base, head):
         if base is None or head is None:
@@ -165,7 +183,7 @@ def judge(spec, pairs, traces, behaviour_change):
                 found = values(workload, metric["name"], runs, seeds)
                 if found is None:
                     continue
-                if metric["name"] in EXACT_SIMULATED and not behaviour_change:
+                if metric["name"] in EXACT_SIMULATED and exact(metric["name"]):
                     judge_exact(workload, metric["name"], *found, seeds)
                 else:
                     judge_bound(workload, metric, *found)
@@ -178,23 +196,52 @@ def judge(spec, pairs, traces, behaviour_change):
             found = values(workload, metric["name"], [trace], [where])
             if found is None:
                 continue
-            if metric["name"] in EXACT_COUNTS and not behaviour_change:
+            if metric["name"] in EXACT_COUNTS and exact(metric["name"]):
                 judge_exact(workload, metric["name"], *found, [where])
             else:
                 row(workload, metric["name"], *found, "reported")
     return rows, failures
 
 
+def exempted_names(text):
+    """The exact-rule metric names a comma-separated list at the start of
+    `text` gives, as a frozenset; empty when `text` does not start with
+    one."""
+    names = []
+    pos = 0
+    while True:
+        name = _EXACT_NAME.match(text, pos)
+        if name is None:
+            break
+        names.append(name.group(2))
+        comma = _LIST_COMMA.match(text, name.end())
+        if comma is None:
+            break
+        pos = comma.end()
+    return frozenset(names)
+
+
 def declares_behaviour_change(base, head):
-    """True when HEAD's CHANGES.md has a line containing MARKER that BASE's
-    CHANGES.md does not have."""
+    """What HEAD's CHANGES.md declares in the lines containing MARKER that
+    BASE's CHANGES.md does not have: False without such a line, the
+    frozenset of exempted names when every MARKER in them is followed by a
+    list of exact-rule metric names, True (every exact rule) otherwise."""
     def lines(tree):
         try:
             with open(os.path.join(tree, "CHANGES.md")) as f:
                 return set(f.read().splitlines())
         except FileNotFoundError:
             return set()
-    return any(MARKER in line for line in lines(head) - lines(base))
+    named = set()
+    found = False
+    for line in lines(head) - lines(base):
+        for after in line.split(MARKER)[1:]:
+            found = True
+            names = exempted_names(after)
+            if not names:
+                return True
+            named |= names
+    return frozenset(named) if found else False
 
 
 def give_head_benchmark(head, base):
@@ -272,10 +319,15 @@ def main(argv):
     give_head_benchmark(head, base)
     behaviour_change = declares_behaviour_change(base, head)
     print(f"perf_gate: base {base}, head {head}, {os.cpu_count()} cores")
-    if behaviour_change:
+    if behaviour_change is True:
         print(f"perf_gate: HEAD's CHANGES.md adds a '{MARKER}' line: "
               "simulated metrics are judged against their bounds and work "
               "counts are reported only")
+    elif behaviour_change:
+        print(f"perf_gate: HEAD's CHANGES.md adds a '{MARKER}' line "
+              f"naming {', '.join(sorted(behaviour_change))}: those are "
+              "judged against their bounds (simulated metrics) or reported "
+              "only (work counts); every other exact rule stays on")
 
     t0 = time.monotonic()
     sides = {"base": base, "head": head}

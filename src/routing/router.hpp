@@ -11,8 +11,11 @@
 // node can pick the next hop from its current fault knowledge. next_hop()
 // gives that stepwise view as the first hop of plan_shared(cur, dst), so it
 // shares the plan cache and its FaultSet::version() invalidation. The
-// simulator does not call it (packets adopt whole plans through
-// plan_shared); the routing tests and the per-layer benchmarks do.
+// simulator does not call it; the routing tests and the per-layer
+// benchmarks do. The simulator calls plan_shared only where a fault
+// blocks the fabric's table route (or the router has no fabric) and
+// copies the hops it needs — the plan's off-table prefix — into the
+// packet, so no packet holds a reference into the cache.
 #pragma once
 
 #include <memory>
@@ -60,8 +63,8 @@ class Router {
   /// as plan(), or nullptr when planning fails. Fault-aware routers
   /// override this with a (src, dst)-keyed cache of immutable routes,
   /// invalidated by FaultSet::version() stamping, so repeat planning costs
-  /// one lookup and packets can reference the route without copying its
-  /// hop vector. The default derives an uncached route from plan().
+  /// one lookup and no hop-vector copy. The default derives an uncached
+  /// route from plan().
   [[nodiscard]] virtual std::shared_ptr<const Route> plan_shared(
       NodeId s, NodeId d) const {
     RoutingResult r = plan(s, d);
@@ -86,9 +89,10 @@ class Router {
 
   /// The router's precomputed next-hop tables (routing/next_hop_table.hpp),
   /// or nullptr when it has none. Whenever the returned fabric reports
-  /// supported(), the simulator steers packets through it at nodes with no
-  /// fault within distance 1 and calls plan_shared only elsewhere; without
-  /// one, every packet adopts plan_shared's route at its source.
+  /// supported(), the simulator steers packets through it wherever the
+  /// table route is clean and calls plan_shared only where a fault blocks
+  /// it; without one, every packet carries plan_shared's whole route from
+  /// its source.
   [[nodiscard]] virtual const NextHopFabric* fabric() const {
     return nullptr;
   }

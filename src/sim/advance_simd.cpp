@@ -17,7 +17,7 @@ ClassifyMasks classify_scalar(unsigned count, const PacketHot* const* hot,
     const NodeId u = nodes[i];
     if (u == h.dst) {
       m.arrived |= std::uint64_t{1} << i;
-    } else if ((h.flags & kPktHasPlan) == 0 &&
+    } else if ((h.flags & kPktDetour) == 0 &&
                ((clean >> (u - base)) & 1) != 0 && h.hops < hop_limit) {
       m.fast |= std::uint64_t{1} << i;
     }
@@ -37,7 +37,7 @@ __attribute__((target("avx2"))) ClassifyMasks classify_avx2(
   const __m256i basev = _mm256_set1_epi32(static_cast<int>(base));
   const __m256i one64 = _mm256_set1_epi64x(1);
   const __m256i cleanv = _mm256_set1_epi64x(static_cast<long long>(clean));
-  const __m256i vplan = _mm256_set1_epi32(static_cast<int>(kPktHasPlan));
+  const __m256i vdetour = _mm256_set1_epi32(static_cast<int>(kPktDetour));
   // Unsigned 32-bit compare via sign-bias (hop_limit may use the full
   // uint32 range when configured explicitly).
   const __m256i bias = _mm256_set1_epi32(static_cast<int>(0x80000000u));
@@ -73,9 +73,9 @@ __attribute__((target("avx2"))) ClassifyMasks classify_avx2(
 
     const auto arrived = static_cast<std::uint32_t>(_mm256_movemask_ps(
         _mm256_castsi256_ps(_mm256_cmpeq_epi32(uv, dstv))));
-    const auto no_plan = static_cast<std::uint32_t>(_mm256_movemask_ps(
+    const auto no_detour = static_cast<std::uint32_t>(_mm256_movemask_ps(
         _mm256_castsi256_ps(_mm256_cmpeq_epi32(
-            _mm256_and_si256(flv, vplan), zero))));
+            _mm256_and_si256(flv, vdetour), zero))));
     const auto under = static_cast<std::uint32_t>(_mm256_movemask_ps(
         _mm256_castsi256_ps(_mm256_cmpgt_epi32(
             vlimit, _mm256_xor_si256(hopsv, bias)))));
@@ -96,7 +96,7 @@ __attribute__((target("avx2"))) ClassifyMasks classify_avx2(
             one64))));
     const std::uint32_t clean_ok = clean_lo | (clean_hi << 4);
 
-    const std::uint32_t fast = no_plan & under & clean_ok & ~arrived;
+    const std::uint32_t fast = no_detour & under & clean_ok & ~arrived;
     m.arrived |= static_cast<std::uint64_t>(arrived) << i;
     m.fast |= static_cast<std::uint64_t>(fast) << i;
   }

@@ -7,9 +7,10 @@
 // questions the apply pass needs precomputed:
 //
 //   arrived:  node == dst;
-//   fast:     no adopted plan, at a clean node, under the livelock hop
+//   fast:     no carried detour, at a clean node, under the livelock hop
 //             guard, and not arrived — i.e. eligible for the batched
-//             NextHopFabric::fault_free_hops lookup.
+//             NextHopFabric::fault_free_hops lookup (a table-mode packet
+//             qualifies: at a clean node its table hop needs no check).
 //
 // as two bitmasks over the (<= 64) entries. The AVX2 path loads 8 hot
 // records per group — two 16-byte records per 128-bit lane half —

@@ -132,6 +132,9 @@ class Cursor {
   const char* section_;
 };
 
+/// Bytes of put_packet's fixed-size fields, the least one packet takes.
+constexpr std::size_t kPacketMinBytes = 44;
+
 void put_packet(Buf& b, const CheckpointPacket& p) {
   b.u32(p.dst);
   b.u32(p.hops);
@@ -139,12 +142,10 @@ void put_packet(Buf& b, const CheckpointPacket& p) {
   b.u64(p.id);
   b.u32(p.src);
   b.u64(p.created);
-  b.u32(p.steer_next);
   b.u16(p.retry_attempts);
   b.u16(p.retransmits_used);
-  b.u32(p.plan_src);
-  b.u32(static_cast<std::uint32_t>(p.plan_hops.size()));
-  for (Dim d : p.plan_hops) b.u8(static_cast<std::uint8_t>(d));
+  b.u32(static_cast<std::uint32_t>(p.detour_hops.size()));
+  for (Dim d : p.detour_hops) b.u8(static_cast<std::uint8_t>(d));
   b.u32(static_cast<std::uint32_t>(p.tail_hops.size()));
   for (Dim d : p.tail_hops) b.u8(static_cast<std::uint8_t>(d));
 }
@@ -157,13 +158,13 @@ void put_packet(Buf& b, const CheckpointPacket& p) {
   p.id = c.u64();
   p.src = c.u32();
   p.created = c.u64();
-  p.steer_next = c.u32();
   p.retry_attempts = c.u16();
   p.retransmits_used = c.u16();
-  p.plan_src = c.u32();
-  const std::uint64_t plan_n = c.count(c.u32(), 1);
-  p.plan_hops.reserve(plan_n);
-  for (std::uint64_t i = 0; i < plan_n; ++i) p.plan_hops.push_back(c.u8());
+  const std::uint64_t detour_n = c.count(c.u32(), 1);
+  p.detour_hops.reserve(detour_n);
+  for (std::uint64_t i = 0; i < detour_n; ++i) {
+    p.detour_hops.push_back(c.u8());
+  }
   const std::uint64_t tail_n = c.count(c.u32(), 1);
   p.tail_hops.reserve(tail_n);
   for (std::uint64_t i = 0; i < tail_n; ++i) p.tail_hops.push_back(c.u8());
@@ -464,7 +465,7 @@ struct SectionPayload {
     const std::uint64_t nodes = c.count(c.u64(), 4);
     ck.queues.resize(nodes);
     for (std::uint64_t u = 0; u < nodes; ++u) {
-      const std::uint64_t depth = c.count(c.u32(), 48);
+      const std::uint64_t depth = c.count(c.u32(), kPacketMinBytes);
       ck.queues[u].reserve(depth);
       for (std::uint64_t i = 0; i < depth; ++i) {
         ck.queues[u].push_back(get_packet(c));
@@ -475,7 +476,8 @@ struct SectionPayload {
   {
     const SectionPayload s = expect_section(file, off, kSecParked, "parked");
     Cursor c(s.data, s.size, "parked");
-    const std::uint64_t n = c.count(c.u64(), 61);
+    // wake, node and respawn ahead of each packet.
+    const std::uint64_t n = c.count(c.u64(), 13 + kPacketMinBytes);
     ck.parked.reserve(n);
     for (std::uint64_t i = 0; i < n; ++i) {
       CheckpointParked p;

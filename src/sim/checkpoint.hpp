@@ -44,8 +44,10 @@
 namespace gcube {
 
 /// Files of any other version are refused at the header. Version 1 also
-/// held a routing-mode byte pair and a per-packet planned-prefix length.
-inline constexpr std::uint32_t kCheckpointFormatVersion = 2;
+/// held a routing-mode byte pair and a per-packet planned-prefix length;
+/// version 2 held each packet's whole adopted plan (source, hops and a
+/// cursor) where version 3 holds only the detour hops still to take.
+inline constexpr std::uint32_t kCheckpointFormatVersion = 3;
 
 /// A checkpoint load failure, carrying the name of the section that failed
 /// validation ("header" for magic/version problems, "config" for a resume
@@ -66,10 +68,9 @@ class CheckpointError : public std::runtime_error {
   std::string section_;
 };
 
-/// One serialized in-flight packet: the hot record, the cold identity and
-/// recovery counters, the adopted Route if any (explicit hop list — shared
-/// ownership is a process-local optimization, so restore rebuilds a
-/// private copy), and the audited hop tail.
+/// One serialized in-flight packet: the hot record (its flags carry the
+/// table-mode bit), the cold identity and recovery counters, the detour
+/// hops still to take, and the audited hop tail.
 struct CheckpointPacket {
   NodeId dst = 0;
   std::uint32_t hops = 0;
@@ -77,11 +78,9 @@ struct CheckpointPacket {
   std::uint64_t id = 0;
   NodeId src = 0;
   Cycle created = 0;
-  std::uint32_t steer_next = 0;
   std::uint16_t retry_attempts = 0;
   std::uint16_t retransmits_used = 0;
-  NodeId plan_src = 0;             // kPktHasPlan only
-  std::vector<Dim> plan_hops;      // kPktHasPlan only
+  std::vector<Dim> detour_hops;    // kPktDetour only
   std::vector<Dim> tail_hops;      // kPktAudited only
 };
 

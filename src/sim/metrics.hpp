@@ -85,13 +85,13 @@ struct SimMetrics {
   bool deadlocked = false;           // sustained global stall detected
   // Degradation accounting. fault_events / orphaned_by_node_fault are zero
   // in static-fault runs; reroutes and the two en-route drop counters can
-  // be nonzero in any faulty run — packets adopt plans at fault-adjacent
+  // be nonzero in any faulty run — packets take detours at fault-adjacent
   // nodes whether the faults are static or applied mid-run.
   std::uint64_t fault_events = 0;    // schedule events applied (measured)
   std::uint64_t repairs_applied = 0;  // repair events that cleared a fault
   /// A fault blocked the hop a packet was about to take: its fault-free
-  /// table hop at a fault-adjacent node, or the next hop of its adopted
-  /// plan (the packet then adopts a fresh plan where it stands).
+  /// table hop at a fault-adjacent node (in table mode or not), or the next
+  /// hop of its detour (the packet then decides afresh where it stands).
   std::uint64_t reroutes = 0;
   std::uint64_t dropped_no_route = 0;   // no usable continuation mid-flight
   std::uint64_t dropped_hop_limit = 0;  // livelock guard tripped

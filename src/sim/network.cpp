@@ -52,6 +52,17 @@ NetworkSim::NetworkSim(const Topology& topo, const Router& router,
                 "retry backoff base must be at least one cycle");
   GCUBE_REQUIRE(config.retry_budget == 0 || config.retransmit_timeout >= 1,
                 "retransmit timeout must be at least one cycle");
+  // A wake cycle is now + delay. With now below 2^32, a timeout below 2^32
+  // and a backoff base below 2^32 shifted by at most 31 attempts, that sum
+  // stays below 2^64; a larger delay could wrap it into the past and wake
+  // the packet at once.
+  GCUBE_REQUIRE(config.retry_backoff_base < kCycleRange,
+                "retry backoff base must be below 2^32 cycles");
+  GCUBE_REQUIRE(config.retransmit_timeout < kCycleRange,
+                "retransmit timeout must be below 2^32 cycles");
+  GCUBE_REQUIRE(config.park_capacity <= 0xFFFF,
+                "park capacity above 65535 would overflow the per-node "
+                "park count");
   retries_ = config.retry_limit > 0 || config.retry_budget > 0;
   dims_ = topo.dims();
   node_count_ = topo.node_count();
@@ -328,13 +339,12 @@ void NetworkSim::wake_parked(Cycle now, bool measuring) {
     }
     if (pk.respawn) {
       // Fresh launch from the source: same id/created (latency measures
-      // end-to-end including the recovery delay), no plan, no hops. The
-      // audit-sample membership is a pure function of the id, so the flag
-      // survives the reset.
+      // end-to-end including the recovery delay), no detour, no table
+      // mode, no hops. The audit-sample membership is a pure function of
+      // the id, so the flag survives the reset.
       PacketHot& h = hot_of(pk.ref);
       PacketCold& c = cold_of(pk.ref);
-      c.plan.reset();
-      c.steer_next = 0;
+      c.detour.clear();
       c.tail.clear();
       h.hops = 0;
       h.flags &= kPktAudited;
@@ -357,10 +367,10 @@ void NetworkSim::admit_packet(unsigned w, NodeId u, NodeId dst, Cycle now,
     if (measuring) ++m.injections_blocked;
     return;
   }
-  // Packets launch with no plan at all: the fabric tables, or a plan
-  // adopted where no table hop can be taken, decide every hop at service
-  // time. release() leaves recycled slots with flags == 0, no plan and a
-  // clear tail, so every other field is (re)initialized here.
+  // Packets launch with no routing state at all: the fabric tables, or a
+  // detour adopted where the table route is blocked, decide every hop at
+  // service time. release() leaves recycled slots with flags == 0 and
+  // empty hop lists, so every other field is (re)initialized here.
   const PacketIndex slot = sh.pool.acquire();
   PacketHot& h = sh.pool.hot(slot);
   PacketCold& c = sh.pool.cold(slot);
@@ -371,7 +381,6 @@ void NetworkSim::admit_packet(unsigned w, NodeId u, NodeId dst, Cycle now,
   c.id = id;
   c.src = u;
   c.created = now;
-  c.steer_next = 0;
   c.retry_attempts = 0;
   c.retransmits_used = 0;
   queues_[u].push_back(make_packet_ref(w, slot));
@@ -524,6 +533,38 @@ inline void NetworkSim::deliver(unsigned w, Ring<PacketRef>& queue,
   moved = true;
 }
 
+bool NetworkSim::table_route_clean(NodeId u, NodeId dst) const noexcept {
+  for (NodeId x = u; x != dst;) {
+    const Dim c = fabric_->fault_free_hop(x, dst);
+    if (!faults_.link_usable(x, c)) return false;
+    x = flip_bit(x, c);
+  }
+  return true;
+}
+
+void NetworkSim::adopt_detour(PacketRef ref, PacketHot& h, const Route& plan) {
+  const std::vector<Dim>& hops = plan.hops();
+  // The off-table prefix ends after the last hop that differs from the
+  // table hop where it is taken (a hop past an early visit to dst is never
+  // taken). Without a fabric there is no table walk to rejoin.
+  std::size_t prefix = hops.size();
+  if (fabric_ != nullptr) {
+    prefix = 0;
+    NodeId x = plan.source();
+    for (std::size_t i = 0; i < hops.size() && x != h.dst; ++i) {
+      if (hops[i] != fabric_->fault_free_hop(x, h.dst)) prefix = i + 1;
+      x = flip_bit(x, hops[i]);
+    }
+  }
+  if (prefix == 0) {
+    h.flags |= kPktTable;  // the plan is the table route itself
+    return;
+  }
+  PacketCold& cd = cold_of(ref);
+  for (std::size_t i = 0; i < prefix; ++i) cd.detour.push_back(hops[i]);
+  h.flags |= kPktDetour;
+}
+
 void NetworkSim::serve_node(unsigned w, NodeId u, Cycle now, bool measuring,
                             bool& moved, bool clean, std::uint32_t hint) {
   Shard& sh = shards_[w];
@@ -568,9 +609,9 @@ void NetworkSim::serve_node(unsigned w, NodeId u, Cycle now, bool measuring,
     };
     Dim c;
     if (hd < kHintArrived) {
-      // Batched fast path: the classify pass established no adopted plan,
-      // a clean node, and hops under the livelock guard, and the table
-      // lookup already ran — the hint IS the usable hop.
+      // Batched fast path: the classify pass established no carried
+      // detour, a clean node, and hops under the livelock guard, and the
+      // table lookup already ran — the hint IS the usable hop.
       c = static_cast<Dim>(hd);
     } else {
       if (h.hops >= hop_limit_) {
@@ -578,18 +619,26 @@ void NetworkSim::serve_node(unsigned w, NodeId u, Cycle now, bool measuring,
         continue;
       }
       std::optional<Dim> hop;
-      if ((h.flags & kPktHasPlan) != 0) {
-        // Following a plan adopted at an earlier node; verify the next
-        // adopted hop is still alive before taking it.
+      if ((h.flags & kPktDetour) != 0) {
+        // Taking a detour adopted at an earlier node; verify its next hop
+        // is still alive before taking it.
         PacketCold& cd = cold_of(ref);
-        const Dim pc = cd.plan->hops()[cd.steer_next];
-        if (faults_.link_usable(u, pc)) {
-          hop = pc;
+        const Dim dc = cd.detour.front();
+        if (faults_.link_usable(u, dc)) {
+          hop = dc;
         } else {
           if (measuring) ++m.reroutes;
-          cd.plan.reset();  // died underfoot: re-steer from this node
-          cd.steer_next = 0;
-          h.flags &= ~kPktHasPlan;
+          cd.detour.clear();  // died underfoot: re-steer from this node
+          h.flags &= ~kPktDetour;
+        }
+      } else if ((h.flags & kPktTable) != 0 && !clean) {
+        // Table mode near a fault: only the table hop itself is checked.
+        const Dim tc = fabric_->fault_free_hop(u, h.dst);
+        if (faults_.link_usable(u, tc)) {
+          hop = tc;
+        } else {
+          if (measuring) ++m.reroutes;
+          h.flags &= ~kPktTable;  // died underfoot: re-steer from this node
         }
       }
       if (!hop) {
@@ -597,27 +646,32 @@ void NetworkSim::serve_node(unsigned w, NodeId u, Cycle now, bool measuring,
           // No fault within distance 1: the fabric's fault-free table hop
           // is guaranteed usable — no per-link checks at all.
           hop = fabric_->fault_free_hop(u, h.dst);
-        } else {
-          // No table hop to take — the router has no fabric, or a fault
-          // lies within distance 1 — so adopt the router's full plan from
-          // here. A reroute is counted when a fault actually deflects the
-          // packet off its fault-free table hop.
-          if (measuring && fabric_ != nullptr &&
-              !faults_.link_usable(u, fabric_->fault_free_hop(u, h.dst))) {
-            ++m.reroutes;
+        } else if (fabric_ != nullptr) {
+          // A fault lies within distance 1. A reroute is counted when it
+          // actually deflects the packet off its fault-free table hop.
+          // Where the whole table route from here is clean, it is the
+          // router's plan too, so the packet rides it in table mode.
+          const Dim tc = fabric_->fault_free_hop(u, h.dst);
+          if (!faults_.link_usable(u, tc)) {
+            if (measuring) ++m.reroutes;
+          } else if (table_route_clean(flip_bit(u, tc), h.dst)) {
+            h.flags |= kPktTable;
+            hop = tc;
           }
-          std::shared_ptr<const Route> adopted =
+        }
+        if (!hop) {
+          // No table route to take — the router has no fabric, or a fault
+          // blocks the table route — so adopt the router's plan from here
+          // and carry its off-table prefix as a detour.
+          const std::shared_ptr<const Route> plan =
               router_.plan_shared(u, h.dst);
-          if (adopted == nullptr || adopted->length() == 0 ||
-              !faults_.link_usable(u, adopted->hops().front())) {
+          if (plan == nullptr || plan->length() == 0 ||
+              !faults_.link_usable(u, plan->hops().front())) {
             strand();  // no usable continuation (dst dead or region cut off)
             continue;
           }
-          PacketCold& cd = cold_of(ref);
-          cd.plan = std::move(adopted);
-          cd.steer_next = 0;
-          h.flags |= kPktHasPlan;
-          hop = cd.plan->hops().front();
+          adopt_detour(ref, h, *plan);
+          hop = plan->hops().front();
         }
       }
       c = *hop;
@@ -638,12 +692,14 @@ void NetworkSim::serve_node(unsigned w, NodeId u, Cycle now, bool measuring,
     // Only the audited sample records its hops (the audit path lives in
     // the tail); everyone else keeps just the hop count.
     if (h.audited()) cold_of(ref).tail.push_back(c);
-    if ((h.flags & kPktHasPlan) != 0) {
+    if ((h.flags & kPktDetour) != 0) {
       PacketCold& cd = cold_of(ref);
-      if (++cd.steer_next >= static_cast<std::uint32_t>(cd.plan->length())) {
-        cd.plan.reset();  // adopted plan consumed; back to table steering
-        cd.steer_next = 0;
-        h.flags &= ~kPktHasPlan;
+      cd.detour.pop_front();
+      if (cd.detour.empty()) {
+        // Detour used up: the rest of the plan is the table walk from the
+        // next node (without a fabric the plan has ended at dst).
+        h.flags &= ~kPktDetour;
+        if (fabric_ != nullptr) h.flags |= kPktTable;
       }
     }
     ++h.hops;
@@ -695,7 +751,7 @@ void NetworkSim::serve_word(unsigned w, std::size_t word_index, Cycle now,
           ? 0
           : (no_faults_ ? ~std::uint64_t{0} : overlay_.clean_window(base));
   // Pass 2 (read-only): classify every front packet in SIMD lanes —
-  // arrived, table fast path (no adopted plan, clean node, under the
+  // arrived, table fast path (no carried detour, clean node, under the
   // livelock guard), or "decide in full later" — then compact the fast
   // lanes into (cur, dst) pairs for one tight batched table-lookup loop.
   const ClassifyMasks cm = classify_front_packets(
@@ -1068,12 +1124,11 @@ CheckpointPacket NetworkSim::capture_packet(PacketRef ref) {
   p.id = c.id;
   p.src = c.src;
   p.created = c.created;
-  p.steer_next = c.steer_next;
   p.retry_attempts = c.retry_attempts;
   p.retransmits_used = c.retransmits_used;
-  if (c.plan != nullptr) {  // kPktHasPlan mirrors this by invariant
-    p.plan_src = c.plan->source();
-    p.plan_hops = c.plan->hops();
+  p.detour_hops.reserve(c.detour.size());
+  for (std::uint32_t i = 0; i < c.detour.size(); ++i) {
+    p.detour_hops.push_back(c.detour[i]);
   }
   if (h.audited()) {
     p.tail_hops.reserve(c.tail.size());
@@ -1091,16 +1146,15 @@ PacketRef NetworkSim::restore_packet(unsigned w, const CheckpointPacket& p,
   };
   need(p.dst < node_count_ && p.src < node_count_,
        "packet endpoint out of range");
-  constexpr std::uint32_t kKnownFlags = kPktHasPlan | kPktAudited;
+  constexpr std::uint32_t kKnownFlags = kPktDetour | kPktAudited | kPktTable;
   need((p.flags & ~kKnownFlags) == 0, "unknown packet flags");
-  const bool has_plan = (p.flags & kPktHasPlan) != 0;
-  need(has_plan == !p.plan_hops.empty(),
-       "plan flag inconsistent with recorded plan");
-  if (has_plan) {
-    need(p.plan_src < node_count_, "plan source out of range");
-    for (const Dim d : p.plan_hops) need(d < dims_, "plan hop out of range");
-    // The service loop reads the adopted plan at steer_next.
-    need(p.steer_next < p.plan_hops.size(), "steer cursor out of range");
+  need(((p.flags & kPktDetour) != 0) == !p.detour_hops.empty(),
+       "detour flag inconsistent with recorded detour");
+  for (const Dim d : p.detour_hops) need(d < dims_, "detour hop out of range");
+  if ((p.flags & kPktTable) != 0) {
+    need((p.flags & kPktDetour) == 0, "table mode set on a detour");
+    // Table mode reads the fabric at every fault-adjacent node.
+    need(fabric_ != nullptr, "table mode without a supported fabric");
   }
   need((p.flags & kPktAudited) != 0 || p.tail_hops.empty(),
        "hop tail recorded without audit flag");
@@ -1119,15 +1173,9 @@ PacketRef NetworkSim::restore_packet(unsigned w, const CheckpointPacket& p,
   c.id = p.id;
   c.src = p.src;
   c.created = p.created;
-  c.steer_next = p.steer_next;
   c.retry_attempts = p.retry_attempts;
   c.retransmits_used = p.retransmits_used;
-  if (has_plan) {
-    // Shared Route ownership is a process-local optimization; a restored
-    // packet gets a private copy (route contents are what the service
-    // loops read, so metrics cannot tell the difference).
-    c.plan = std::make_shared<const Route>(p.plan_src, p.plan_hops);
-  }
+  for (const Dim d : p.detour_hops) c.detour.push_back(d);
   for (const Dim d : p.tail_hops) c.tail.push_back(d);
   return make_packet_ref(w, slot);
 }

@@ -7,7 +7,7 @@
 //    (service_rate > expected arrivals), so service outpaces arrival;
 //  * online routing (paper §5): a node picks each packet's next hop from
 //    its local fault knowledge — the fault-free table hop where no fault
-//    lies within distance 1, the Router's plan from there otherwise;
+//    blocks the table route, a detour from the Router's plan otherwise;
 //  * FIFO input queue per node with head-of-line blocking on a busy link;
 //  * faulty nodes neither inject nor forward, and routes avoid them.
 //
@@ -15,9 +15,9 @@
 // before cycle 0. Dynamic-fault mode (the FaultSchedule constructors)
 // models the paper's actual operating regime — faults that appear while
 // packets are in flight: the schedule mutates the live FaultSet as the
-// clock advances, every adopted hop is verified usable at traversal time,
-// and a packet whose adopted next link just died adopts a fresh plan from
-// its current node (counted in SimMetrics::reroutes; packets with no
+// clock advances, every hop taken near a fault is verified usable at
+// traversal time, and a packet whose next link just died decides afresh
+// from its current node (counted in SimMetrics::reroutes; packets with no
 // usable continuation are dropped_no_route, packets over the livelock
 // guard are dropped_hop_limit, packets queued at a dying node are
 // orphaned_by_node_fault). Schedules may also contain *repair* events —
@@ -100,21 +100,29 @@
 //    the read-only harvest/classify passes commute with the applies. The
 //    classify and lookup passes have scalar and AVX2 kernels
 //    (util/simd.hpp), bit-identical by construction.
-//  * Next-hop fabric steering: packets are injected with NO plan. At
-//    service time, a node the FaultOverlay calls clean — and whose router
-//    exposes a supported NextHopFabric — takes the fabric's O(1) table hop
-//    with no per-link checks at all (the bitmap guarantees every link
-//    there is usable). Anywhere else the packet adopts the router's full
-//    plan from that node and follows it with per-hop usability checks
-//    against the FaultSet, adopting a fresh plan (SimMetrics::reroutes) if
-//    a later fault invalidates it. A router with no supported fabric
-//    (e-cube, GC with alpha > NextHopFabric::kMaxAlpha) therefore adopts
-//    its plan at the source. This keeps plan-cache lookups, shared_ptr
-//    traffic and per-hop link checks off the fault-free common case. The
-//    bitmap is rebuilt at the serial points whenever the fault set's
-//    version moves, so dynamic fault schedules work unchanged. The test
-//    suite checks this path against a plain serial reference simulator
-//    (tests/reference_sim.hpp) metric for metric.
+//  * Next-hop fabric steering: packets are injected with NO routing
+//    state. At service time, a node the FaultOverlay calls clean — and
+//    whose router exposes a supported NextHopFabric — takes the fabric's
+//    O(1) table hop with no per-link checks at all (the bitmap guarantees
+//    every link there is usable). At a fault-adjacent node the packet
+//    first walks the table route to its destination against the
+//    FaultSet: if every hop is usable, that route is the router's plan
+//    too, and the packet enters table mode — it keeps taking table hops,
+//    checking only its own next hop where a fault is near. Otherwise it
+//    adopts the router's plan and carries just the plan's off-table
+//    prefix as a detour (PacketCold::detour), checking each detour hop,
+//    and enters table mode once the detour is used up. A table or detour
+//    hop that a later fault kills counts a reroute (SimMetrics::reroutes)
+//    and the packet decides afresh from that node. A router with no
+//    supported fabric (e-cube, GC with alpha > NextHopFabric::kMaxAlpha)
+//    has no table route, so its packets carry the whole plan from the
+//    source. Every packet therefore takes exactly the hops it would take
+//    by following the router's whole plan, while the plan cache holds
+//    only detours and per-hop link checks stay off the fault-free common
+//    case. The bitmap is rebuilt at the serial points whenever the fault
+//    set's version moves, so dynamic fault schedules work unchanged. The
+//    test suite checks this path against a plain serial reference
+//    simulator (tests/reference_sim.hpp) metric for metric.
 //
 // Two deliberate semantic refinements versus the old serial-only core,
 // both required for order-independence (and covered by the contract):
@@ -298,6 +306,14 @@ class NetworkSim {
   static constexpr std::uint32_t kHintNone = 0xFFFFFFFFu;
   static constexpr std::uint32_t kHintArrived = 0xFFFFFFFEu;
 
+  /// Whether every hop of the fabric's table route u -> dst is usable
+  /// under the current faults (true when u == dst). Requires fabric_.
+  [[nodiscard]] bool table_route_clean(NodeId u, NodeId dst) const noexcept;
+  /// Sets up packet `ref` (hot record h, at plan.source()) to follow
+  /// `plan`: copies the plan's off-table prefix into its cold detour and
+  /// sets kPktDetour, or sets kPktTable when that prefix is empty. Without
+  /// a fabric the whole plan is the detour.
+  void adopt_detour(PacketRef ref, PacketHot& h, const Route& plan);
   /// Serves node u's queue for one cycle (the per-node body of phase B).
   /// `clean` is the hoisted table-steering precondition for u (a fabric
   /// and no fault within distance 1); `hint` applies to the FRONT packet
@@ -374,7 +390,7 @@ class NetworkSim {
   /// asked of faults_ directly.
   FaultOverlay overlay_;
   /// The router's table fabric when present AND supported; null otherwise
-  /// (then every packet adopts the router's plan at its source).
+  /// (then every packet carries the router's whole plan from its source).
   const NextHopFabric* fabric_ = nullptr;
   bool timing_ = false;      // config_.phase_timing
   /// Dispatch level for the vector kernels (classify, fabric batch

@@ -4,78 +4,105 @@
 // The cycle loop touches every in-flight packet once per hop, so the
 // fields it reads there are segregated into a 16-byte PacketHot record —
 // destination, hop count and a flag byte — four to a cache line in the
-// pool's hot lane. Everything else (identity, source, creation cycle, an
-// adopted route plan, retry/retransmit counters, the audit hop tail) lives
-// in a parallel PacketCold record touched only at injection, near faults
-// (plan adoption), on the audited delivery-replay sample, and at delivery
-// accounting — never on the fault-free table-steered fast path.
+// pool's hot lane. Everything else (identity, source, creation cycle, a
+// carried detour, retry/retransmit counters, the audit hop tail) lives in
+// a parallel PacketCold record touched only at injection, near faults, on
+// the audited delivery-replay sample, and at delivery accounting — never
+// on the fault-free table-steered fast path.
 //
-// Every packet is injected with no plan. Where the router has no table
-// fabric, or the node is within distance 1 of a fault, the packet adopts
-// the router's plan from there: PacketCold::plan holds shared ownership of
-// an immutable Route produced by the router's plan cache, so adoption is a
-// refcount bump instead of a hop-vector copy. Packets in the audit sample
-// record each hop they take in a small inline tail buffer, spilling to the
-// heap only past kInlineHops (deep detours under dense dynamic faults);
-// the simulator replays that tail at delivery as a safety check on the
-// deterministic 1-in-64 audited sample. Non-audited packets keep only the
-// hop COUNT (PacketHot::hops), eliminating a per-hop store plus potential
-// heap spill from the common case.
+// Every packet is injected with no routing state. At a node within
+// distance 1 of a fault, a packet whose fault-free table route to its
+// destination is still clean enters *table mode* (kPktTable): it keeps
+// taking table hops, checking each one only where a fault is near.
+// Otherwise it asks the router for a plan and carries only the plan's
+// off-table prefix — the hops up to its last one that differs from the
+// table hop — as a detour (kPktDetour); once the detour is used up, the
+// rest of the plan is the table walk, so the packet enters table mode. A
+// router with no supported table fabric gives no table walk to rejoin, so
+// its packets carry the whole plan. Packets hold no reference into the
+// router's plan cache.
+//
+// Packets in the audit sample record each hop they take in the same kind
+// of small inline hop list, spilling to the heap only past kInlineHops
+// (deep detours under dense dynamic faults); the simulator replays that
+// tail at delivery as a safety check on the deterministic 1-in-64 audited
+// sample. Non-audited packets keep only the hop COUNT (PacketHot::hops),
+// eliminating a per-hop store plus potential heap spill from the common
+// case.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 
-#include "routing/route.hpp"
 #include "util/bits.hpp"
 
 namespace gcube {
 
 using Cycle = std::uint64_t;
 
-/// Append-only hop sequence with inline storage for the common shallow
-/// case. clear() keeps any heap spill capacity, so a pooled packet that
-/// detoured deeply once never reallocates again.
-class HopTail {
+/// A queue of hop dimensions, stored one byte each (dimensions are below
+/// kMaxDimension), with inline storage for the common shallow case:
+/// append at the back, consume at the front. clear() keeps any heap spill
+/// capacity, so a pooled packet that detoured deeply once never
+/// reallocates again.
+class HopList {
  public:
   static constexpr std::uint32_t kInlineHops = 12;
+  static_assert(kMaxDimension <= 256, "dimensions must fit in a byte");
 
   void push_back(Dim c) {
-    if (size_ < kInlineHops) {
-      inline_[size_++] = c;
+    const auto hop = static_cast<std::uint8_t>(c);
+    if (end_ < kInlineHops) {
+      inline_[end_++] = hop;
       return;
     }
-    const std::uint32_t spilled = size_ - kInlineHops;
+    const std::uint32_t spilled = end_ - kInlineHops;
     if (spilled == heap_capacity_) {
       const std::uint32_t grown = heap_capacity_ == 0 ? kInlineHops
                                                       : 2 * heap_capacity_;
-      auto bigger = std::make_unique<Dim[]>(grown);
+      auto bigger = std::make_unique<std::uint8_t[]>(grown);
       for (std::uint32_t i = 0; i < spilled; ++i) bigger[i] = heap_[i];
       heap_ = std::move(bigger);
       heap_capacity_ = grown;
     }
-    heap_[spilled] = c;
-    ++size_;
+    heap_[spilled] = hop;
+    ++end_;
   }
 
+  /// The i-th hop not yet consumed (i < size()).
   [[nodiscard]] Dim operator[](std::uint32_t i) const {
-    return i < kInlineHops ? inline_[i] : heap_[i - kInlineHops];
+    return at(begin_ + i);
   }
-  [[nodiscard]] std::uint32_t size() const noexcept { return size_; }
-  void clear() noexcept { size_ = 0; }
+  /// Precondition for front()/pop_front(): !empty().
+  [[nodiscard]] Dim front() const { return at(begin_); }
+  /// Consumes the front hop; the list that empties restarts at slot 0, so
+  /// the next pushes land inline again.
+  void pop_front() noexcept {
+    if (++begin_ == end_) begin_ = end_ = 0;
+  }
+  [[nodiscard]] std::uint32_t size() const noexcept { return end_ - begin_; }
+  [[nodiscard]] bool empty() const noexcept { return begin_ == end_; }
+  void clear() noexcept { begin_ = end_ = 0; }
 
  private:
-  std::uint32_t size_ = 0;
+  [[nodiscard]] Dim at(std::uint32_t j) const {
+    return j < kInlineHops ? inline_[j] : heap_[j - kInlineHops];
+  }
+
+  std::uint32_t begin_ = 0;  // first hop not yet consumed
+  std::uint32_t end_ = 0;    // hops ever pushed since the last clear()
   std::uint32_t heap_capacity_ = 0;
-  Dim inline_[kInlineHops] = {};
-  std::unique_ptr<Dim[]> heap_;
+  std::uint8_t inline_[kInlineHops] = {};
+  std::unique_ptr<std::uint8_t[]> heap_;
 };
 
-// PacketHot::flags bits. kPktHasPlan mirrors PacketCold::plan != nullptr so
-// the fast path can rule out an adopted plan without touching the cold
-// record; kPktAudited precomputes (id & 63) == 0 for the same reason.
-inline constexpr std::uint32_t kPktHasPlan = 1u << 0;
+// PacketHot::flags bits, so the fast path can decide without touching the
+// cold record. kPktDetour mirrors !PacketCold::detour.empty(); kPktTable
+// marks table mode (never set together with kPktDetour, and only when the
+// router has a supported fabric); kPktAudited precomputes (id & 63) == 0.
+inline constexpr std::uint32_t kPktDetour = 1u << 0;
 inline constexpr std::uint32_t kPktAudited = 1u << 1;
+inline constexpr std::uint32_t kPktTable = 1u << 2;
 
 /// The per-hop working set of one in-flight packet: everything the
 /// fault-free fast path reads or writes, and nothing else. Aligned to
@@ -103,22 +130,20 @@ static_assert(sizeof(PacketHot) == 16, "hot lane record must stay 16 bytes");
 /// on the audited sample — off the per-hop fast path by construction.
 struct PacketCold {
   std::uint64_t id = 0;
-  NodeId src = 0;
   Cycle created = 0;
-  /// The router's plan, adopted at a node where the table hop could not be
-  /// taken and shared with the router's plan cache and any other packet
-  /// on the same (node, dst) pair; null while the packet is table-steered.
-  std::shared_ptr<const Route> plan;
-  /// Cursor into the adopted plan: the index of its next hop.
-  std::uint32_t steer_next = 0;
+  NodeId src = 0;
   /// Transient-fault recovery state (SimConfig::retry_limit /
   /// retry_budget). How many times this packet has been parked in a retry
   /// queue since its last (re)launch, and how many end-to-end source
   /// retransmits it has consumed.
   std::uint16_t retry_attempts = 0;
   std::uint16_t retransmits_used = 0;
+  /// The detour hops still to take, front first: the off-table prefix of
+  /// the plan adopted at a fault-adjacent node (the whole plan without a
+  /// fabric). Empty unless kPktDetour is set.
+  HopList detour;
   /// Audited packets only: every hop taken, so tail.size() == hops.
-  HopTail tail;
+  HopList tail;
 };
 
 }  // namespace gcube

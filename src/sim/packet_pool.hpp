@@ -4,9 +4,10 @@
 // ring buffer of packet references. Forwarding a packet moves one 32-bit
 // reference between rings instead of shuffling a record through std::deque
 // nodes, and once the pools and rings have grown to the run's working set
-// the cycle loop allocates nothing: released slots keep their tail
-// capacity, rings keep their slabs, and plans are shared with the router's
-// cache.
+// the cycle loop allocates nothing: released slots keep their hop-list
+// capacity and rings keep their slabs. A packet carries its detour hops
+// itself, so no slot holds a reference into the router's plan cache and
+// releasing one touches no reference count.
 //
 // Storage is structure-of-arrays at the slot level: every slot index i
 // names a 16-byte PacketHot record in the hot lane AND a PacketCold record
@@ -80,9 +81,9 @@ class PacketPool {
         cold_chunks_((kPacketRefSlotMask + 1) >> kChunkBits) {}
 
   /// A slot ready for initialization (recycled when possible). The caller
-  /// (admit_packet / respawn) must initialize EVERY hot and cold field it
-  /// relies on — release() clears only the flag word and the cold fields
-  /// that hold resources. Owner thread only.
+  /// (admit_packet / restore_packet) must initialize EVERY hot and cold
+  /// field it relies on — release() clears only the flag word and the hop
+  /// lists. Owner thread only.
   [[nodiscard]] PacketIndex acquire() {
     if (free_.empty()) {
       if ((size_ & (kChunkSize - 1)) == 0) {
@@ -99,15 +100,15 @@ class PacketPool {
   }
 
   /// Returns a slot to the free list. Deliberately minimal: the cold
-  /// record is touched only when the flag word says it holds a plan
-  /// refcount or recorded tail hops — a delivered table-steered packet
-  /// releases with a single hot-lane store. Tail spill capacity survives
-  /// for the next tenant. Owner thread only.
+  /// record is touched only when the flag word says it holds detour or
+  /// tail hops — a delivered table-steered packet releases with a single
+  /// hot-lane store. Hop-list spill capacity survives for the next tenant.
+  /// Owner thread only.
   void release(PacketIndex i) {
     PacketHot& h = hot(i);
-    if ((h.flags & (kPktHasPlan | kPktAudited)) != 0) {
+    if ((h.flags & (kPktDetour | kPktAudited)) != 0) {
       PacketCold& c = cold(i);
-      c.plan.reset();
+      c.detour.clear();
       c.tail.clear();
     }
     h.flags = 0;

@@ -25,7 +25,7 @@ struct SimConfig {
   /// become observable.
   std::uint32_t buffer_limit = 0;
   /// Livelock guard: a packet that has taken this many hops is dropped
-  /// (plans re-adopted around faults are not guaranteed monotone).
+  /// (detours re-planned around faults are not guaranteed monotone).
   /// 0 = auto (16 * dims + 64).
   std::uint32_t reroute_hop_limit = 0;
   /// Transient-fault recovery: how many times a stranded packet (no usable

@@ -2,7 +2,7 @@
 //
 // The golden contract: for any interruption cycle k, any thread count, any
 // SIMD level — with static faults, scheduled faults, and transient-recovery
-// retries live, and packets in flight that follow adopted plans — resuming
+// retries live, and packets in flight in table mode or mid-detour — resuming
 // from the checkpoint produces final metrics that deterministic_equals the
 // uninterrupted run; and a corrupted or truncated checkpoint is refused
 // with an error NAMING the failing section, falling back to the previous
@@ -136,17 +136,16 @@ SimMetrics run_scenario(Scenario sc, std::uint32_t threads,
   return sim.run();
 }
 
-/// Packets in the checkpoint, queued or parked, that follow an adopted
-/// router plan.
-std::size_t adopted_plans(const SimCheckpoint& ck) {
+/// Packets in the checkpoint, queued or parked, whose flags hold `bit`.
+std::size_t packets_flagged(const SimCheckpoint& ck, std::uint32_t bit) {
   std::size_t n = 0;
   for (const auto& queue : ck.queues) {
     for (const CheckpointPacket& p : queue) {
-      if (!p.plan_hops.empty()) ++n;
+      if ((p.flags & bit) != 0) ++n;
     }
   }
   for (const CheckpointParked& pk : ck.parked) {
-    if (!pk.packet.plan_hops.empty()) ++n;
+    if ((pk.packet.flags & bit) != 0) ++n;
   }
   return n;
 }
@@ -164,7 +163,9 @@ TEST(Checkpoint, ResumeMatrixIsBitIdenticalToUninterruptedRun) {
     std::uint32_t halt_threads;
     std::uint32_t resume_threads;
   };
-  const Leg legs[] = {{150, 1, 4}, {400, 2, 1}, {650, 4, 2}};
+  // The static run has packets mid-detour at cycle 290.
+  const Leg legs[] = {{150, 1, 4}, {290, 4, 1}, {400, 2, 1}, {650, 4, 2}};
+  std::size_t detours = 0;
   for (const Scenario sc :
        {Scenario::kStatic, Scenario::kScheduled, Scenario::kRetryRecovery}) {
     const SimMetrics uninterrupted = run_scenario(sc, 1);
@@ -175,12 +176,13 @@ TEST(Checkpoint, ResumeMatrixIsBitIdenticalToUninterruptedRun) {
       const SimMetrics partial =
           run_scenario(sc, leg.halt_threads, path, leg.halt);
       ASSERT_EQ(partial.interrupted_at, leg.halt);
+      const SimCheckpoint ck = load_checkpoint(path);
       if (sc == Scenario::kStatic) {
-        // Packets near the static faults are mid-way through adopted
-        // plans, so the resume must carry plan cursors, not just tables.
-        EXPECT_GT(adopted_plans(load_checkpoint(path)), 0u)
-            << "halt=" << leg.halt;
+        // Packets near the static faults ride their table routes in table
+        // mode, so the resume must carry that bit, not just the tables.
+        EXPECT_GT(packets_flagged(ck, kPktTable), 0u) << "halt=" << leg.halt;
       }
+      detours += packets_flagged(ck, kPktDetour);
       const SimMetrics resumed =
           run_scenario(sc, leg.resume_threads, "", 0, path);
       EXPECT_EQ(resumed.interrupted_at, 0u);
@@ -190,6 +192,8 @@ TEST(Checkpoint, ResumeMatrixIsBitIdenticalToUninterruptedRun) {
       remove_generations(path);
     }
   }
+  // Some resume must carry detour hops still to take.
+  EXPECT_GT(detours, 0u);
 }
 
 TEST(Checkpoint, PeriodicCheckpointRotationKeepsPreviousGeneration) {
@@ -296,26 +300,40 @@ TEST(Checkpoint, ConfigMismatchIsRefusedNamingTheField) {
   remove_generations(path);
 }
 
-TEST(Checkpoint, FormatVersionOneIsRefusedAtTheHeader) {
-  // Version 1 carried the removed routing-mode bytes and planned prefix
-  // lengths; its layout no longer parses, so the header refuses it.
-  const std::string path = tmp_path("version1");
+/// Rewrites a fresh checkpoint's format version to `version` and expects
+/// the loader to refuse it at the header, naming the version.
+void expect_version_refused(std::uint8_t version) {
+  // One file per version: ctest runs the cases in parallel processes.
+  const std::string path = tmp_path("version" + std::to_string(version));
   remove_generations(path);
   (void)run_scenario(Scenario::kStatic, 1, path, 100);
   std::vector<std::uint8_t> bytes = read_file(path);
   ASSERT_GT(bytes.size(), 12u);
   ASSERT_EQ(bytes[8], kCheckpointFormatVersion);  // u32 LE after the magic
-  bytes[8] = 1;
+  bytes[8] = version;
   write_file(path, bytes);
   try {
     (void)load_checkpoint(path);
-    FAIL() << "a version-1 checkpoint must be refused";
+    FAIL() << "a version-" << int{version} << " checkpoint must be refused";
   } catch (const CheckpointError& e) {
     EXPECT_EQ(e.section(), "header");
-    EXPECT_NE(std::string(e.what()).find("version 1"), std::string::npos)
+    EXPECT_NE(std::string(e.what()).find("version " + std::to_string(version)),
+              std::string::npos)
         << e.what();
   }
   remove_generations(path);
+}
+
+TEST(Checkpoint, FormatVersionOneIsRefusedAtTheHeader) {
+  // Version 1 carried the removed routing-mode bytes and planned prefix
+  // lengths; its layout no longer parses, so the header refuses it.
+  expect_version_refused(1);
+}
+
+TEST(Checkpoint, FormatVersionTwoIsRefusedAtTheHeader) {
+  // Version 2 carried each packet's whole adopted plan where version 3
+  // carries only its remaining detour hops.
+  expect_version_refused(2);
 }
 
 TEST(Checkpoint, PresetStopRequestHaltsAtTheFirstSerialPoint) {

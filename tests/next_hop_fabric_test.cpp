@@ -13,9 +13,13 @@
 //  * the overlay agrees bit-for-bit with the FaultSet, refreshed step by
 //    step through failures and repairs or rebuilt from scratch;
 //  * at overlay-clean nodes the fabric hop is usable as-is; at patched
-//    nodes the machinery's (version-stamped) answer is what steering uses.
+//    nodes the machinery's (version-stamped) answer is what steering uses,
+//    and wherever the table walk from a patched node is clean, the
+//    machinery's plan is that walk hop for hop — which is what lets the
+//    simulator's table mode skip the planner there.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -245,6 +249,32 @@ TEST(NextHopFabricTest, SteeringCompositeMatchesRoutersUnderFaults) {
         ASSERT_TRUE(faults.link_usable(s, *hop));
       }
     }
+    // Table mode rests on this: from a patched node, wherever every hop of
+    // the table walk to d is usable, the machinery's plan IS that walk.
+    // Checked for every destination of every patched live source.
+    std::size_t clean_walks = 0;
+    for (NodeId s = 0; s < gc.node_count(); ++s) {
+      if ((overlay.clean_window(s) & 1) != 0 || faults.node_faulty(s)) {
+        continue;
+      }
+      for (NodeId d = 0; d < gc.node_count(); ++d) {
+        if (d == s) continue;
+        std::vector<Dim> walk;
+        bool clean = true;
+        for (NodeId cur = s; clean && cur != d;) {
+          const Dim c = fabric.fault_free_hop(cur, d);
+          clean = faults.link_usable(cur, c);
+          walk.push_back(c);
+          cur = flip_bit(cur, c);
+        }
+        if (!clean) continue;
+        ++clean_walks;
+        const std::shared_ptr<const Route> plan = ftgcr.plan_shared(s, d);
+        ASSERT_NE(plan, nullptr) << gc.name() << " s=" << s << " d=" << d;
+        ASSERT_EQ(plan->hops(), walk) << gc.name() << " s=" << s << " d=" << d;
+      }
+    }
+    EXPECT_GT(clean_walks, 0u) << gc.name();
   }
 }
 

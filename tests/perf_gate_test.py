@@ -133,6 +133,38 @@ class PerfGateTest(unittest.TestCase):
         self.assertEqual(len(found), 1, found)
         self.assertFailsNaming(found, "static_ftgcr", "avg_hops", "bound")
 
+    def test_named_exemption_covers_only_the_named_metrics(self):
+        plan_cache = frozenset({"routing.plan_cache.lookups",
+                                "routing.plan_cache.misses",
+                                "routing.plan_cache.stale"})
+        pairs, traces = identical_runs()
+        for metric in plan_cache:
+            traces["static_ftgcr"][1]["metrics"][metric]["value"] *= 0.4
+        self.assertFailsNaming(failures(pairs, traces),
+                               "routing.plan_cache.lookups")
+        rows, found = gate.judge(BENCH, pairs, traces, plan_cache)
+        self.assertEqual(found, [])
+        verdicts = {(w, m): v for w, m, *_, v in rows}
+        self.assertEqual(
+            verdicts[("static_ftgcr", "routing.plan_cache.misses")],
+            "reported")
+        self.assertEqual(verdicts[("static_ftgcr", "sim.reroutes")],
+                         "ok (exact)")
+        # A count it does not name keeps the exact rule.
+        traces["static_ftgcr"][1]["metrics"]["sim.reroutes"]["value"] += 1
+        found = failures(pairs, traces, behaviour_change=plan_cache)
+        self.assertEqual(len(found), 1, found)
+        self.assertFailsNaming(found, "static_ftgcr", "sim.reroutes")
+        # So does a simulated metric, even inside its bound.
+        pairs, traces = identical_runs()
+        scale_head(pairs, "churn_ftgcr", "avg_hops", [1.01] * gate.PAIRS)
+        found = failures(pairs, traces, behaviour_change=plan_cache)
+        self.assertEqual(len(found), gate.PAIRS, found)
+        self.assertFailsNaming(found, "churn_ftgcr", "avg_hops", "differs")
+        # A named simulated metric is judged against its bound instead.
+        self.assertEqual(failures(pairs, traces,
+                                  behaviour_change={"avg_hops"}), [])
+
     def test_incorrect_head_run_fails(self):
         pairs, traces = identical_runs()
         pairs["static_ftgcr"][2][1]["correct"] = False
@@ -193,7 +225,35 @@ class PerfGateTest(unittest.TestCase):
             changes(head, old + "Third change: nothing moves.\n")
             self.assertFalse(gate.declares_behaviour_change(base, head))
             changes(head, old + "Third change. " + gate.MARKER + " latency rises.\n")
-            self.assertTrue(gate.declares_behaviour_change(base, head))
+            self.assertIs(gate.declares_behaviour_change(base, head), True)
+
+    def test_marker_followed_by_names_exempts_only_those(self):
+        with tempfile.TemporaryDirectory() as base, \
+                tempfile.TemporaryDirectory() as head:
+            def changes(tree, text):
+                with open(os.path.join(tree, "CHANGES.md"), "w") as f:
+                    f.write(text)
+            changes(base, "First change.\n")
+            changes(head, "First change.\nSecond change. " + gate.MARKER +
+                    " routing.plan_cache.lookups, routing.plan_cache.misses,"
+                    " `routing.plan_cache.stale`. Fewer plans are asked "
+                    "for; sim.hops is unchanged.\n")
+            self.assertEqual(
+                gate.declares_behaviour_change(base, head),
+                {"routing.plan_cache.lookups", "routing.plan_cache.misses",
+                 "routing.plan_cache.stale"})
+            # Names are matched whole: a longer word is not a list.
+            changes(head, "First change.\nSecond. " + gate.MARKER +
+                    " sim.hops_total rises.\n")
+            self.assertIs(gate.declares_behaviour_change(base, head), True)
+            # Two lines: the names add up; one blanket line wins.
+            changes(head, "First change.\nA. " + gate.MARKER +
+                    " sim.reroutes.\nB. " + gate.MARKER + " avg_hops.\n")
+            self.assertEqual(gate.declares_behaviour_change(base, head),
+                             {"sim.reroutes", "avg_hops"})
+            changes(head, "First change.\nA. " + gate.MARKER +
+                    " sim.reroutes.\nB. " + gate.MARKER + " hops rise.\n")
+            self.assertIs(gate.declares_behaviour_change(base, head), True)
 
 
 if __name__ == "__main__":

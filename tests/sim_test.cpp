@@ -4,12 +4,17 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstdio>
+#include <set>
+#include <string>
 #include <vector>
 
 #include "fault/fault_set.hpp"
+#include "fault/preconditions.hpp"
 #include "routing/ecube.hpp"
 #include "routing/ffgcr.hpp"
 #include "routing/ftgcr.hpp"
+#include "sim/checkpoint.hpp"
 #include "sim/fault_schedule.hpp"
 #include "sim/metrics.hpp"
 #include "sim/network.hpp"
@@ -106,6 +111,30 @@ TEST(NetworkSim, RejectsRunsBeyondTheCycleRange) {
   SimConfig fits = quick_config();
   fits.measure_cycles = range - fits.warmup_cycles - 1;
   EXPECT_NO_THROW(NetworkSim(gc, router, none, fits));
+  // A retry delay is added to the cycle, so it must stay below 2^32 too:
+  // 2^64 - 1 would wrap the wake cycle to now - 1 and wake at once.
+  for (Cycle SimConfig::*delay :
+       {&SimConfig::retry_backoff_base, &SimConfig::retransmit_timeout}) {
+    SimConfig refused = quick_config();
+    refused.retry_limit = 2;
+    refused.retry_budget = 1;
+    refused.*delay = range;
+    EXPECT_THROW(NetworkSim(gc, router, none, refused),
+                 std::invalid_argument);
+    refused.*delay = ~Cycle{0};
+    EXPECT_THROW(NetworkSim(gc, router, none, refused),
+                 std::invalid_argument);
+    SimConfig accepted = refused;
+    accepted.*delay = range - 1;
+    EXPECT_NO_THROW(NetworkSim(gc, router, none, accepted));
+  }
+  // The per-node park count is 16 bits wide.
+  SimConfig parks = quick_config();
+  parks.retry_limit = 2;
+  parks.park_capacity = 65536;
+  EXPECT_THROW(NetworkSim(gc, router, none, parks), std::invalid_argument);
+  parks.park_capacity = 65535;
+  EXPECT_NO_THROW(NetworkSim(gc, router, none, parks));
 }
 
 TEST(NetworkSim, LatencyAtLeastHopsPlusOne) {
@@ -354,7 +383,7 @@ TEST(DynamicFaults, DeliveredPathsAreFaultFreeAtTraversalTime) {
 
 TEST(NetworkSim, AuditedReplayHoldsWhenSteeredPacketsReroute) {
   // Only the 1-in-64 audited sample records its traversed path in a
-  // HopTail; every other packet keeps a bare hop counter. The delivery
+  // hop tail; every other packet keeps a bare hop counter. The delivery
   // replay (a GCUBE_REQUIRE inside the simulator) must therefore still
   // see a complete src->dst path for every audited delivery even when
   // mid-run faults force steered packets off their fault-free table hops
@@ -399,6 +428,59 @@ TEST(NetworkSim, AuditedReplayRidesEverySimdLevel) {
     EXPECT_TRUE(m.deterministic_equals(reference)) << "simd=avx2";
   }
   set_simd_level(entry);
+}
+
+TEST(NetworkSim, AuditedPathsStayWithinOptimalPlusTwoFUnderAOnlyFaults) {
+  // Theorem 3: under A-category link faults an FTGCR route is at most 2F
+  // hops longer than the fault-free optimum. A simulated packet takes
+  // table hops along that optimum until a fault blocks the table route,
+  // then the detour of FTGCR's plan from there and the table route after
+  // it, so its whole path obeys the same bound. The audited sample's
+  // recorded paths are read from a checkpoint at every cycle (each run
+  // resumes the last one and halts one cycle later): a delivered packet
+  // always sits in its destination's queue at one such point, its path
+  // complete.
+  const GaussianCube gc(9, 2);
+  FaultSet faults;
+  for (const NodeId u : {37u, 200u, 411u}) {
+    const std::vector<Dim> dims = gc.high_dims(gc.ending_class(u));
+    faults.fail_link(u, dims[dims.size() / 2]);
+  }
+  ASSERT_TRUE(check_theorem3(gc, faults));
+  const std::size_t two_f = 2 * faults.link_fault_count();
+  const FtgcrRouter router(gc, faults);
+  const FfgcrRouter fault_free(gc);
+  const std::string path = testing::TempDir() + "gcube_two_f.ckpt";
+  SimConfig cfg = quick_config();
+  cfg.warmup_cycles = 0;
+  cfg.measure_cycles = 200;
+  cfg.injection_rate = 0.1;
+  cfg.threads = 1;
+  cfg.checkpoint_path = path;
+  std::set<std::uint64_t> complete;
+  std::size_t longer = 0;
+  for (Cycle halt = 1; halt < cfg.measure_cycles; ++halt) {
+    cfg.halt_at_cycle = halt;
+    cfg.resume_from = halt == 1 ? "" : path;
+    ASSERT_EQ(NetworkSim(gc, router, faults, cfg).run().interrupted_at, halt);
+    const SimCheckpoint ck = load_checkpoint(path);
+    for (NodeId u = 0; u < gc.node_count(); ++u) {
+      for (const CheckpointPacket& p : ck.queues[u]) {
+        if ((p.flags & kPktAudited) == 0 || u != p.dst ||
+            !complete.insert(p.id).second) {
+          continue;
+        }
+        const std::size_t optimal = fault_free.optimal_length(p.src, p.dst);
+        ASSERT_LE(p.hops, optimal + two_f)
+            << "packet " << p.id << " " << p.src << "->" << p.dst;
+        if (p.hops > optimal) ++longer;
+      }
+    }
+  }
+  std::remove(path.c_str());
+  std::remove(checkpoint_previous_generation(path).c_str());
+  EXPECT_GT(complete.size(), 100u);
+  EXPECT_GT(longer, 0u) << "some audited packet must detour";
 }
 
 TEST(DynamicFaults, FtgcrDegradesMoreGracefullyThanEcube) {

@@ -73,8 +73,8 @@ TEST(SimdKernels, FaultFreeHopsMatchScalarPerElement) {
 }
 
 TEST(SimdKernels, ClassifyFrontPacketsMatchesScalar) {
-  // Adversarial randomized records: flags span every adopted-plan/audited
-  // combination, hops sit on both sides of the limit (including equal),
+  // Adversarial randomized records: flags span every detour/audited/
+  // table-mode combination, hops sit on both sides of the limit (including equal),
   // dst hits the arrival predicate, and the clean window is a fresh random
   // 64-bit mask per trial.
   Xoshiro256 rng(47);
@@ -89,7 +89,7 @@ TEST(SimdKernels, ClassifyFrontPacketsMatchesScalar) {
     for (unsigned i = 0; i < count; ++i) {
       PacketHot& h = records[i];
       nodes[i] = base + i;  // one packet per node slot, like the harvest
-      h.flags = static_cast<std::uint32_t>(rng.below(4));  // both kPkt bits
+      h.flags = static_cast<std::uint32_t>(rng.below(8));  // all kPkt bits
       h.hops = static_cast<std::uint32_t>(rng.below(2 * hop_limit + 2));
       h.dst = (rng.below(3) == 0)
                   ? nodes[i]  // force the arrival predicate
