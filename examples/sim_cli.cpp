@@ -133,9 +133,8 @@ int main(int argc, char** argv) {
           << "halt writes a final one. --resume F continues a run from a\n"
           << "checkpoint (same simulation flags required; --threads and\n"
           << "--simd may differ — final metrics are bit-identical to the\n"
-          << "uninterrupted run). --crash-at-cycle N (or the\n"
-          << "GCUBE_CRASH_AT_CYCLE env var) hard-exits with status 137\n"
-          << "mid-run to exercise crash recovery.\n";
+          << "uninterrupted run). --crash-at-cycle N hard-exits with\n"
+          << "status 137 mid-run to exercise crash recovery.\n";
       return 0;
     }
     if (args.has("simd")) {

@@ -22,10 +22,17 @@
 // without mutation. Full routes are memoized per (s, d) in a sharded
 // open-addressed table (util/flat_cache.hpp); FFGCR is fault-blind, so its
 // entries never go stale.
+//
+// One route builder. build_route executes the itinerary hop by hop and is
+// the only place the fault-free route is assembled: FFGCR's own plans call
+// it without a fault set, and FTGCR (ftgcr.hpp) calls it with its fault set
+// as the fast path, which gives up at the first unusable hop. FTGCR
+// therefore keeps this route wherever no fault blocks it, by construction.
 #pragma once
 
 #include <map>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "routing/next_hop_table.hpp"
@@ -35,6 +42,8 @@
 #include "util/flat_cache.hpp"
 
 namespace gcube {
+
+class FaultSet;
 
 /// The source-computed plan, exposed separately so tests and the
 /// fault-tolerant router can reuse the itinerary.
@@ -87,13 +96,20 @@ class FfgcrRouter final : public Router {
   /// planning (used as the baseline in the +2F overhead checks).
   [[nodiscard]] std::size_t optimal_length(NodeId s, NodeId d) const;
 
-  [[nodiscard]] const GaussianTree& class_tree() const noexcept {
-    return tree_;
-  }
+  /// The memoized itinerary of s -> d.
+  [[nodiscard]] std::shared_ptr<const GcRoutePlan> itinerary(NodeId s,
+                                                             NodeId d) const;
+
+  /// Executes the itinerary of s -> d: on first arrival at each class its
+  /// pending high bits are flipped lsb-first, and each tree edge is one hop
+  /// in the dimension (< alpha) where the adjacent classes differ. Without
+  /// a fault set the route always exists. With one, nothing is returned as
+  /// soon as a hop's link is unusable, so a route comes back only when
+  /// every hop of it is usable. Does not touch the (s, d) route cache.
+  [[nodiscard]] std::optional<Route> build_route(
+      NodeId s, NodeId d, const FaultSet* faults = nullptr) const;
 
  private:
-  [[nodiscard]] Route build_route(NodeId s, NodeId d) const;
-
   const GaussianCube& gc_;
   GaussianTree tree_;
   NextHopFabric fabric_;

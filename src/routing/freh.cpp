@@ -75,7 +75,6 @@ RoutingResult freh_route(const ExchangedHypercube& eh,
                                                oracle.link_usable, &cube_stats);
     st.spare_hops += cube_stats.spare_hops;
     st.faults_encountered += cube_stats.faults_encountered;
-    st.used_fallback = st.used_fallback || cube_stats.used_fallback;
     if (!leg.delivered()) return false;
     route.append(*leg.route);
     cur = target;

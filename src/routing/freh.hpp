@@ -38,11 +38,12 @@ struct EhFaultOracle {
 /// Oracle reading a FaultSet expressed directly in EH labels.
 [[nodiscard]] EhFaultOracle make_eh_oracle(const FaultSet& faults);
 
+/// In-cube legs run informed_subcube_route, which has no safeguard to
+/// report: it is a BFS already.
 struct FrehStats {
   std::size_t crossings = 0;        // dimension-0 hops taken
   std::size_t spare_hops = 0;       // displacement + in-cube spare hops
   std::size_t faults_encountered = 0;
-  bool used_fallback = false;       // in-cube BFS safeguard engaged
 };
 
 /// Routes r -> d in EH(s, t) under the oracle's faults. Fails with a reason

@@ -1,7 +1,6 @@
 #include "routing/ftgcr.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -14,7 +13,7 @@
 namespace gcube {
 
 FtgcrRouter::FtgcrRouter(const GaussianCube& gc, const FaultSet& faults)
-    : gc_(gc), faults_(faults), tree_(gc.alpha()), fabric_(gc) {}
+    : gc_(gc), faults_(faults), ffgcr_(gc) {}
 
 RoutingResult FtgcrRouter::plan(NodeId s, NodeId d) const {
   FtgcrStats stats;
@@ -67,83 +66,6 @@ std::optional<std::vector<Dim>> global_bfs(const GaussianCube& gc,
 
 }  // namespace
 
-std::optional<Route> FtgcrRouter::fault_free_route_if_clean(
-    NodeId s, NodeId d) const {
-  const std::shared_ptr<const GcRoutePlan> itinerary =
-      itineraries_.get(gc_, tree_, s, d);
-  Route route(s);
-  NodeId cur = s;
-  bool clean = true;
-  // Mirrors the traversal below with all fault branches collapsed to a
-  // single usability check per hop: in-class fixes flip pending bits
-  // lsb-first (informed_subcube_route's direct path), crossings take the
-  // tree-edge dimension, and an already-satisfied leaf detour is skipped —
-  // so a clean result is hop-for-hop what the full machinery would emit.
-  auto append_checked = [&](Dim c) {
-    if (!faults_.link_usable(cur, c)) {
-      clean = false;
-      return false;
-    }
-    route.append(c);
-    cur = flip_bit(cur, c);
-    return true;
-  };
-  auto fix_bits = [&](NodeId mask) {
-    for (NodeId m = mask; m != 0; m &= m - 1) {
-      if (!append_checked(lsb_index(m))) return false;
-    }
-    return true;
-  };
-  // Pending masks copied to the stack; consumption must not touch the
-  // shared itinerary.
-  std::array<std::pair<NodeId, NodeId>, kMaxDimension> pending;
-  std::size_t pending_count = 0;
-  for (const auto& [cls, mask] : itinerary->pending_high) {
-    pending[pending_count++] = {cls, mask};
-  }
-  auto take_pending = [&](NodeId cls) -> NodeId {
-    for (std::size_t i = 0; i < pending_count; ++i) {
-      if (pending[i].first != cls) continue;
-      const NodeId mask = pending[i].second;
-      pending[i] = pending[--pending_count];
-      return mask;
-    }
-    return 0;
-  };
-
-  const std::vector<NodeId>& walk = itinerary->class_walk;
-  if (walk.size() == 1) {
-    if (!fix_bits(take_pending(walk.front()))) return std::nullopt;
-    GCUBE_REQUIRE(cur == d, "fault-free route must terminate at d");
-    return route;
-  }
-  for (std::size_t i = 0; i + 1 < walk.size();) {
-    const NodeId a = walk[i];
-    const NodeId b = walk[i + 1];
-    const Dim c = lsb_index(a ^ b);
-    const NodeId mask_a = take_pending(a);
-    const NodeId mask_b = take_pending(b);
-    if (!fix_bits(mask_a)) return std::nullopt;
-    const bool leaf_detour = i + 2 < walk.size() && walk[i + 2] == a;
-    if (leaf_detour) {
-      if (mask_b == 0 || ((cur ^ d) & mask_b) == 0) {
-        i += 2;  // nothing left to fix there: skip the detour entirely
-        continue;
-      }
-      if (!append_checked(c) || !fix_bits(mask_b) || !append_checked(c)) {
-        return std::nullopt;
-      }
-      i += 2;
-      continue;
-    }
-    if (!append_checked(c) || !fix_bits(mask_b)) return std::nullopt;
-    ++i;
-  }
-  if (!clean) return std::nullopt;
-  GCUBE_REQUIRE(cur == d, "fault-free route must terminate at d");
-  return route;
-}
-
 RoutingResult FtgcrRouter::plan_with_stats(NodeId s, NodeId d,
                                            FtgcrStats& stats) const {
   stats = FtgcrStats{};
@@ -157,15 +79,15 @@ RoutingResult FtgcrRouter::plan_with_stats(NodeId s, NodeId d,
     return fail("source or destination faulty");
   }
 
-  // Fast path: when no hop of the fault-free composite route is unusable,
-  // the full machinery below would reproduce exactly that route with zero
-  // stats — skip it. Faults are sparse, so this is the common case.
-  if (std::optional<Route> fast = fault_free_route_if_clean(s, d)) {
+  // Fast path: FFGCR's route, when every hop of it is usable. The full
+  // machinery below would reproduce exactly that route with zero stats, so
+  // it runs only once the builder has met an unusable hop.
+  if (std::optional<Route> fast = ffgcr_.build_route(s, d, &faults_)) {
     result.route = std::move(*fast);
     return result;
   }
 
-  GcRoutePlan itinerary = *itineraries_.get(gc_, tree_, s, d);
+  GcRoutePlan itinerary = *ffgcr_.itinerary(s, d);
   Route route(s);
   NodeId cur = s;
   const auto usable = [this](NodeId u, Dim c) {
@@ -215,7 +137,6 @@ RoutingResult FtgcrRouter::plan_with_stats(NodeId s, NodeId d,
                                           emb.to_eh(target), &freh_stats);
     stats.spare_hops += freh_stats.spare_hops;
     stats.faults_encountered += freh_stats.faults_encountered;
-    stats.used_fallback = stats.used_fallback || freh_stats.used_fallback;
     ++stats.freh_crossings;
     if (!leg.delivered()) return false;
     for (const Dim eh_dim : leg.route->hops()) {

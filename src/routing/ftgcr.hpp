@@ -3,13 +3,19 @@
 //
 // The fault-free itinerary (ffgcr.hpp) is kept: an optimal Gaussian-Tree
 // walk from class(s) to class(d) through every class owning a high bit that
-// must change. Fault handling is layered onto its two primitive moves:
+// must change. The router holds an FfgcrRouter and takes that route from
+// it: FFGCR's route builder, given this router's fault set, returns the
+// fault-free route when every hop of it is usable and gives up at the first
+// hop that is not. That is the fast path (faults are sparse, so most routes
+// never meet one), and it makes FTGCR's route equal FFGCR's wherever no
+// fault blocks it. Only when the builder gives up does fault handling run,
+// layered onto the itinerary's two primitive moves:
 //
 //  * in-class fixes (A-category faults, Theorem 3): setting the pending
 //    Dim(k) bits is fault-tolerant unicast inside the current GEEC
-//    hypercube — adaptive routing with spare-dimension masking
-//    (hypercube_ft.hpp), which succeeds while each GEEC holds fewer than
-//    N(k) = |Dim(k)| faults;
+//    hypercube — informed_subcube_route (hypercube_ft.hpp), the
+//    fault-aware shortest path, which succeeds while each GEEC holds fewer
+//    than N(k) = |Dim(k)| faults;
 //
 //  * tree crossings (B/C-category faults, Theorem 5): when the dimension-c
 //    link at the current node is unusable, the crossing runs FREH over the
@@ -42,19 +48,18 @@
 
 #include "fault/fault_set.hpp"
 #include "routing/ffgcr.hpp"
-#include "routing/next_hop_table.hpp"
 #include "routing/router.hpp"
 #include "topology/gaussian_cube.hpp"
-#include "topology/gaussian_tree.hpp"
 #include "util/flat_cache.hpp"
 
 namespace gcube {
 
+/// Every in-cube leg is an informed route, so there is no safeguard to
+/// report (SubcubeFtStats::used_fallback belongs to the adaptive route).
 struct FtgcrStats {
   std::size_t faults_encountered = 0;  // distinct unusable links met (F)
   std::size_t spare_hops = 0;
   std::size_t freh_crossings = 0;  // crossings that needed the EH machinery
-  bool used_fallback = false;      // any in-cube BFS safeguard engaged
   /// Times the strategy re-planned the remaining route with a global
   /// fault-aware search. This covers the one case the paper's §5 outline
   /// does not: a pass-through class whose forced intermediate node is
@@ -82,28 +87,18 @@ class FtgcrRouter final : public Router {
   [[nodiscard]] RouterCacheStats cache_stats() const override {
     return {plan_cache_.stats()};
   }
+  /// FFGCR's table: the fault-free route is the same for both routers.
   [[nodiscard]] const NextHopFabric* fabric() const override {
-    return &fabric_;
+    return ffgcr_.fabric();
   }
   [[nodiscard]] std::string name() const override { return "FTGCR"; }
 
-  [[nodiscard]] const GaussianTree& class_tree() const noexcept {
-    return tree_;
-  }
-
  private:
-  /// The composite fault-free route (identical to what the Theorem-3/5
-  /// machinery emits when it encounters zero faults), or nullopt as soon
-  /// as any hop on it is unusable. The overwhelmingly common fast path:
-  /// faults are sparse, so most routes never meet one.
-  [[nodiscard]] std::optional<Route> fault_free_route_if_clean(
-      NodeId s, NodeId d) const;
-
   const GaussianCube& gc_;
   const FaultSet& faults_;
-  GaussianTree tree_;
-  NextHopFabric fabric_;
-  mutable GcItineraryCache itineraries_;
+  /// Itineraries, the fault-free route builder and the table. Its own
+  /// (s, d) route cache stays empty: only build_route is called.
+  FfgcrRouter ffgcr_;
   mutable ShardedVersionCache<std::shared_ptr<const Route>> plan_cache_;
 };
 

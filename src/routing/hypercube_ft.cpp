@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <deque>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -22,44 +20,6 @@ std::size_t subcube_slot(NodeId u, NodeId dims_mask) noexcept {
     if ((u & m & (~m + 1)) != 0) slot |= slot_bit;
   }
   return slot;
-}
-
-/// BFS within the subcube spanned by dims_mask, over usable links only.
-/// Returns the hop sequence or nothing if disconnected. This is the
-/// safeguard path of adaptive_subcube_route, not the normal mechanism.
-std::optional<std::vector<Dim>> bfs_subcube(NodeId start, NodeId dest,
-                                            NodeId dims_mask,
-                                            const LinkUsablePredicate& usable) {
-  if (start == dest) return std::vector<Dim>{};
-  std::unordered_map<NodeId, std::pair<NodeId, Dim>> prev;  // node -> (from, dim)
-  std::deque<NodeId> queue{start};
-  prev.emplace(start, std::make_pair(start, Dim{0}));
-  while (!queue.empty()) {
-    const NodeId u = queue.front();
-    queue.pop_front();
-    NodeId mask = dims_mask;
-    while (mask != 0) {
-      const Dim c = lsb_index(mask);
-      mask &= mask - 1;
-      if (!usable(u, c)) continue;
-      const NodeId v = flip_bit(u, c);
-      if (prev.contains(v)) continue;
-      prev.emplace(v, std::make_pair(u, c));
-      if (v == dest) {
-        std::vector<Dim> hops;
-        NodeId w = dest;
-        while (w != start) {
-          const auto& [from, dim] = prev.at(w);
-          hops.push_back(dim);
-          w = from;
-        }
-        std::reverse(hops.begin(), hops.end());
-        return hops;
-      }
-      queue.push_back(v);
-    }
-  }
-  return std::nullopt;
 }
 
 }  // namespace
@@ -157,17 +117,20 @@ RoutingResult adaptive_subcube_route(NodeId start, NodeId dest,
     return result;
   }
 
-  // Safeguard: complete the route by BFS over usable links. Under the
-  // Theorem-3 precondition (< dim faults per GEEC) this is unreachable;
-  // tests assert used_fallback stays false there.
+  // Safeguard: complete the route with the informed route, a shortest path
+  // over usable links. Under the Theorem-3 precondition (< dim faults per
+  // GEEC) this is unreachable; tests assert used_fallback stays false
+  // there. spare_hops and faults_encountered count the local walk only, so
+  // the tail's own stats are not added.
   st.used_fallback = true;
-  const auto tail = bfs_subcube(cur, dest, dims_mask, usable);
-  if (!tail) {
+  const RoutingResult tail =
+      informed_subcube_route(cur, dest, dims_mask, usable);
+  if (!tail.delivered()) {
     result.failure = "subcube disconnected between current node and target";
     result.faults_hit = st.faults_encountered;
     return result;
   }
-  for (const Dim c : *tail) route.append(c);
+  route.append(*tail.route);
   result.faults_hit = st.faults_encountered;
   result.route = std::move(route);
   return result;

@@ -12,10 +12,12 @@
 //    otherwise take a usable *spare* dimension and mask it so it is not
 //    taken again. Works on a subcube spanned by an arbitrary dimension set
 //    (a GEEC's Dim(k) is not contiguous), with fault knowledge abstracted
-//    behind a link-usability predicate. A breadth-first fallback guards
-//    against dead ends; under the Theorem-3 precondition the fallback is
+//    behind a link-usability predicate. A safeguard guards against dead
+//    ends: it finishes the route with informed_subcube_route from wherever
+//    the walk stopped. Under the Theorem-3 precondition the safeguard is
 //    never needed (asserted by tests), and its use is reported in the stats
-//    so experiments cannot silently lean on it.
+//    (SubcubeFtStats::used_fallback) so experiments cannot silently lean on
+//    it.
 //
 //  * SafetyLevelRouter — Wu's safety levels [5] for full hypercubes with
 //    node faults: each node's level S(u) is the largest h such that minimal
@@ -39,7 +41,7 @@ using LinkUsablePredicate = std::function<bool(NodeId, Dim)>;
 struct SubcubeFtStats {
   std::size_t spare_hops = 0;           // detour hops taken
   std::size_t faults_encountered = 0;   // distinct unusable links met (F)
-  bool used_fallback = false;           // BFS safeguard engaged
+  bool used_fallback = false;           // adaptive route's safeguard engaged
 };
 
 /// Routes from `start` to `dest` moving only along dimensions set in
@@ -62,7 +64,8 @@ struct SubcubeFtStats {
 /// within a class — §1 claim 4), then walk downhill. Produces the exact
 /// fault-aware shortest path, which is at most 2 hops longer per fault in
 /// the subcube; this is what FTGCR and FREH use for in-cube legs so the
-/// paper's optimal+2F guarantee holds.
+/// paper's optimal+2F guarantee holds, and what adaptive_subcube_route's
+/// safeguard finishes with.
 [[nodiscard]] RoutingResult informed_subcube_route(
     NodeId start, NodeId dest, NodeId dims_mask,
     const LinkUsablePredicate& usable, SubcubeFtStats* stats = nullptr);

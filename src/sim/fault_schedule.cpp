@@ -4,6 +4,7 @@
 #include <charconv>
 #include <cmath>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <unordered_set>
 
@@ -81,6 +82,9 @@ FaultSchedule FaultSchedule::random_node_faults(std::uint64_t node_count,
 
 namespace {
 
+/// A dwell that outlasts any horizon: the link never changes state again.
+constexpr Cycle kNeverDwell = std::numeric_limits<Cycle>::max();
+
 // Geometric dwell time with the given mean, support {1, 2, ...}: the
 // discrete analogue of an exponential holding time, so the flap process is
 // memoryless at cycle granularity. Inversion keeps it one draw per dwell.
@@ -89,8 +93,9 @@ Cycle geometric_dwell(Xoshiro256& rng, double mean) {
   if (p >= 1.0) return 1;
   const double u = rng.uniform();
   const double g = std::floor(std::log1p(-u) / std::log1p(-p));
-  // Clamp against pathological u≈1 draws overflowing the cycle counter.
-  if (!(g >= 0.0) || g > 1e15) return 1;
+  // A draw past 1e15 cycles (a huge mean) or NaN (an infinite one) lies
+  // beyond any run: saturate rather than overflow the cycle counter.
+  if (!(g <= 1e15)) return kNeverDwell;
   return 1 + static_cast<Cycle>(g);
 }
 
@@ -123,13 +128,19 @@ FaultSchedule FaultSchedule::random_flapping_links(
     const LinkId link = candidates[i];
     // Renewal process: up for ~mttf, down for ~mttr, repeat. The first
     // up-time staggers the links so they don't all fail at cycle ~mttf.
+    // Each dwell is compared with the time left before the horizon, so a
+    // kNeverDwell cannot wrap the cycle counter.
     Cycle t = geometric_dwell(rng, mttf);
     while (t < horizon) {
       schedule.fail_link_at(t, link.lo, link.dim);
-      t += geometric_dwell(rng, mttr);
-      if (t >= horizon) break;  // horizon cut the flap short: stays failed
+      const Cycle down = geometric_dwell(rng, mttr);
+      // The horizon cut the flap short: the link stays failed.
+      if (down >= horizon - t) break;
+      t += down;
       schedule.repair_link_at(t, link.lo, link.dim);
-      t += geometric_dwell(rng, mttf);
+      const Cycle up = geometric_dwell(rng, mttf);
+      if (up >= horizon - t) break;
+      t += up;
     }
   }
   return schedule;

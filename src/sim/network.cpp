@@ -899,12 +899,6 @@ SimMetrics NetworkSim::run() {
   }
   configure_shards(shard_count);
   total_cycles_ = config_.warmup_cycles + config_.measure_cycles;
-  // Crash-fault injection cycle: the environment override wins so the CI
-  // harness can crash an unmodified invocation.
-  crash_at_ = config_.crash_at_cycle;
-  if (const char* env = std::getenv("GCUBE_CRASH_AT_CYCLE")) {
-    crash_at_ = std::strtoull(env, nullptr, 10);
-  }
   Cycle start = 0;
   if (!config_.resume_from.empty()) {
     const SimCheckpoint ck =
@@ -1092,7 +1086,7 @@ void NetworkSim::serial_commit(Cycle now) noexcept {
       // catch — checkpointing must never corrupt the run it protects.
       save_checkpoint(capture_checkpoint(next), config_.checkpoint_path);
     }
-    if (crash_at_ != 0 && next == crash_at_) {
+    if (config_.crash_at_cycle != 0 && next == config_.crash_at_cycle) {
       // Crash-fault injection: die like a kill -9 — no unwinding, no
       // stream flushing, mid-run. Any checkpoint due at this same point
       // was already made durable (fsync + rename) above.

@@ -435,10 +435,6 @@ class NetworkSim {
   bool stop_run_ = false;     // set when the loop must end after this cycle
   std::exception_ptr serial_error_;  // first failure, rethrown after join
   Cycle consecutive_stalls_ = 0;
-  /// Crash-injection cycle, resolved at run() start from
-  /// config_.crash_at_cycle and the GCUBE_CRASH_AT_CYCLE environment
-  /// override. 0 = no crash.
-  Cycle crash_at_ = 0;
   RouterCacheStats cache_base_{};
   bool cache_base_set_ = false;
   // Node-range split: the first range_rem_ shards own range_base_ + 1

@@ -128,9 +128,6 @@ class PacketPool {
     return cold_chunks_[i >> kChunkBits][i & (kChunkSize - 1)];
   }
   [[nodiscard]] std::size_t capacity() const noexcept { return size_; }
-  [[nodiscard]] std::size_t live() const noexcept {
-    return size_ - free_.size();
-  }
 
  private:
   // Fixed-size directories; hot and cold lanes grow in lockstep.
@@ -191,7 +188,5 @@ class Ring {
   std::size_t head_ = 0;
   std::size_t count_ = 0;
 };
-
-using IndexRing = Ring<PacketIndex>;
 
 }  // namespace gcube

@@ -79,8 +79,7 @@ struct SimConfig {
   /// Crash-fault injection: hard std::_Exit(137) — no unwinding, no
   /// cleanup, as a kill -9 would land — at the serial point entering this
   /// cycle, AFTER any checkpoint due at that same point has been made
-  /// durable. 0 = off. The GCUBE_CRASH_AT_CYCLE environment variable
-  /// overrides this value.
+  /// durable. 0 = off.
   Cycle crash_at_cycle = 0;
   /// Graceful halt: when non-null and the pointee is true at a serial
   /// point, the run stops there — writing a final checkpoint first when

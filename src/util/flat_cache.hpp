@@ -81,16 +81,6 @@ class ShardedVersionCache {
     place(shard, key, version, std::move(value));
   }
 
-  /// Live entries across all shards (stale ones included); diagnostics.
-  [[nodiscard]] std::size_t size() const {
-    std::size_t total = 0;
-    for (Shard& shard : shards_) {
-      const std::lock_guard<std::mutex> lock(shard.mu);
-      total += shard.used;
-    }
-    return total;
-  }
-
   /// Cumulative lookup counters since construction, summed across shards.
   [[nodiscard]] CacheStats stats() const {
     CacheStats total;

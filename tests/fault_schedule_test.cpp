@@ -2,6 +2,7 @@
 // generator's determinism.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <map>
 #include <set>
 #include <sstream>
@@ -180,6 +181,34 @@ TEST(FaultSchedule, FlappingLinksDeterministicAndWellFormed) {
   }
   EXPECT_GE(fails, repairs);        // a final flap may be cut by the horizon
   EXPECT_LE(fails - repairs, 8u);   // at most one dangling failure per link
+}
+
+TEST(FaultSchedule, FlappingLinksWithHugeMeanDwellsNeverFlip) {
+  const std::vector<LinkId> candidates = {LinkId::of(0, 0), LinkId::of(0, 1),
+                                          LinkId::of(0, 2), LinkId::of(1, 1)};
+  const double inf = std::numeric_limits<double>::infinity();
+  // A mean time to failure far past the horizon: no link ever fails.
+  for (const double mttf : {1e16, 1e18, inf}) {
+    EXPECT_TRUE(FaultSchedule::random_flapping_links(candidates, 4, mttf, 60,
+                                                     1000, 3)
+                    .empty())
+        << "mttf " << mttf;
+  }
+  // A mean time to repair far past the horizon: each link fails at most
+  // once and is never repaired.
+  for (const double mttr : {1e16, 1e18, inf}) {
+    const auto schedule = FaultSchedule::random_flapping_links(
+        candidates, 4, 300, mttr, 1000, 3);
+    EXPECT_FALSE(schedule.empty()) << "mttr " << mttr;
+    std::set<std::uint64_t> failed;
+    for (const auto& e : schedule.events()) {
+      EXPECT_EQ(e.kind, FaultEvent::Kind::kLink) << "mttr " << mttr;
+      EXPECT_TRUE(
+          failed.insert((static_cast<std::uint64_t>(e.node) << 6) | e.dim)
+              .second)
+          << "mttr " << mttr << ": a link failed twice";
+    }
+  }
 }
 
 TEST(FaultSchedule, FlappingLinksValidatesArguments) {

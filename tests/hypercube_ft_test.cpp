@@ -207,6 +207,70 @@ TEST(InformedSubcube, NodeFaultsBelowDimension) {
   }
 }
 
+// Past the Theorem-3 regime (up to 2n link faults) the local walk can
+// strand itself, and the safeguard must then finish the route: the
+// adaptive route is delivered exactly when the destination is reachable
+// over usable links, whichever path got it there.
+TEST(AdaptiveSubcube, SafeguardDeliversExactlyWhenReachable) {
+  Xoshiro256 rng(46);
+  std::size_t safeguard_deliveries = 0;
+  for (const Dim n : {3u, 4u}) {
+    const NodeId dims_mask = low_mask(n);
+    const auto links = all_links(n);
+    for (int trial = 0; trial < 400; ++trial) {
+      FaultSet f;
+      const std::uint64_t count = 1 + rng.below(2 * n);
+      while (f.link_fault_count() < count) {
+        const auto& [u, c] = links[rng.below(links.size())];
+        f.fail_link(u, c);
+      }
+      const auto pred = usable_of(f);
+      for (NodeId s = 0; s < pow2(n); ++s) {
+        const auto dist = true_distances(n, f, s);
+        for (NodeId d = 0; d < pow2(n); ++d) {
+          SubcubeFtStats stats;
+          const RoutingResult result =
+              adaptive_subcube_route(s, d, dims_mask, pred, &stats);
+          ASSERT_EQ(result.delivered(), dist[d] != kUnreachable)
+              << "n=" << n << " s=" << s << " d=" << d;
+          if (!result.delivered()) continue;
+          NodeId cur = s;
+          for (const Dim c : result.route->hops()) {
+            ASSERT_TRUE(pred(cur, c)) << "n=" << n << " s=" << s << " d=" << d;
+            cur = flip_bit(cur, c);
+          }
+          ASSERT_EQ(cur, d);
+          if (stats.used_fallback) ++safeguard_deliveries;
+        }
+      }
+    }
+  }
+  EXPECT_GT(safeguard_deliveries, 0u) << "the sweep must reach the safeguard";
+}
+
+TEST(AdaptiveSubcube, SafeguardFinishesAStrandedWalk) {
+  // On H_3 the local walk from 3 to 6 strands itself among these five
+  // link faults; 6 is still reachable, so the safeguard delivers.
+  FaultSet f;
+  f.fail_link(6, 0);
+  f.fail_link(2, 2);
+  f.fail_link(2, 0);
+  f.fail_link(0, 1);
+  f.fail_link(5, 1);
+  const auto pred = usable_of(f);
+  SubcubeFtStats stats;
+  const RoutingResult result =
+      adaptive_subcube_route(3, 6, low_mask(3), pred, &stats);
+  ASSERT_TRUE(result.delivered()) << result.failure;
+  EXPECT_TRUE(stats.used_fallback);
+  NodeId cur = 3;
+  for (const Dim c : result.route->hops()) {
+    ASSERT_TRUE(pred(cur, c));
+    cur = flip_bit(cur, c);
+  }
+  EXPECT_EQ(cur, 6u);
+}
+
 TEST(InformedSubcube, WorksOnNonContiguousDimensionSets) {
   // A GEEC-like subcube over dims {1, 3, 6} embedded in 8-bit labels.
   const NodeId dims_mask = 0b01001010;

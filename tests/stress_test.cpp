@@ -80,7 +80,6 @@ TEST(Stress, FtgcrUnderMultipleFaultsOnLargeCubes) {
       ASSERT_TRUE(result.delivered()) << gc.name() << " s=" << s
                                       << " d=" << d << ": " << result.failure;
       ASSERT_TRUE(validate_route(gc, faults, *result.route).ok);
-      ASSERT_FALSE(stats.used_fallback);
     }
   }
 }
