@@ -28,21 +28,8 @@ enum SectionId : std::uint32_t {
   kSecPackets = 5,
   kSecParked = 6,
   kSecFires = 7,
-  kSecLinks = 8,
-  kSecMetrics = 9,
+  kSecMetrics = 8,
 };
-
-constexpr std::array<std::pair<SectionId, const char*>, 9> kSections = {{
-    {kSecProvenance, "provenance"},
-    {kSecConfig, "config"},
-    {kSecGlobals, "globals"},
-    {kSecFaults, "faults"},
-    {kSecPackets, "packets"},
-    {kSecParked, "parked"},
-    {kSecFires, "fires"},
-    {kSecLinks, "links"},
-    {kSecMetrics, "metrics"},
-}};
 
 /// Table-driven CRC32 (IEEE 802.3 reflected polynomial). Self-contained so
 /// the checkpoint format has zero external dependencies.
@@ -170,9 +157,6 @@ void put_packet(Buf& b, const CheckpointPacket& p) {
   for (std::uint64_t i = 0; i < tail_n; ++i) p.tail_hops.push_back(c.u8());
   return p;
 }
-
-[[nodiscard]] std::vector<std::uint8_t> encode_section(
-    SectionId id, const CheckpointPacket* /*tag*/) = delete;
 
 void put_metrics(Buf& b, const SimMetrics& m) {
   b.u64(m.measured_cycles);
@@ -341,12 +325,6 @@ void append_section(std::vector<std::uint8_t>& out, SectionId id,
   }
   {
     Buf b;
-    b.u64(ck.link_stamps.size());
-    for (std::uint32_t s : ck.link_stamps) b.u32(s);
-    append_section(out, kSecLinks, b);
-  }
-  {
-    Buf b;
     put_metrics(b, ck.metrics);
     append_section(out, kSecMetrics, b);
   }
@@ -500,14 +478,6 @@ struct SectionPayload {
       f.node = c.u32();
       ck.fires.push_back(f);
     }
-    c.expect_end();
-  }
-  {
-    const SectionPayload s = expect_section(file, off, kSecLinks, "links");
-    Cursor c(s.data, s.size, "links");
-    const std::uint64_t n = c.count(c.u64(), 4);
-    ck.link_stamps.reserve(n);
-    for (std::uint64_t i = 0; i < n; ++i) ck.link_stamps.push_back(c.u32());
     c.expect_end();
   }
   {

@@ -5,19 +5,21 @@
 // packet queues (current queue contents plus the pending mailbox arrivals,
 // pre-merged in the exact order the next phase A would drain them), the
 // parked retry/retransmit entries in wake order, the pending injection
-// fires as absolute (cycle, node) pairs, the directed-link epoch stamps,
-// the live fault set with the fault-schedule cursor, and the folded
-// SimMetrics. The counter RNG needs no stream state — every draw is a pure
-// function of (seed, node, cycle) — so RNG identity is just the seed plus
-// the resume cycle. Resuming from a checkpoint therefore reproduces the
-// uninterrupted run's metrics bit for bit, for ANY thread count or SIMD
-// level on either side of the crash (the same contract the live simulator
-// already enforces across those knobs).
+// fires as absolute (cycle, node) pairs, the live fault set with the
+// fault-schedule cursor, and the folded SimMetrics. Link arbitration needs
+// no state across the serial point: it is a mask local to one node's
+// service within a cycle. The counter RNG needs no stream state either —
+// every draw is a pure function of (seed, node, cycle) — so RNG identity
+// is just the seed plus the resume cycle. Resuming from a checkpoint
+// therefore reproduces the uninterrupted run's metrics bit for bit, for
+// ANY thread count or SIMD level on either side of the crash (the same
+// contract the live simulator already enforces across those knobs).
 //
 // On-disk format (little-endian):
 //
-//   8-byte magic "GCUBECKP", u32 format version, then a fixed sequence of
-//   sections, each framed as
+//   8-byte magic "GCUBECKP", u32 format version, then eight sections in a
+//   fixed order — provenance, config, globals, faults, packets, parked,
+//   fires, metrics — each framed as
 //     u32 section id | u64 payload length | u32 CRC32 | payload bytes
 //   with the CRC computed over id + length + payload. The loader knows
 //   which section it expects next, so every detectable corruption — bad
@@ -46,8 +48,10 @@ namespace gcube {
 /// Files of any other version are refused at the header. Version 1 also
 /// held a routing-mode byte pair and a per-packet planned-prefix length;
 /// version 2 held each packet's whole adopted plan (source, hops and a
-/// cursor) where version 3 holds only the detour hops still to take.
-inline constexpr std::uint32_t kCheckpointFormatVersion = 3;
+/// cursor) where later versions hold only the detour hops still to take;
+/// version 3 also held a per-link stamp table, dead state at every serial
+/// point.
+inline constexpr std::uint32_t kCheckpointFormatVersion = 4;
 
 /// A checkpoint load failure, carrying the name of the section that failed
 /// validation ("header" for magic/version problems, "config" for a resume
@@ -156,8 +160,6 @@ struct SimCheckpoint {
   std::vector<std::vector<CheckpointPacket>> queues;
   std::vector<CheckpointParked> parked;
   std::vector<CheckpointFire> fires;
-  /// Directed link epoch stamps, node-major (node_count * dims entries).
-  std::vector<std::uint32_t> link_stamps;
   /// Global metrics with every shard partial already folded in.
   SimMetrics metrics;
 };

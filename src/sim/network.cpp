@@ -32,12 +32,11 @@ NetworkSim::NetworkSim(const Topology& topo, const Router& router,
                                                : 16 * topo.dims() + 64) {
   GCUBE_REQUIRE(config.service_rate >= 1, "service rate must be positive");
   GCUBE_REQUIRE(config.measure_cycles >= 1, "nothing to measure");
-  // Link stamps hold (now + 1) mod 2^32 and an unused link holds 0, so a
-  // run must end below 2^32 cycles for a stamp to name one cycle. That
-  // bound covers the other cycle-derived keys too: a far-fire key puts the
-  // cycle above kFireNodeBits node bits, and packet ids
-  // (now * node_count + u, node_count <= 2^kMaxDimension) fit in
-  // 32 + kMaxDimension = 58 bits.
+  // A run must end below 2^32 cycles: the cycle-derived keys rely on it.
+  // A far-fire key puts the cycle above kFireNodeBits node bits, packet
+  // ids (now * node_count + u, node_count <= 2^kMaxDimension) fit in
+  // 32 + kMaxDimension = 58 bits, and the retry-delay bounds below keep
+  // every wake cycle below 2^64 only because now is below 2^32.
   constexpr unsigned kCycleBits = 32;
   static_assert(kCycleBits + kFireNodeBits <= 64);
   constexpr Cycle kCycleRange = Cycle{1} << kCycleBits;
@@ -155,13 +154,12 @@ void NetworkSim::configure_shards(unsigned shard_count) {
     for (auto& parity : sh.outbox) parity.resize(count);
     for (auto& parity : sh.released) parity.resize(count);
     sh.active.reset(sh.end - sh.begin);
-    sh.wheel.assign(kWheelSize, {});
+    sh.wheel.assign(kWheelSize, kFireEnd);
     sh.far_fires = {};
-    sh.armed.assign(sh.end - sh.begin, 0);
+    sh.fire_next.assign(sh.end - sh.begin, kFireIdle);
     begin = sh.end;
   }
   queues_.assign(nodes, {});
-  link_busy_.assign(nodes * topo_.dims(), 0);
   occ_.assign(config_.buffer_limit != 0 ? nodes : 0, 0);
   in_flight_ = 0;
   parked_.clear();
@@ -271,7 +269,7 @@ void NetworkSim::apply_fault_events(Cycle now, bool measuring) {
 
 void NetworkSim::rearm_injection(NodeId u, Cycle now) {
   Shard& sh = shards_[shard_of(u)];
-  if (sh.armed[u - sh.begin] != 0) return;  // a live fire already exists
+  if (sh.fire_next[u - sh.begin] != kFireIdle) return;  // a fire is pending
   if (!traffic_.eligible(u)) return;
   // Dedicated re-arm draw stream: keyed off a salted seed so it can never
   // collide with the per-(node, cycle) injection draws — and is a pure
@@ -390,7 +388,6 @@ void NetworkSim::admit_packet(unsigned w, NodeId u, NodeId dst, Cycle now,
 
 void NetworkSim::fire_injection(unsigned w, NodeId u, Cycle now,
                                 bool measuring) {
-  shards_[w].armed[u - shards_[w].begin] = 0;  // this fire is consumed
   // A node that became ineligible since scheduling is descheduled; if a
   // later repair-node event makes it eligible again, rearm_injection gives
   // it a fresh fire.
@@ -412,12 +409,15 @@ void NetworkSim::fire_injection(unsigned w, NodeId u, Cycle now,
 }
 
 void NetworkSim::schedule_fire(Shard& sh, Cycle now, Cycle at, NodeId u) {
-  sh.armed[u - sh.begin] = 1;
+  NodeId& next = sh.fire_next[u - sh.begin];
   if (at - now < kWheelSize) {
     // Within the wheel's span the bucket index is unambiguous: no other
     // pending cycle in [now, now + kWheelSize) shares it.
-    sh.wheel[at & (kWheelSize - 1)].push_back(u);
+    NodeId& head = sh.wheel[at & (kWheelSize - 1)];
+    next = head;
+    head = u;
   } else {
+    next = kFireFar;
     sh.far_fires.push((at << kFireNodeBits) | u);
   }
 }
@@ -463,19 +463,25 @@ void NetworkSim::phase_inject(unsigned w, Cycle now, bool measuring) {
     sh.metrics.phase_drain_ns += ns_between(t0, t1);
   }
   // Event-driven injection: only nodes whose fire time is due do any work
-  // this cycle. Far-heap stragglers join the wheel bucket, which is then
-  // fired in ascending node order — the canonical injection order. Fires
-  // reschedule into later buckets (or the far heap), never the one being
-  // drained.
-  std::vector<NodeId>& bucket = sh.wheel[now & (kWheelSize - 1)];
+  // this cycle. Far-heap stragglers join the wheel bucket, whose list is
+  // then detached and fired in list order: the fires of one cycle touch
+  // disjoint state and no shared draw stream, so their order cannot reach
+  // a metric (see the header comment). A fire may file its node into a
+  // later bucket or the far heap (never the one being drained), which
+  // overwrites the node's fire_next, so its successor is read first.
+  NodeId& head = sh.wheel[now & (kWheelSize - 1)];
   while (!sh.far_fires.empty() &&
          (sh.far_fires.top() >> kFireNodeBits) <= now) {
-    bucket.push_back(static_cast<NodeId>(sh.far_fires.top() & kFireNodeMask));
+    const auto u = static_cast<NodeId>(sh.far_fires.top() & kFireNodeMask);
     sh.far_fires.pop();
+    sh.fire_next[u - sh.begin] = head;
+    head = u;
   }
-  std::sort(bucket.begin(), bucket.end());
-  for (const NodeId u : bucket) fire_injection(w, u, now, measuring);
-  bucket.clear();
+  for (NodeId u = std::exchange(head, kFireEnd); u != kFireEnd;) {
+    const NodeId next = std::exchange(sh.fire_next[u - sh.begin], kFireIdle);
+    fire_injection(w, u, now, measuring);
+    u = next;
+  }
   if (config_.buffer_limit != 0) {
     // Maintenance scan over live bits only: retire nodes whose queue
     // emptied last cycle, publish committed occupancy for the rest. (With
@@ -569,9 +575,13 @@ void NetworkSim::serve_node(unsigned w, NodeId u, Cycle now, bool measuring,
                             bool& moved, bool clean, std::uint32_t hint) {
   Shard& sh = shards_[w];
   SimMetrics& m = sh.metrics;
-  const Dim n = dims_;
   const unsigned parity = static_cast<unsigned>(now & 1);
   Ring<PacketRef>& queue = queues_[u];
+  // Bit c set iff u's dimension-c link carried a packet this cycle. Only
+  // this call sends over u's links (a node is served once per cycle), so
+  // the mask is the whole of link arbitration.
+  static_assert(kMaxDimension <= 32);
+  std::uint32_t used = 0;
   for (std::uint32_t served = 0;
        served < config_.service_rate && !queue.empty(); ++served) {
     const PacketRef ref = queue.front();
@@ -676,18 +686,13 @@ void NetworkSim::serve_node(unsigned w, NodeId u, Cycle now, bool measuring,
       }
       c = *hop;
     }
-    // Epoch-stamped link reservation: the directed link is free this cycle
-    // iff its stamp is older than now + 1 (stamps store now + 1 to keep 0
-    // free; 32-bit, see link_busy_). Every link written here starts at a
-    // node this shard owns.
-    std::uint32_t& stamp = link_busy_[static_cast<std::size_t>(u) * n + c];
-    const auto stamp_now = static_cast<std::uint32_t>(now + 1);
-    if (stamp == stamp_now) return;  // link busy: head-of-line blocking
+    const std::uint32_t link = std::uint32_t{1} << c;
+    if ((used & link) != 0) return;  // link busy: head-of-line blocking
     const NodeId v = flip_bit(u, c);
     if (config_.buffer_limit != 0 && occ_[v] >= config_.buffer_limit) {
       return;  // backpressure against start-of-cycle committed occupancy
     }
-    stamp = stamp_now;
+    used |= link;
     if (measuring) ++m.service_ops;
     // Only the audited sample records its hops (the audit path lives in
     // the tail); everyone else keeps just the hop count.
@@ -780,28 +785,21 @@ void NetworkSim::serve_word(unsigned w, std::size_t word_index, Cycle now,
   }
   if (nfast != 0) {
     fabric_->fault_free_hops(simd_, nfast, cur, dstv, hops);
-    for (unsigned i = 0; i < nfast; ++i) {
-      hints[fast_of[i]] = hops[i];
-      // The link-stamp store is the one remaining random access on the
-      // fast path (node_count * dims words); its address is known the
-      // moment the hop is — fetch it for write before the apply pass.
-      prefetch_write(
-          &link_busy_[static_cast<std::size_t>(cur[i]) * dims_ + hops[i]]);
-    }
+    for (unsigned i = 0; i < nfast; ++i) hints[fast_of[i]] = hops[i];
   }
   // Pass 3 (apply), strictly ascending node order: outbox push order is
   // the canonical order the determinism contract rests on. The read-only
   // passes above commute with these applies — within phase B, node
-  // services are mutually independent (per-(node, dim) link stamps, every
-  // handoff via the parity mailboxes), so each node's front packet and
-  // queue are exactly as the classify pass saw them.
+  // services are mutually independent (each arbitrates only its own
+  // links, every handoff goes via the parity mailboxes), so each node's
+  // front packet and queue are exactly as the classify pass saw them.
   //
   // The dominant shape at simulated loads — a depth-1 queue whose single
   // packet either takes its table hop or delivers — is applied inline (the
-  // exact serve_node semantics for that shape: one service, then the queue
-  // is empty); everything else takes the full path.
+  // exact serve_node semantics for that shape: the node's one service of
+  // the cycle, so its link is free, and then the queue is empty);
+  // everything else takes the full path.
   const unsigned parity = static_cast<unsigned>(now & 1);
-  const auto stamp_now = static_cast<std::uint32_t>(now + 1);
   SimMetrics& m = sh.metrics;
   for (unsigned i = 0; i < count; ++i) {
     const NodeId u = nodes[i];
@@ -815,19 +813,14 @@ void NetworkSim::serve_word(unsigned w, std::size_t word_index, Cycle now,
         sh.active.clear(u - sh.begin);
       } else {
         const Dim c = static_cast<Dim>(hint);
-        std::uint32_t& stamp =
-            link_busy_[static_cast<std::size_t>(u) * dims_ + c];
-        if (stamp != stamp_now) {  // else HOL-blocked: nothing served
-          stamp = stamp_now;
-          if (measuring) ++m.service_ops;
-          if (h.audited()) cold_of(ref).tail.push_back(c);
-          ++h.hops;
-          const NodeId v = flip_bit(u, c);
-          sh.outbox[parity][shard_of(v)].push_back({v, ref});
-          queue.pop_front();
-          moved = true;
-          sh.active.clear(u - sh.begin);
-        }
+        if (measuring) ++m.service_ops;
+        if (h.audited()) cold_of(ref).tail.push_back(c);
+        ++h.hops;
+        const NodeId v = flip_bit(u, c);
+        sh.outbox[parity][shard_of(v)].push_back({v, ref});
+        queue.pop_front();
+        moved = true;
+        sh.active.clear(u - sh.begin);
       }
       continue;
     }
@@ -1262,9 +1255,10 @@ SimCheckpoint NetworkSim::capture_checkpoint(Cycle next) {
   const Cycle base = now & ~(kWheelSize - 1);
   for (Shard& sh : shards_) {
     for (std::uint64_t b = 0; b < kWheelSize; ++b) {
-      for (const NodeId u : sh.wheel[b]) {
-        Cycle at = base | b;
-        if (at <= now) at += kWheelSize;
+      Cycle at = base | b;
+      if (at <= now) at += kWheelSize;
+      for (NodeId u = sh.wheel[b]; u != kFireEnd;
+           u = sh.fire_next[u - sh.begin]) {
         ck.fires.push_back({at, u});
       }
     }
@@ -1284,8 +1278,6 @@ SimCheckpoint NetworkSim::capture_checkpoint(Cycle next) {
             [](const CheckpointFire& a, const CheckpointFire& b) {
               return a.node < b.node;
             });
-
-  ck.link_stamps = link_busy_;
 
   // Fold every shard partial into the snapshot (commutative/associative
   // integer adds, same as the end-of-run reduction). The resumed run
@@ -1406,17 +1398,11 @@ void NetworkSim::apply_checkpoint(const SimCheckpoint& ck) {
       throw CheckpointError("fires", "fire due in the past");
     }
     Shard& sh = shards_[shard_of(f.node)];
-    if (sh.armed[f.node - sh.begin] != 0) {
+    if (sh.fire_next[f.node - sh.begin] != kFireIdle) {
       throw CheckpointError("fires", "duplicate fire for one node");
     }
     schedule_fire(sh, ck.resume_cycle - 1, f.at, f.node);
   }
-
-  if (ck.link_stamps.size() != link_busy_.size()) {
-    throw CheckpointError("links",
-                          "stamp table size != node_count * dims");
-  }
-  link_busy_ = ck.link_stamps;
 
   metrics_ = ck.metrics;
   in_flight_ = ck.in_flight;

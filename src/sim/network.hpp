@@ -53,11 +53,11 @@
 //     source-node order because shards are contiguous and ascending),
 //     injects new packets, and publishes its nodes' committed occupancy;
 //   phase B (forward): each worker serves its own queues. Every directed
-//     link is owned by its source node's shard, so link reservation
-//     stamps are written race-free; finite-buffer backpressure reads the
-//     phase-A occupancy snapshot; departures are handed to the
-//     destination shard through per-(source shard, destination shard)
-//     mailbox rings.
+//     link belongs to its source node, and a node is served once per
+//     cycle, so link arbitration is a bitmask local to that one service;
+//     finite-buffer backpressure reads the phase-A occupancy snapshot;
+//     departures are handed to the destination shard through
+//     per-(source shard, destination shard) mailbox rings.
 //
 // Mailbox and release rings are parity double-buffered (phase B of cycle
 // N fills buffer N & 1, phase A of cycle N drains buffer ~N & 1) and the
@@ -85,8 +85,17 @@
 //    receiving packets plus a timing wheel of pending injection fire times
 //    drawn from TrafficModel::injection_gap, so a cycle costs
 //    O(active nodes + handoffs + due injections) instead of O(all nodes).
-//    Draws stay pure per-(node, cycle) functions and the bitmap scan is
-//    ascending, preserving the determinism contract.
+//    The wheel is intrusive — a list head per cycle bucket and one link
+//    word per node — so it costs 4 bytes per node whatever the load. Draws
+//    stay pure per-(node, cycle) functions and the bitmap scan is
+//    ascending, preserving the determinism contract. The due fires of a
+//    cycle run in list order, not node order, and no metric can tell: a
+//    fire at u reads only pure functions of (seed, u, now) and the fault
+//    set (fixed during phase A), and writes only u's queue, u's active
+//    bit, u's next fire, one pool slot and summed counters. Slot numbers
+//    reach no metric and no checkpoint. Each thread count splits the
+//    lists differently, and the determinism and reference suites (the
+//    reference fires in ascending node order) still match field by field.
 //  * Batched advance: phase B consumes the active bitmap a word at a time.
 //    Each 64-node window is harvested with its front packets' 16-byte hot
 //    records prefetched, classified (arrived / table fast path /
@@ -95,11 +104,11 @@
 //    FaultOverlay::clean_window word — and then APPLIED strictly in
 //    ascending node order, because outbox push order is the canonical
 //    order the determinism contract rests on. Within phase B node services
-//    are mutually independent (per-(node, dim) link stamps; every handoff
-//    — intra-shard included — travels through the parity mailboxes), so
-//    the read-only harvest/classify passes commute with the applies. The
-//    classify and lookup passes have scalar and AVX2 kernels
-//    (util/simd.hpp), bit-identical by construction.
+//    are mutually independent (a node's links are arbitrated inside its
+//    own service; every handoff — intra-shard included — travels through
+//    the parity mailboxes), so the read-only harvest/classify passes
+//    commute with the applies. The classify and lookup passes have scalar
+//    and AVX2 kernels (util/simd.hpp), bit-identical by construction.
 //  * Next-hop fabric steering: packets are injected with NO routing
 //    state. At service time, a node the FaultOverlay calls clean — and
 //    whose router exposes a supported NextHopFabric — takes the fabric's
@@ -185,6 +194,12 @@ class NetworkSim {
   /// Simulation state is rebuilt from scratch on every call.
   [[nodiscard]] SimMetrics run();
 
+  /// Span of the injection timing wheel in cycles: it covers the mean gap
+  /// up to injection rates around 1/kWheelSize, and a fire filed further
+  /// out waits in a far heap. Public so tests can reach that heap.
+  static constexpr std::uint64_t kWheelBits = 13;
+  static constexpr std::uint64_t kWheelSize = std::uint64_t{1} << kWheelBits;
+
  private:
   /// A packet in transit to another shard's node, parked in a mailbox
   /// until the destination shard drains it at the next phase A.
@@ -222,17 +237,21 @@ class NetworkSim {
     /// buckets (O(1) schedule/drain; unambiguous because every wheel entry
     /// lies within kWheelSize cycles of now) with a far heap for the rare
     /// fire scheduled further out, keyed (cycle << kFireNodeBits) | node.
-    /// At most one entry per node across both (a node reschedules only
-    /// when its fire is consumed); each cycle's due nodes are fired in
-    /// ascending node order — the canonical injection order.
-    std::vector<std::vector<NodeId>> wheel;
+    /// Each bucket is an intrusive singly linked list of nodes: wheel[b]
+    /// holds its first node (kFireEnd when empty) and fire_next links the
+    /// rest. At most one entry per node across wheel and heap (a node
+    /// reschedules only when its fire is consumed); the order within a
+    /// bucket is unobservable (see the header comment).
+    std::vector<NodeId> wheel;
     std::priority_queue<std::uint64_t, std::vector<std::uint64_t>,
                         std::greater<>>
         far_fires;
-    /// Byte (u - begin) set iff node u has a pending injection fire in the
-    /// wheel or far heap. Lets a repair event re-arm a node whose fire was
-    /// consumed while it was ineligible without ever double-scheduling one.
-    std::vector<std::uint8_t> armed;
+    /// fire_next[u - begin]: the node after u in u's wheel bucket, or
+    /// kFireEnd (u is the bucket's last), kFireFar (u's fire sits in the
+    /// far heap) or kFireIdle (u has no pending fire). The idle mark lets a
+    /// repair event re-arm a node whose fire was consumed while it was
+    /// ineligible without ever double-scheduling one.
+    std::vector<NodeId> fire_next;
     /// Recovery mode: packets that found no usable continuation this
     /// cycle, in service order (= ascending node order). Drained at the
     /// serial commit into the park / retransmit / give-up decision.
@@ -255,7 +274,7 @@ class NetworkSim {
   void attach_schedule(FaultSet& faults, const FaultSchedule& schedule);
 
   /// Resolves the worker count and (re)builds all run state: shards with
-  /// balanced contiguous node ranges, empty queues, cleared link stamps.
+  /// balanced contiguous node ranges, empty queues, no pending fires.
   void configure_shards(unsigned shard_count);
   [[nodiscard]] unsigned shard_of(NodeId u) const noexcept;
   [[nodiscard]] PacketHot& hot_of(PacketRef ref) noexcept {
@@ -295,9 +314,9 @@ class NetworkSim {
   /// included).
   void admit_packet(unsigned w, NodeId u, NodeId dst, Cycle now,
                     bool measuring);
-  /// Consumes a due injection fire at u: draws the destination, admits the
-  /// packet, and reschedules from the gap distribution, all from the
-  /// counter_key(seed, u, now) stream.
+  /// Runs a due injection fire at u, already unlinked from the wheel:
+  /// draws the destination, admits the packet, and reschedules from the
+  /// gap distribution, all from the counter_key(seed, u, now) stream.
   void fire_injection(unsigned w, NodeId u, Cycle now, bool measuring);
   /// First-packet hints precomputed by the batched pass for serve_node:
   /// either "already at its destination", or the usable fabric hop the
@@ -338,10 +357,12 @@ class NetworkSim {
   static constexpr unsigned kFireNodeBits = kMaxDimension;
   static constexpr std::uint64_t kFireNodeMask =
       (std::uint64_t{1} << kFireNodeBits) - 1;
-  /// Timing-wheel span: covers the mean gap up to injection rates around
-  /// 1/kWheelSize; rarer-firing nodes overflow to the far heap.
-  static constexpr std::uint64_t kWheelBits = 13;
-  static constexpr std::uint64_t kWheelSize = std::uint64_t{1} << kWheelBits;
+  /// Shard::fire_next marks, above every NodeId (node_count <=
+  /// 2^kMaxDimension), so a wheel list link is never mistaken for one.
+  static constexpr NodeId kFireEnd = 0xFFFFFFFFu;
+  static constexpr NodeId kFireFar = 0xFFFFFFFEu;
+  static constexpr NodeId kFireIdle = 0xFFFFFFFDu;
+  static_assert(kMaxDimension < 32);
 
   /// Files a pending injection for node u at cycle `at` (> now except at
   /// pre-run seeding, where `at` may equal cycle 0).
@@ -351,8 +372,8 @@ class NetworkSim {
   /// `next`, in canonical shard-count-independent form: per-node
   /// effective queues (queue contents + pending mailbox arrivals in
   /// phase-A drain order), parked entries in wake order, pending fires as
-  /// absolute (cycle, node), link stamps, fault state, and the folded
-  /// metrics. See sim/checkpoint.hpp.
+  /// absolute (cycle, node), fault state, and the folded metrics. See
+  /// sim/checkpoint.hpp.
   [[nodiscard]] SimCheckpoint capture_checkpoint(Cycle next);
   /// Rebuilds run state from a loaded checkpoint (must run after
   /// configure_shards, before the overlay refresh and the cycle loop).
@@ -406,13 +427,6 @@ class NetworkSim {
   Cycle total_cycles_ = 0;   // warmup + measure, for fire scheduling
   std::vector<Shard> shards_;
   std::vector<Ring<PacketRef>> queues_;  // per-node FIFO, owner-shard only
-  /// Directed link stamps, owner-shard only: a link is busy this cycle iff
-  /// its stamp equals now + 1. 32-bit on purpose, which halves the array
-  /// and keeps more of the per-hop working set in cache; the constructor
-  /// refuses runs of 2^32 cycles or more, so now + 1 never wraps to the
-  /// 0 that marks an unused link and no two cycles of a run share a stamp.
-  /// Cleared at every run() start.
-  std::vector<std::uint32_t> link_busy_;
   std::vector<std::uint32_t> occ_;  // phase-A occupancy snapshot
   SimMetrics metrics_;  // serial/global fields; shard partials absorbed in
   std::uint64_t in_flight_ = 0;

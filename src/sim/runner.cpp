@@ -20,6 +20,12 @@ namespace {
 /// guaranteed to tolerate).
 FaultSet draw_fault_pattern(const GaussianCube& gc, std::size_t count,
                             std::uint64_t seed) {
+  // The draw below never ends when count exceeds the node count, and
+  // traffic needs two live nodes anyway. (Every cube has at least two
+  // nodes; count comes from the command line and may be near 2^64.)
+  GCUBE_REQUIRE(count <= gc.node_count() - 2,
+                "faulty node count leaves fewer than two live nodes in " +
+                    gc.name());
   Xoshiro256 rng(seed);
   for (int attempt = 0; attempt < 1000; ++attempt) {
     FaultSet faults;

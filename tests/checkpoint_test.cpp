@@ -331,9 +331,51 @@ TEST(Checkpoint, FormatVersionOneIsRefusedAtTheHeader) {
 }
 
 TEST(Checkpoint, FormatVersionTwoIsRefusedAtTheHeader) {
-  // Version 2 carried each packet's whole adopted plan where version 3
-  // carries only its remaining detour hops.
+  // Version 2 carried each packet's whole adopted plan where later
+  // versions carry only its remaining detour hops.
   expect_version_refused(2);
+}
+
+TEST(Checkpoint, FormatVersionThreeIsRefusedAtTheHeader) {
+  // Version 3 carried a per-link stamp table between the fires and the
+  // metrics; version 4 has no such section.
+  expect_version_refused(3);
+}
+
+TEST(Checkpoint, ResumeCarriesFiresPendingInTheFarHeap) {
+  // At rate 5e-4 the mean injection gap is 2,000 cycles, so at the halt
+  // some nodes' next fires lie more than a wheel span out, in the far
+  // heap. The checkpoint must carry them and the resume, at another
+  // thread count, must file them again.
+  const GaussianCube gc(10, 4);
+  const auto run = [&](std::uint32_t threads, const std::string& path,
+                       Cycle halt, const std::string& resume) {
+    SimConfig cfg = base_config();
+    cfg.injection_rate = 5e-4;
+    cfg.measure_cycles = 12000;
+    cfg.threads = threads;
+    cfg.checkpoint_path = path;
+    cfg.halt_at_cycle = halt;
+    cfg.resume_from = resume;
+    FaultSet faults;
+    for (const NodeId v : {5u, 200u, 411u}) faults.fail_node(v);
+    const FtgcrRouter router(gc, faults);
+    return NetworkSim(gc, router, faults, cfg).run();
+  };
+  const SimMetrics uninterrupted = run(1, "", 0, "");
+  EXPECT_GT(uninterrupted.delivered, 0u);
+  const std::string path = tmp_path("far_heap");
+  remove_generations(path);
+  ASSERT_EQ(run(1, path, 1000, "").interrupted_at, 1000u);
+  const SimCheckpoint ck = load_checkpoint(path);
+  const auto far = std::count_if(
+      ck.fires.begin(), ck.fires.end(), [&](const CheckpointFire& f) {
+        return f.at >= ck.resume_cycle + NetworkSim::kWheelSize;
+      });
+  EXPECT_GT(far, 0) << "no pending fire lies past the wheel's span";
+  const SimMetrics resumed = run(4, "", 0, path);
+  EXPECT_TRUE(resumed.deterministic_equals(uninterrupted));
+  remove_generations(path);
 }
 
 TEST(Checkpoint, PresetStopRequestHaltsAtTheFirstSerialPoint) {
@@ -368,7 +410,7 @@ TEST(Checkpoint, EveryByteFlipIsRefusedWithASectionName) {
   ASSERT_GT(good.size(), 100u);
   const std::vector<std::string> sections = {
       "header", "trailer", "provenance", "config", "globals",
-      "faults", "packets", "parked",     "fires",  "links",   "metrics"};
+      "faults", "packets", "parked",     "fires",  "metrics"};
   for (std::size_t i = 0; i < good.size(); ++i) {
     std::vector<std::uint8_t> bad = good;
     bad[i] ^= 0x20;

@@ -3,12 +3,12 @@
 // NetworkSim must reproduce run_reference_sim (reference_sim.hpp) on every
 // deterministic metric, histogram buckets included, at 1 and 4 threads.
 // The reference shares none of the simulator's machinery, so a match pins
-// the active set, the timing wheel, the batched advance at the running
-// SIMD level, the shard mailboxes, the fault overlay and the next-hop
-// fabric to the model they implement. Cells named "Planned" route traffic
-// that adopts router plans: FTGCR packets at fault-adjacent nodes (table
-// steering everywhere else), e-cube and unsupported-fabric packets at
-// their source. The "Steered" cell never adopts one.
+// the active set, the timing wheel and its far heap, the batched advance
+// at the running SIMD level, the shard mailboxes, the fault overlay and
+// the next-hop fabric to the model they implement. Cells named "Planned"
+// route traffic that adopts router plans: FTGCR packets at fault-adjacent
+// nodes (table steering everywhere else), e-cube and unsupported-fabric
+// packets at their source. The "Steered" cell never adopts one.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -28,6 +28,7 @@
 #include "sim/network.hpp"
 #include "sim_test_support.hpp"
 #include "topology/gaussian_cube.hpp"
+#include "util/rng.hpp"
 
 namespace gcube {
 namespace {
@@ -191,6 +192,43 @@ TEST(ReferenceSim, SteeredFfgcrFaultFree) {
                                                  .modulus = 4,
                                                  .router = RouterKind::kFfgcr});
   EXPECT_EQ(m.reroutes, 0u);
+}
+
+/// Nodes whose first injection fire, drawn before cycle 0 from the same
+/// traffic model, lands a whole wheel span or more out yet inside the
+/// run: NetworkSim files each of those in its far heap.
+std::size_t far_first_fires(const Cell& cell) {
+  FaultSet faults;
+  for (const NodeId u : cell.static_faults) faults.fail_node(u);
+  const std::uint64_t nodes = pow2(cell.n);
+  const UniformTraffic traffic(nodes, cell.sim.injection_rate, faults,
+                               cell.sim.seed);
+  const Cycle total = cell.sim.warmup_cycles + cell.sim.measure_cycles;
+  std::size_t far = 0;
+  for (NodeId u = 0; u < nodes; ++u) {
+    if (!traffic.eligible(u)) continue;
+    CounterRng rng(counter_key(cell.sim.seed, u, ~Cycle{0}));
+    const std::uint64_t gap = traffic.injection_gap(u, rng);
+    if (gap != TrafficModel::kNeverGap && gap - 1 >= NetworkSim::kWheelSize &&
+        gap - 1 < total) {
+      ++far;
+    }
+  }
+  return far;
+}
+
+TEST(ReferenceSim, PlannedFtgcrLowRateReachesTheFarHeap) {
+  // A mean injection gap of 2,000 cycles files some fires past the timing
+  // wheel's span, so the far heap and its splice into the due bucket run.
+  Cell cell{.label = "GC(10,4) rate 5e-4",
+            .n = 10,
+            .modulus = 4,
+            .static_faults = {5, 200, 411, 630, 999}};
+  cell.sim.injection_rate = 5e-4;
+  cell.sim.warmup_cycles = 0;
+  cell.sim.measure_cycles = 12000;
+  EXPECT_GT(far_first_fires(cell), 0u);
+  EXPECT_GT(expect_matches_reference(cell).reroutes, 0u);
 }
 
 TEST(ReferenceSim, PlannedFtgcrUnsupportedFabricScheduledFaults) {

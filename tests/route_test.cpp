@@ -82,7 +82,16 @@ TEST(ValidateRoute, RejectsFaultyLink) {
   r.append(1);
   const auto check = validate_route(h, faults, r);
   EXPECT_FALSE(check.ok);
-  EXPECT_NE(check.reason.find("unusable"), std::string::npos);
+  EXPECT_EQ(check.reason,
+            "hop 0 (dim 1 at node 0): link unusable under fault set");
+  // A later hop names its own index and the node it leaves from.
+  Route longer(0);
+  longer.append(0);
+  longer.append(2);
+  longer.append(1);
+  faults.fail_link(0b101, 1);
+  EXPECT_EQ(validate_route(h, faults, longer).reason,
+            "hop 2 (dim 1 at node 5): link unusable under fault set");
 }
 
 TEST(ValidateRoute, RejectsRouteThroughFaultyNode) {

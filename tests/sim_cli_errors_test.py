@@ -20,6 +20,12 @@ REFUSED = [
      "--retransmit-timeout", "4294967296"],
     ["--retry-limit", "2", "--retry-backoff", "18446744073709551615"],
     ["--retry-limit", "2", "--retry-backoff", "4294967296"],
+    # GC(6,2) has 64 nodes and traffic needs two live ones. 64 faults
+    # leave none; 65 are more than the cube has, which once spun forever
+    # in the fault draw, out of reach of SIGTERM.
+    ["--faults", "64"],
+    ["--faults", "65"],
+    ["--faults", "18446744073709551615"],
 ]
 
 
