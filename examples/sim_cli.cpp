@@ -42,6 +42,7 @@
 
 #include "sim/runner.hpp"
 #include "util/cli.hpp"
+#include "util/error.hpp"
 #include "util/simd.hpp"
 #include "util/table.hpp"
 
@@ -251,6 +252,11 @@ int main(int argc, char** argv) {
       return 130;
     }
     return m.deadlocked ? 3 : 0;
+  } catch (const gcube::RequirementError& e) {
+    // A refused setting reads as its plain sentence, without the source
+    // location and condition that what() carries for library callers.
+    std::cerr << "error: " << e.message() << "\n";
+    return 2;
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 2;

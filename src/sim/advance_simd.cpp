@@ -1,5 +1,8 @@
 #include "sim/advance_simd.hpp"
 
+#include <cassert>
+#include <cstddef>
+
 #if defined(__x86_64__)
 #include <immintrin.h>
 #endif
@@ -7,18 +10,20 @@
 namespace gcube {
 namespace {
 
-ClassifyMasks classify_scalar(unsigned count, const PacketHot* const* hot,
+// `guard` is hop_limit << kHopShift: hops < hop_limit exactly when
+// hop_flags < guard, whatever the flag bits below the count.
+ClassifyMasks classify_scalar(unsigned count, const PacketHot* hot,
                               const NodeId* nodes, NodeId base,
                               std::uint64_t clean,
-                              std::uint32_t hop_limit) noexcept {
+                              std::uint32_t guard) noexcept {
   ClassifyMasks m;
   for (unsigned i = 0; i < count; ++i) {
-    const PacketHot& h = *hot[i];
+    const PacketHot& h = hot[i];
     const NodeId u = nodes[i];
     if (u == h.dst) {
       m.arrived |= std::uint64_t{1} << i;
-    } else if ((h.flags & kPktDetour) == 0 &&
-               ((clean >> (u - base)) & 1) != 0 && h.hops < hop_limit) {
+    } else if ((h.hop_flags & kPktDetour) == 0 &&
+               ((clean >> (u - base)) & 1) != 0 && h.hop_flags < guard) {
       m.fast |= std::uint64_t{1} << i;
     }
   }
@@ -30,44 +35,44 @@ ClassifyMasks classify_scalar(unsigned count, const PacketHot* const* hot,
 // ---- AVX2: 8 records per group --------------------------------------------
 
 __attribute__((target("avx2"))) ClassifyMasks classify_avx2(
-    unsigned count, const PacketHot* const* hot, const NodeId* nodes,
-    NodeId base, std::uint64_t clean, std::uint32_t hop_limit) noexcept {
+    unsigned count, const PacketHot* hot, const NodeId* nodes, NodeId base,
+    std::uint64_t clean, std::uint32_t guard) noexcept {
+  static_assert(offsetof(PacketHot, dst) == 0 &&
+                    offsetof(PacketHot, hop_flags) == 8,
+                "the shuffles below pick words 0 and 2 of each record");
   ClassifyMasks m;
   const __m256i zero = _mm256_setzero_si256();
   const __m256i basev = _mm256_set1_epi32(static_cast<int>(base));
   const __m256i one64 = _mm256_set1_epi64x(1);
   const __m256i cleanv = _mm256_set1_epi64x(static_cast<long long>(clean));
   const __m256i vdetour = _mm256_set1_epi32(static_cast<int>(kPktDetour));
-  // Unsigned 32-bit compare via sign-bias (hop_limit may use the full
-  // uint32 range when configured explicitly).
+  // Unsigned 32-bit compare via sign-bias (the guard may use most of the
+  // uint32 range when the hop limit is configured explicitly).
   const __m256i bias = _mm256_set1_epi32(static_cast<int>(0x80000000u));
-  const __m256i vlimit = _mm256_xor_si256(
-      _mm256_set1_epi32(static_cast<int>(hop_limit)), bias);
+  const __m256i vguard =
+      _mm256_xor_si256(_mm256_set1_epi32(static_cast<int>(guard)), bias);
+  // The shuffles leave the lanes in record order 0 2 4 6 | 1 3 5 7; this
+  // permutation puts lane j back on record j.
+  const __m256i in_order = _mm256_setr_epi32(0, 4, 1, 5, 2, 6, 3, 7);
   unsigned i = 0;
   for (; i + 8 <= count; i += 8) {
-    // Two records per 256-bit load half: v_k holds records i+k (low lane)
-    // and i+k+4 (high lane); three unpack rounds transpose the group into
-    // one lane vector per PacketHot field, lane j <-> record i+j (the
-    // fourth field is the record's alignment padding, never read).
-    const __m256i v0 = _mm256_set_m128i(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(hot[i + 4])),
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(hot[i + 0])));
-    const __m256i v1 = _mm256_set_m128i(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(hot[i + 5])),
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(hot[i + 1])));
-    const __m256i v2 = _mm256_set_m128i(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(hot[i + 6])),
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(hot[i + 2])));
-    const __m256i v3 = _mm256_set_m128i(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(hot[i + 7])),
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(hot[i + 3])));
-    const __m256i lo01 = _mm256_unpacklo_epi32(v0, v1);  // dst dst hop hop
-    const __m256i hi01 = _mm256_unpackhi_epi32(v0, v1);  // fl fl pad pad
-    const __m256i lo23 = _mm256_unpacklo_epi32(v2, v3);
-    const __m256i hi23 = _mm256_unpackhi_epi32(v2, v3);
-    const __m256i dstv = _mm256_unpacklo_epi64(lo01, lo23);
-    const __m256i hopsv = _mm256_unpackhi_epi64(lo01, lo23);
-    const __m256i flv = _mm256_unpacklo_epi64(hi01, hi23);
+    // Two records per 256-bit load, one per 128-bit half: r01 holds
+    // records i and i+1, and so on.
+    const auto* group = reinterpret_cast<const __m256i*>(hot + i);
+    const __m256 r01 = _mm256_castsi256_ps(_mm256_loadu_si256(group));
+    const __m256 r23 = _mm256_castsi256_ps(_mm256_loadu_si256(group + 1));
+    const __m256 r45 = _mm256_castsi256_ps(_mm256_loadu_si256(group + 2));
+    const __m256 r67 = _mm256_castsi256_ps(_mm256_loadu_si256(group + 3));
+    // Words 0 (dst) and 2 (hop_flags) of each record, per 128-bit half:
+    // a = dst hf dst hf of records i, i+2 (low) and i+1, i+3 (high).
+    const __m256 a = _mm256_shuffle_ps(r01, r23, _MM_SHUFFLE(2, 0, 2, 0));
+    const __m256 b = _mm256_shuffle_ps(r45, r67, _MM_SHUFFLE(2, 0, 2, 0));
+    const __m256i dstv = _mm256_permutevar8x32_epi32(
+        _mm256_castps_si256(_mm256_shuffle_ps(a, b, _MM_SHUFFLE(2, 0, 2, 0))),
+        in_order);
+    const __m256i hfv = _mm256_permutevar8x32_epi32(
+        _mm256_castps_si256(_mm256_shuffle_ps(a, b, _MM_SHUFFLE(3, 1, 3, 1))),
+        in_order);
     const __m256i uv = _mm256_loadu_si256(
         reinterpret_cast<const __m256i*>(nodes + i));
 
@@ -75,10 +80,10 @@ __attribute__((target("avx2"))) ClassifyMasks classify_avx2(
         _mm256_castsi256_ps(_mm256_cmpeq_epi32(uv, dstv))));
     const auto no_detour = static_cast<std::uint32_t>(_mm256_movemask_ps(
         _mm256_castsi256_ps(_mm256_cmpeq_epi32(
-            _mm256_and_si256(flv, vdetour), zero))));
+            _mm256_and_si256(hfv, vdetour), zero))));
     const auto under = static_cast<std::uint32_t>(_mm256_movemask_ps(
         _mm256_castsi256_ps(_mm256_cmpgt_epi32(
-            vlimit, _mm256_xor_si256(hopsv, bias)))));
+            vguard, _mm256_xor_si256(hfv, bias)))));
     // Clean bits: shift the shared 64-bit window right by each lane's
     // node offset (widened to 64-bit lanes for the variable shift).
     const __m256i off = _mm256_sub_epi32(uv, basev);
@@ -101,8 +106,8 @@ __attribute__((target("avx2"))) ClassifyMasks classify_avx2(
     m.fast |= static_cast<std::uint64_t>(fast) << i;
   }
   if (i < count) {
-    const ClassifyMasks tail = classify_scalar(count - i, hot + i, nodes + i,
-                                               base, clean, hop_limit);
+    const ClassifyMasks tail =
+        classify_scalar(count - i, hot + i, nodes + i, base, clean, guard);
     m.arrived |= tail.arrived << i;
     m.fast |= tail.fast << i;
   }
@@ -114,18 +119,20 @@ __attribute__((target("avx2"))) ClassifyMasks classify_avx2(
 }  // namespace
 
 ClassifyMasks classify_front_packets(SimdLevel level, unsigned count,
-                                     const PacketHot* const* hot,
+                                     const PacketHot* hot,
                                      const NodeId* nodes, NodeId base,
                                      std::uint64_t clean,
                                      std::uint32_t hop_limit) noexcept {
+  assert(hop_limit < kHopCountLimit);
+  const std::uint32_t guard = hop_limit << kHopShift;
 #if defined(__x86_64__)
   if (level >= SimdLevel::kAvx2) {
-    return classify_avx2(count, hot, nodes, base, clean, hop_limit);
+    return classify_avx2(count, hot, nodes, base, clean, guard);
   }
 #else
   (void)level;
 #endif
-  return classify_scalar(count, hot, nodes, base, clean, hop_limit);
+  return classify_scalar(count, hot, nodes, base, clean, guard);
 }
 
 }  // namespace gcube

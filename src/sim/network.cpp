@@ -45,6 +45,11 @@ NetworkSim::NetworkSim(const Topology& topo, const Router& router,
                 "warmup + measure cycles exceed the simulator's cycle range");
   GCUBE_REQUIRE(config.threads <= kMaxPoolShards,
                 "thread count exceeds the packet-reference shard space");
+  // The packet record keeps its hop count in 24 bits above the flags, and
+  // the classify kernels compare against hop_limit << kHopShift; the
+  // automatic limit is at most 16 * 26 + 64 = 480.
+  GCUBE_REQUIRE(hop_limit_ < kHopCountLimit,
+                "reroute hop limit must be below 2^24 hops");
   GCUBE_REQUIRE(config.retry_limit <= 32,
                 "retry limit above 32 would overflow the backoff shift");
   GCUBE_REQUIRE(config.retry_backoff_base >= 1,
@@ -159,7 +164,8 @@ void NetworkSim::configure_shards(unsigned shard_count) {
     sh.fire_next.assign(sh.end - sh.begin, kFireIdle);
     begin = sh.end;
   }
-  queues_.assign(nodes, {});
+  queues_.clear();
+  queues_.resize(nodes);
   occ_.assign(config_.buffer_limit != 0 ? nodes : 0, 0);
   in_flight_ = 0;
   parked_.clear();
@@ -179,25 +185,35 @@ unsigned NetworkSim::shard_of(NodeId u) const noexcept {
       range_rem_ + (u - split) / (range_base_ == 0 ? 1 : range_base_));
 }
 
-void NetworkSim::release_ref(unsigned w, PacketRef ref, unsigned parity) {
-  const unsigned home = packet_ref_shard(ref);
+void NetworkSim::clear_cold_hops(const PacketHot& h) {
+  // Only a detour or the audit sample puts hops in the lists.
+  if ((h.hop_flags & (kPktDetour | kPktAudited)) == 0) return;
+  PacketCold& c = cold_of(h.cold);
+  c.detour.clear();
+  c.tail.clear();
+}
+
+void NetworkSim::retire_packet(unsigned w, const PacketHot& h,
+                               unsigned parity) {
+  clear_cold_hops(h);
+  const unsigned home = packet_ref_shard(h.cold);
   if (home == w) {
-    shards_[home].pool.release(packet_ref_slot(ref));
+    shards_[home].pool.release(packet_ref_slot(h.cold));
   } else {
     // Foreign pools may not be touched from phase B (their owners grow and
     // release into them concurrently); route the slot home through the
     // current-parity release ring, drained by the owner's next phase A.
-    shards_[w].released[parity][home].push_back(ref);
+    shards_[w].released[parity][home].push_back(h.cold);
   }
 }
 
 std::size_t NetworkSim::discard_packets_at(NodeId u) {
   std::size_t lost = 0;
-  Ring<PacketRef>& queue = queues_[u];
+  Ring<PacketHot>& queue = queues_[u];
   while (!queue.empty()) {
-    const PacketRef ref = queue.front();
+    const PacketHot& h = queue.front();
+    retire_packet(packet_ref_shard(h.cold), h, 0);
     queue.pop_front();
-    shards_[packet_ref_shard(ref)].pool.release(packet_ref_slot(ref));
     ++lost;
   }
   // Packets already forwarded to u but still parked in a mailbox are lost
@@ -212,8 +228,7 @@ std::size_t NetworkSim::discard_packets_at(NodeId u) {
         const Arrival a = box.front();
         box.pop_front();
         if (a.node == u) {
-          shards_[packet_ref_shard(a.ref)].pool.release(
-              packet_ref_slot(a.ref));
+          retire_packet(packet_ref_shard(a.hot.cold), a.hot, 0);
           ++lost;
         } else {
           box.push_back(a);
@@ -295,12 +310,12 @@ void NetworkSim::commit_stranded(Cycle now, bool measuring,
     while (!sh.stranded.empty()) {
       const Arrival s = sh.stranded.front();
       sh.stranded.pop_front();
-      PacketCold& p = cold_of(s.ref);
+      PacketCold& p = cold_of(s.hot.cold);
       if (p.retry_attempts < config_.retry_limit &&
           parked_count_[s.node] < config_.park_capacity) {
         const Cycle delay = config_.retry_backoff_base << p.retry_attempts;
         ++p.retry_attempts;
-        parked_.emplace(now + delay, Parked{s.node, s.ref, false});
+        parked_.emplace(now + delay, Parked{s.node, false, s.hot});
         ++parked_count_[s.node];
         ++parked_now_;
         if (measuring) ++metrics_.parked_retries;
@@ -310,11 +325,11 @@ void NetworkSim::commit_stranded(Cycle now, bool measuring,
         ++p.retransmits_used;
         p.retry_attempts = 0;
         parked_.emplace(now + config_.retransmit_timeout,
-                        Parked{p.src, s.ref, true});
+                        Parked{p.src, true, s.hot});
         ++parked_now_;
         if (measuring) ++metrics_.retransmits;
       } else {
-        shards_[packet_ref_shard(s.ref)].pool.release(packet_ref_slot(s.ref));
+        retire_packet(packet_ref_shard(s.hot.cold), s.hot, 0);
         ++gave_up_removed;
         if (measuring) ++metrics_.gave_up;
       }
@@ -324,13 +339,13 @@ void NetworkSim::commit_stranded(Cycle now, bool measuring,
 
 void NetworkSim::wake_parked(Cycle now, bool measuring) {
   while (!parked_.empty() && parked_.begin()->first <= now) {
-    const Parked pk = parked_.begin()->second;
+    Parked pk = parked_.begin()->second;
     parked_.erase(parked_.begin());
     --parked_now_;
     if (!pk.respawn) --parked_count_[pk.node];
     if (faults_.node_faulty(pk.node)) {
       // The wake site died while the packet was parked: lost with it.
-      shards_[packet_ref_shard(pk.ref)].pool.release(packet_ref_slot(pk.ref));
+      retire_packet(packet_ref_shard(pk.hot.cold), pk.hot, 0);
       --in_flight_;
       if (measuring) ++metrics_.orphaned_by_node_fault;
       continue;
@@ -340,16 +355,12 @@ void NetworkSim::wake_parked(Cycle now, bool measuring) {
       // end-to-end including the recovery delay), no detour, no table
       // mode, no hops. The audit-sample membership is a pure function of
       // the id, so the flag survives the reset.
-      PacketHot& h = hot_of(pk.ref);
-      PacketCold& c = cold_of(pk.ref);
-      c.detour.clear();
-      c.tail.clear();
-      h.hops = 0;
-      h.flags &= kPktAudited;
+      clear_cold_hops(pk.hot);
+      pk.hot.hop_flags &= kPktAudited;
     }
     // Re-entry bypasses buffer_limit: the packet never left the network,
     // so blocking it here would leak it from the accounting.
-    queues_[pk.node].push_back(pk.ref);
+    queues_[pk.node].push_back(pk.hot);
     Shard& sh = shards_[shard_of(pk.node)];
     sh.active.set(pk.node - sh.begin);
   }
@@ -367,21 +378,21 @@ void NetworkSim::admit_packet(unsigned w, NodeId u, NodeId dst, Cycle now,
   }
   // Packets launch with no routing state at all: the fabric tables, or a
   // detour adopted where the table route is blocked, decide every hop at
-  // service time. release() leaves recycled slots with flags == 0 and
-  // empty hop lists, so every other field is (re)initialized here.
+  // service time. Recycled cold slots come back with empty hop lists, so
+  // every other field is (re)initialized here. The record travels by
+  // value from here on; the cold slot stays in this shard's pool.
   const PacketIndex slot = sh.pool.acquire();
-  PacketHot& h = sh.pool.hot(slot);
   PacketCold& c = sh.pool.cold(slot);
   const std::uint64_t id = now * node_count_ + u;  // unique, no shared ctr
-  h.dst = dst;
-  h.hops = 0;
-  h.flags = (id & 63) == 0 ? kPktAudited : 0;
   c.id = id;
   c.src = u;
-  c.created = now;
   c.retry_attempts = 0;
   c.retransmits_used = 0;
-  queues_[u].push_back(make_packet_ref(w, slot));
+  queues_[u].push_back(
+      {.dst = dst,
+       .created = static_cast<std::uint32_t>(now),  // runs end below 2^32
+       .hop_flags = (id & 63) == 0 ? kPktAudited : 0,
+       .cold = make_packet_ref(w, slot)});
   sh.active.set(u - sh.begin);
   ++sh.injected;
 }
@@ -429,12 +440,13 @@ void NetworkSim::phase_inject(unsigned w, Cycle now, bool measuring) {
   sh.moved = false;
   std::chrono::steady_clock::time_point t0, t1;
   if (timing_) t0 = std::chrono::steady_clock::now();
-  // Batch-drain the opposite-parity rings: slots other shards released
-  // from this pool, then last cycle's arrivals in ascending source-shard
-  // order; shards are contiguous and ascending, so that equals ascending
-  // source-node order — the canonical queue order, independent of shard
-  // count. Indexed batch + clear instead of per-packet pop_front: one
-  // bounds check and head/count update per ring, not per handoff.
+  // Batch-drain the opposite-parity rings: cold slots other shards
+  // released into this pool, then last cycle's arrivals in ascending
+  // source-shard order; shards are contiguous and ascending, so that
+  // equals ascending source-node order — the canonical queue order,
+  // independent of shard count. Indexed batch + clear instead of
+  // per-packet pop_front: one bounds check and head/count update per
+  // ring, not per handoff.
   const unsigned prev = static_cast<unsigned>(~now & 1);
   const auto shard_count = static_cast<unsigned>(shards_.size());
   for (unsigned s = 0; s < shard_count; ++s) {
@@ -452,8 +464,8 @@ void NetworkSim::phase_inject(unsigned w, Cycle now, bool measuring) {
       if (i + kPrefetchAhead < arrivals) {
         prefetch_write(&queues_[box.at(i + kPrefetchAhead).node]);
       }
-      const Arrival a = box.at(i);
-      queues_[a.node].push_back(a.ref);
+      const Arrival& a = box.at(i);
+      queues_[a.node].push_back(a.hot);
       sh.active.set(a.node - sh.begin);
     }
     box.clear();
@@ -504,38 +516,40 @@ void NetworkSim::phase_inject(unsigned w, Cycle now, bool measuring) {
   }
 }
 
-inline void NetworkSim::deliver(unsigned w, Ring<PacketRef>& queue,
-                                PacketRef ref, const PacketHot& h, Cycle now,
+inline void NetworkSim::deliver(unsigned w, Ring<PacketHot>& queue,
+                                const PacketHot& h, Cycle now,
                                 bool measuring, bool& moved) {
   Shard& sh = shards_[w];
   if (h.audited()) {
-    const PacketCold& c = cold_of(ref);
+    const PacketCold& c = cold_of(h.cold);
     NodeId replay = c.src;
-    for (std::uint32_t i = 0; i < h.hops; ++i) {
+    for (std::uint32_t i = 0; i < h.hops(); ++i) {
       replay = flip_bit(replay, c.tail[i]);
     }
     GCUBE_REQUIRE(replay == h.dst,
                   "delivered packet's recorded path must end at dst");
   }
   if (measuring) {
+    // Everything accounted here is in the record: a delivery outside the
+    // audit sample reads no cold line.
     SimMetrics& m = sh.metrics;
-    const PacketCold& c = cold_of(ref);
-    if (c.created < config_.warmup_cycles) {
+    const Cycle created = h.created;
+    if (created < config_.warmup_cycles) {
       // Warmup-generated packet completing inside the window: real work,
       // but counting it in delivered/latency would let the delivery ratio
       // exceed the offered load and skew the averages.
       ++m.carryover_delivered;
     } else {
       ++m.delivered;
-      m.total_latency += now - c.created;
-      m.total_hops += h.hops;
-      m.latency_histogram.record(now - c.created);
+      m.total_latency += now - created;
+      m.total_hops += h.hops();
+      m.latency_histogram.record(now - created);
     }
     ++m.service_ops;
   }
   ++sh.removed;
+  retire_packet(w, h, static_cast<unsigned>(now & 1));
   queue.pop_front();
-  release_ref(w, ref, static_cast<unsigned>(now & 1));
   moved = true;
 }
 
@@ -548,7 +562,7 @@ bool NetworkSim::table_route_clean(NodeId u, NodeId dst) const noexcept {
   return true;
 }
 
-void NetworkSim::adopt_detour(PacketRef ref, PacketHot& h, const Route& plan) {
+void NetworkSim::adopt_detour(PacketHot& h, const Route& plan) {
   const std::vector<Dim>& hops = plan.hops();
   // The off-table prefix ends after the last hop that differs from the
   // table hop where it is taken (a hop past an early visit to dst is never
@@ -563,12 +577,12 @@ void NetworkSim::adopt_detour(PacketRef ref, PacketHot& h, const Route& plan) {
     }
   }
   if (prefix == 0) {
-    h.flags |= kPktTable;  // the plan is the table route itself
+    h.hop_flags |= kPktTable;  // the plan is the table route itself
     return;
   }
-  PacketCold& cd = cold_of(ref);
+  PacketCold& cd = cold_of(h.cold);
   for (std::size_t i = 0; i < prefix; ++i) cd.detour.push_back(hops[i]);
-  h.flags |= kPktDetour;
+  h.hop_flags |= kPktDetour;
 }
 
 void NetworkSim::serve_node(unsigned w, NodeId u, Cycle now, bool measuring,
@@ -576,7 +590,7 @@ void NetworkSim::serve_node(unsigned w, NodeId u, Cycle now, bool measuring,
   Shard& sh = shards_[w];
   SimMetrics& m = sh.metrics;
   const unsigned parity = static_cast<unsigned>(now & 1);
-  Ring<PacketRef>& queue = queues_[u];
+  Ring<PacketHot>& queue = queues_[u];
   // Bit c set iff u's dimension-c link carried a packet this cycle. Only
   // this call sends over u's links (a node is served once per cycle), so
   // the mask is the whole of link arbitration.
@@ -584,13 +598,14 @@ void NetworkSim::serve_node(unsigned w, NodeId u, Cycle now, bool measuring,
   std::uint32_t used = 0;
   for (std::uint32_t served = 0;
        served < config_.service_rate && !queue.empty(); ++served) {
-    const PacketRef ref = queue.front();
-    PacketHot& h = hot_of(ref);
+    // The front record is edited in place: a packet that stays (a busy
+    // link, backpressure) keeps the routing state it just took on.
+    PacketHot& h = queue.front();
     // The batched pass precomputed the front packet's disposition; every
     // later packet of the queue takes the full decision tree.
     const std::uint32_t hd = served == 0 ? hint : kHintNone;
     if (hd == kHintArrived || (hd == kHintNone && u == h.dst)) {
-      deliver(w, queue, ref, h, now, measuring, moved);
+      deliver(w, queue, h, now, measuring, moved);
       continue;
     }
     // A dropped packet leaves the network for good; dropping counts as
@@ -598,8 +613,8 @@ void NetworkSim::serve_node(unsigned w, NodeId u, Cycle now, bool measuring,
     const auto drop_hop_limit = [&]() {
       if (measuring) ++m.dropped_hop_limit;
       ++sh.removed;
+      retire_packet(w, h, parity);
       queue.pop_front();
-      release_ref(w, ref, parity);
       moved = true;
     };
     // A packet with no usable continuation is dropped outright in legacy
@@ -608,11 +623,11 @@ void NetworkSim::serve_node(unsigned w, NodeId u, Cycle now, bool measuring,
     // A stranded packet stays in flight (not counted in sh.removed).
     const auto strand = [&]() {
       if (retries_) {
-        sh.stranded.push_back({u, ref});
+        sh.stranded.push_back({u, h});
       } else {
         if (measuring) ++m.dropped_no_route;
         ++sh.removed;
-        release_ref(w, ref, parity);
+        retire_packet(w, h, parity);
       }
       queue.pop_front();
       moved = true;
@@ -624,31 +639,31 @@ void NetworkSim::serve_node(unsigned w, NodeId u, Cycle now, bool measuring,
       // table lookup already ran — the hint IS the usable hop.
       c = static_cast<Dim>(hd);
     } else {
-      if (h.hops >= hop_limit_) {
+      if (h.hops() >= hop_limit_) {
         drop_hop_limit();  // livelock guard: re-adopted plans cycled
         continue;
       }
       std::optional<Dim> hop;
-      if ((h.flags & kPktDetour) != 0) {
+      if ((h.hop_flags & kPktDetour) != 0) {
         // Taking a detour adopted at an earlier node; verify its next hop
         // is still alive before taking it.
-        PacketCold& cd = cold_of(ref);
+        PacketCold& cd = cold_of(h.cold);
         const Dim dc = cd.detour.front();
         if (faults_.link_usable(u, dc)) {
           hop = dc;
         } else {
           if (measuring) ++m.reroutes;
           cd.detour.clear();  // died underfoot: re-steer from this node
-          h.flags &= ~kPktDetour;
+          h.hop_flags &= ~kPktDetour;
         }
-      } else if ((h.flags & kPktTable) != 0 && !clean) {
+      } else if ((h.hop_flags & kPktTable) != 0 && !clean) {
         // Table mode near a fault: only the table hop itself is checked.
         const Dim tc = fabric_->fault_free_hop(u, h.dst);
         if (faults_.link_usable(u, tc)) {
           hop = tc;
         } else {
           if (measuring) ++m.reroutes;
-          h.flags &= ~kPktTable;  // died underfoot: re-steer from this node
+          h.hop_flags &= ~kPktTable;  // died underfoot: re-steer from here
         }
       }
       if (!hop) {
@@ -665,7 +680,7 @@ void NetworkSim::serve_node(unsigned w, NodeId u, Cycle now, bool measuring,
           if (!faults_.link_usable(u, tc)) {
             if (measuring) ++m.reroutes;
           } else if (table_route_clean(flip_bit(u, tc), h.dst)) {
-            h.flags |= kPktTable;
+            h.hop_flags |= kPktTable;
             hop = tc;
           }
         }
@@ -680,7 +695,7 @@ void NetworkSim::serve_node(unsigned w, NodeId u, Cycle now, bool measuring,
             strand();  // no usable continuation (dst dead or region cut off)
             continue;
           }
-          adopt_detour(ref, h, *plan);
+          adopt_detour(h, *plan);
           hop = plan->hops().front();
         }
       }
@@ -696,19 +711,19 @@ void NetworkSim::serve_node(unsigned w, NodeId u, Cycle now, bool measuring,
     if (measuring) ++m.service_ops;
     // Only the audited sample records its hops (the audit path lives in
     // the tail); everyone else keeps just the hop count.
-    if (h.audited()) cold_of(ref).tail.push_back(c);
-    if ((h.flags & kPktDetour) != 0) {
-      PacketCold& cd = cold_of(ref);
+    if (h.audited()) cold_of(h.cold).tail.push_back(c);
+    if ((h.hop_flags & kPktDetour) != 0) {
+      PacketCold& cd = cold_of(h.cold);
       cd.detour.pop_front();
       if (cd.detour.empty()) {
         // Detour used up: the rest of the plan is the table walk from the
         // next node (without a fabric the plan has ended at dst).
-        h.flags &= ~kPktDetour;
-        if (fabric_ != nullptr) h.flags |= kPktTable;
+        h.hop_flags &= ~kPktDetour;
+        if (fabric_ != nullptr) h.hop_flags |= kPktTable;
       }
     }
-    ++h.hops;
-    sh.outbox[parity][shard_of(v)].push_back({v, ref});
+    h.hop_flags += kOneHop;
+    sh.outbox[parity][shard_of(v)].push_back({v, h});
     queue.pop_front();
     moved = true;
   }
@@ -719,18 +734,16 @@ void NetworkSim::serve_word(unsigned w, std::size_t word_index, Cycle now,
   Shard& sh = shards_[w];
   const NodeId base = sh.begin + static_cast<NodeId>(word_index << 6);
   // Pass 1 (read-only + stale-bit retirement): harvest the word's set bits
-  // in ascending order and prefetch each front packet's 16-byte hot
-  // record, so the classify pass walks warm cache lines instead of eating
-  // a dependent miss per node.
+  // in ascending order, copying each front packet's 16-byte record into
+  // one contiguous window that the classify kernels load directly.
   NodeId nodes[64];
-  PacketRef refs[64];
-  PacketHot* hotp[64];
+  alignas(32) PacketHot front[64];
   unsigned count = 0;
   for (std::uint64_t bits = sh.active.word(word_index); bits != 0;
        bits &= bits - 1) {
     const auto b = static_cast<unsigned>(std::countr_zero(bits));
     const NodeId u = base + b;
-    const Ring<PacketRef>& q = queues_[u];
+    const Ring<PacketHot>& q = queues_[u];
     if (q.empty()) {
       // Finite-buffer mode leaves retirement to the phase-A maintenance
       // scan, so an empty-but-active node is normal there; with unbounded
@@ -738,13 +751,8 @@ void NetworkSim::serve_word(unsigned w, std::size_t word_index, Cycle now,
       if (retire) sh.active.clear(u - sh.begin);
       continue;
     }
-    const PacketRef ref = q.front();
-    PacketHot* h =
-        &shards_[packet_ref_shard(ref)].pool.hot(packet_ref_slot(ref));
-    prefetch_read(h);
     nodes[count] = u;
-    refs[count] = ref;
-    hotp[count] = h;
+    front[count] = q.front();
     ++count;
   }
   if (count == 0) return;
@@ -760,16 +768,11 @@ void NetworkSim::serve_word(unsigned w, std::size_t word_index, Cycle now,
   // livelock guard), or "decide in full later" — then compact the fast
   // lanes into (cur, dst) pairs for one tight batched table-lookup loop.
   const ClassifyMasks cm = classify_front_packets(
-      simd_, count, hotp, nodes, base, clean, hop_limit_);
+      simd_, count, front, nodes, base, clean, hop_limit_);
   std::uint32_t hints[64];
   for (unsigned i = 0; i < count; ++i) hints[i] = kHintNone;
   for (std::uint64_t bits = cm.arrived; bits != 0; bits &= bits - 1) {
-    const auto i = static_cast<unsigned>(std::countr_zero(bits));
-    hints[i] = kHintArrived;
-    // Delivery accounting reads the cold record (created, and src for
-    // the audited replay); start that line early.
-    prefetch_read(&shards_[packet_ref_shard(refs[i])].pool.cold(
-        packet_ref_slot(refs[i])));
+    hints[std::countr_zero(bits)] = kHintArrived;
   }
   NodeId cur[64];
   NodeId dstv[64];
@@ -779,7 +782,7 @@ void NetworkSim::serve_word(unsigned w, std::size_t word_index, Cycle now,
   for (std::uint64_t bits = cm.fast; bits != 0; bits &= bits - 1) {
     const auto i = static_cast<unsigned>(std::countr_zero(bits));
     cur[nfast] = nodes[i];
-    dstv[nfast] = hotp[i]->dst;
+    dstv[nfast] = front[i].dst;
     fast_of[nfast] = i;
     ++nfast;
   }
@@ -792,7 +795,7 @@ void NetworkSim::serve_word(unsigned w, std::size_t word_index, Cycle now,
   // passes above commute with these applies — within phase B, node
   // services are mutually independent (each arbitrates only its own
   // links, every handoff goes via the parity mailboxes), so each node's
-  // front packet and queue are exactly as the classify pass saw them.
+  // queue and its front record are exactly as the harvest copied them.
   //
   // The dominant shape at simulated loads — a depth-1 queue whose single
   // packet either takes its table hop or delivers — is applied inline (the
@@ -804,24 +807,22 @@ void NetworkSim::serve_word(unsigned w, std::size_t word_index, Cycle now,
   for (unsigned i = 0; i < count; ++i) {
     const NodeId u = nodes[i];
     const std::uint32_t hint = hints[i];
-    Ring<PacketRef>& queue = queues_[u];
+    Ring<PacketHot>& queue = queues_[u];
     if (retire && hint != kHintNone && queue.size() == 1) {
-      const PacketRef ref = refs[i];
-      PacketHot& h = *hotp[i];  // resolved once at harvest
+      PacketHot& h = front[i];  // the harvested copy of its only record
       if (hint == kHintArrived) {
-        deliver(w, queue, ref, h, now, measuring, moved);
-        sh.active.clear(u - sh.begin);
+        deliver(w, queue, h, now, measuring, moved);
       } else {
         const Dim c = static_cast<Dim>(hint);
         if (measuring) ++m.service_ops;
-        if (h.audited()) cold_of(ref).tail.push_back(c);
-        ++h.hops;
+        if (h.audited()) cold_of(h.cold).tail.push_back(c);
+        h.hop_flags += kOneHop;
         const NodeId v = flip_bit(u, c);
-        sh.outbox[parity][shard_of(v)].push_back({v, ref});
+        sh.outbox[parity][shard_of(v)].push_back({v, h});
         queue.pop_front();
         moved = true;
-        sh.active.clear(u - sh.begin);
       }
+      sh.active.clear(u - sh.begin);
       continue;
     }
     serve_node(w, u, now, measuring, moved,
@@ -1101,16 +1102,15 @@ void NetworkSim::serial_commit(Cycle now) noexcept {
   }
 }
 
-CheckpointPacket NetworkSim::capture_packet(PacketRef ref) {
-  const PacketHot& h = hot_of(ref);
-  const PacketCold& c = cold_of(ref);
+CheckpointPacket NetworkSim::capture_packet(const PacketHot& h) {
+  const PacketCold& c = cold_of(h.cold);
   CheckpointPacket p;
   p.dst = h.dst;
-  p.hops = h.hops;
-  p.flags = h.flags;
+  p.hops = h.hops();
+  p.flags = h.hop_flags & kPktFlagMask;
   p.id = c.id;
   p.src = c.src;
-  p.created = c.created;
+  p.created = h.created;
   p.retry_attempts = c.retry_attempts;
   p.retransmits_used = c.retransmits_used;
   p.detour_hops.reserve(c.detour.size());
@@ -1126,13 +1126,20 @@ CheckpointPacket NetworkSim::capture_packet(PacketRef ref) {
   return p;
 }
 
-PacketRef NetworkSim::restore_packet(unsigned w, const CheckpointPacket& p,
-                                     const char* section) {
+PacketHot NetworkSim::restore_packet(unsigned w, const CheckpointPacket& p,
+                                     const char* section, Cycle resume_cycle) {
   const auto need = [&](bool ok, const char* detail) {
     if (!ok) throw CheckpointError(section, detail);
   };
   need(p.dst < node_count_ && p.src < node_count_,
        "packet endpoint out of range");
+  // The record holds the creation cycle in 32 bits and the hop count in
+  // 24; the resume cycle is below 2^32, and a live packet was made before
+  // it.
+  need(p.created < resume_cycle,
+       "packet created at or after the resume cycle");
+  need(p.hops < kHopCountLimit,
+       "packet hop count exceeds the record's 24-bit field");
   constexpr std::uint32_t kKnownFlags = kPktDetour | kPktAudited | kPktTable;
   need((p.flags & ~kKnownFlags) == 0, "unknown packet flags");
   need(((p.flags & kPktDetour) != 0) == !p.detour_hops.empty(),
@@ -1152,19 +1159,17 @@ PacketRef NetworkSim::restore_packet(unsigned w, const CheckpointPacket& p,
 
   Shard& sh = shards_[w];
   const PacketIndex slot = sh.pool.acquire();
-  PacketHot& h = sh.pool.hot(slot);
   PacketCold& c = sh.pool.cold(slot);
-  h.dst = p.dst;
-  h.hops = p.hops;
-  h.flags = p.flags;
   c.id = p.id;
   c.src = p.src;
-  c.created = p.created;
   c.retry_attempts = p.retry_attempts;
   c.retransmits_used = p.retransmits_used;
   for (const Dim d : p.detour_hops) c.detour.push_back(d);
   for (const Dim d : p.tail_hops) c.tail.push_back(d);
-  return make_packet_ref(w, slot);
+  return {.dst = p.dst,
+          .created = static_cast<std::uint32_t>(p.created),
+          .hop_flags = (p.hops << kHopShift) | p.flags,
+          .cold = make_packet_ref(w, slot)};
 }
 
 SimCheckpoint NetworkSim::capture_checkpoint(Cycle next) {
@@ -1216,7 +1221,7 @@ SimCheckpoint NetworkSim::capture_checkpoint(Cycle next) {
   // empty with the merge pre-applied.
   ck.queues.resize(node_count_);
   for (NodeId u = 0; u < node_count_; ++u) {
-    const Ring<PacketRef>& q = queues_[u];
+    const Ring<PacketHot>& q = queues_[u];
     ck.queues[u].reserve(q.size());
     for (std::size_t i = 0; i < q.size(); ++i) {
       ck.queues[u].push_back(capture_packet(q.at(i)));
@@ -1227,8 +1232,8 @@ SimCheckpoint NetworkSim::capture_checkpoint(Cycle next) {
     for (unsigned w = 0; w < shards_.size(); ++w) {
       const Ring<Arrival>& box = src.outbox[parity][w];
       for (std::size_t i = 0; i < box.size(); ++i) {
-        const Arrival a = box.at(i);
-        ck.queues[a.node].push_back(capture_packet(a.ref));
+        const Arrival& a = box.at(i);
+        ck.queues[a.node].push_back(capture_packet(a.hot));
       }
     }
   }
@@ -1241,7 +1246,7 @@ SimCheckpoint NetworkSim::capture_checkpoint(Cycle next) {
     cp.wake = wake;
     cp.node = pk.node;
     cp.respawn = pk.respawn;
-    cp.packet = capture_packet(pk.ref);
+    cp.packet = capture_packet(pk.hot);
     ck.parked.push_back(std::move(cp));
   }
 
@@ -1361,7 +1366,8 @@ void NetworkSim::apply_checkpoint(const SimCheckpoint& ck) {
   for (NodeId u = 0; u < node_count_; ++u) {
     const unsigned w = shard_of(u);
     for (const CheckpointPacket& p : ck.queues[u]) {
-      queues_[u].push_back(restore_packet(w, p, "packets"));
+      queues_[u].push_back(
+          restore_packet(w, p, "packets", ck.resume_cycle));
       ++queued;
     }
     if (!ck.queues[u].empty()) {
@@ -1378,9 +1384,10 @@ void NetworkSim::apply_checkpoint(const SimCheckpoint& ck) {
     if (cp.node >= node_count_) {
       throw CheckpointError("parked", "parked node out of range");
     }
-    const PacketRef ref = restore_packet(shard_of(cp.node), cp.packet,
-                                         "parked");
-    parked_.emplace(cp.wake, Parked{cp.node, ref, cp.respawn});
+    parked_.emplace(cp.wake,
+                    Parked{cp.node, cp.respawn,
+                           restore_packet(shard_of(cp.node), cp.packet,
+                                          "parked", ck.resume_cycle)});
     if (!cp.respawn) ++parked_count_[cp.node];
     ++parked_now_;
   }

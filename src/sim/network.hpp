@@ -47,7 +47,7 @@
 // it, so a cycle costs rendezvous, not dispatch/join handshakes. Each
 // cycle has two phases per worker:
 //
-//   phase A (inject): each worker reclaims packet slots other shards
+//   phase A (inject): each worker reclaims cold packet slots other shards
 //     released from its pool, batch-drains last cycle's arrival mailboxes
 //     into its own queues (source-shard order, which equals global
 //     source-node order because shards are contiguous and ascending),
@@ -59,15 +59,18 @@
 //     departures are handed to the destination shard through
 //     per-(source shard, destination shard) mailbox rings.
 //
-// Mailbox and release rings are parity double-buffered (phase B of cycle
-// N fills buffer N & 1, phase A of cycle N drains buffer ~N & 1) and the
-// packet pools use chunked, pointer-stable storage, so one shard's phase
-// A can overlap another's phase B with no data race. With unbounded
-// buffers a cycle therefore needs exactly ONE rendezvous — the
-// end-of-cycle barrier, whose last arriver runs the serial commit
-// (ShardPool::barrier_serial) before opening the gate. Finite-buffer runs
-// add one mid-cycle barrier so backpressure reads a consistent phase-A
-// occupancy snapshot.
+// Packets move by value: queues and mailboxes hold each packet's 16-byte
+// PacketHot record (sim/packet.hpp), so the per-hop state a worker writes
+// sits in rings that worker owns. Only the cold record stays in the pool
+// of the shard that injected the packet. Mailbox and release rings are
+// parity double-buffered (phase B of cycle N fills buffer N & 1, phase A
+// of cycle N drains buffer ~N & 1) and the packet pools use chunked,
+// pointer-stable storage, so one shard's phase A can overlap another's
+// phase B with no data race. With unbounded buffers a cycle therefore
+// needs exactly ONE rendezvous — the end-of-cycle barrier, whose last
+// arriver runs the serial commit (ShardPool::barrier_serial) before
+// opening the gate. Finite-buffer runs add one mid-cycle barrier so
+// backpressure reads a consistent phase-A occupancy snapshot.
 //
 // Fault-schedule application, the clean-node bitmap refresh, and global
 // accounting (in-flight depth, stall detection) happen in that fused
@@ -97,18 +100,19 @@
 //    lists differently, and the determinism and reference suites (the
 //    reference fires in ascending node order) still match field by field.
 //  * Batched advance: phase B consumes the active bitmap a word at a time.
-//    Each 64-node window is harvested with its front packets' 16-byte hot
-//    records prefetched, classified (arrived / table fast path /
-//    everything else), fed to NextHopFabric::fault_free_hops as one tight
-//    lookup batch with the clean-node test answered from a single
-//    FaultOverlay::clean_window word — and then APPLIED strictly in
-//    ascending node order, because outbox push order is the canonical
-//    order the determinism contract rests on. Within phase B node services
-//    are mutually independent (a node's links are arbitrated inside its
-//    own service; every handoff — intra-shard included — travels through
-//    the parity mailboxes), so the read-only harvest/classify passes
-//    commute with the applies. The classify and lookup passes have scalar
-//    and AVX2 kernels (util/simd.hpp), bit-identical by construction.
+//    Each 64-node window is harvested by copying its front packets'
+//    16-byte records into one contiguous window, classified (arrived /
+//    table fast path / everything else), fed to
+//    NextHopFabric::fault_free_hops as one tight lookup batch with the
+//    clean-node test answered from a single FaultOverlay::clean_window
+//    word — and then APPLIED strictly in ascending node order, because
+//    outbox push order is the canonical order the determinism contract
+//    rests on. Within phase B node services are mutually independent (a
+//    node's links are arbitrated inside its own service; every handoff —
+//    intra-shard included — travels through the parity mailboxes), so the
+//    read-only harvest/classify passes commute with the applies. The
+//    classify and lookup passes have scalar and AVX2 kernels
+//    (util/simd.hpp), bit-identical by construction.
 //  * Next-hop fabric steering: packets are injected with NO routing
 //    state. At service time, a node the FaultOverlay calls clean — and
 //    whose router exposes a supported NextHopFabric — takes the fabric's
@@ -201,31 +205,34 @@ class NetworkSim {
   static constexpr std::uint64_t kWheelSize = std::uint64_t{1} << kWheelBits;
 
  private:
-  /// A packet in transit to another shard's node, parked in a mailbox
-  /// until the destination shard drains it at the next phase A.
+  /// A packet on its way to a node: in a mailbox until the destination
+  /// shard drains it at the next phase A, or in a stranded ring until the
+  /// serial commit. It carries the packet's record itself.
   struct Arrival {
     NodeId node = 0;
-    PacketRef ref = 0;
+    PacketHot hot;
   };
 
   /// Everything one worker owns, cache-line-aligned so two workers'
   /// accumulators never share a line. Workers touch only their own shard
   /// during a phase, except for the cross-shard reads the phase structure
-  /// makes safe (mailbox drains and packet dereferences in the phase that
-  /// cannot race them).
+  /// makes safe (mailbox drains and cold-record dereferences in the phase
+  /// that cannot race them).
   struct alignas(64) Shard {
     NodeId begin = 0;  // nodes [begin, end) — contiguous, ascending
     NodeId end = 0;
-    PacketPool pool;         // grown/released by the owner thread only
+    /// Cold records of the packets this shard injected (or restored);
+    /// grown and released by the owner thread only.
+    PacketPool pool;
     SimMetrics metrics;      // per-shard partial, absorbed after the run
     /// Cross-shard handoffs, one ring per destination shard, parity
     /// double-buffered: phase B of cycle N fills [N & 1], phase A of
     /// cycle N drains [~N & 1] — so one shard's phase A never touches the
     /// ring another shard's phase B is filling.
     std::array<std::vector<Ring<Arrival>>, 2> outbox;
-    /// Foreign packet slots freed in phase B, rings addressed by the
-    /// slot's home shard and drained by that shard's next phase A into
-    /// its own pool (same parity scheme as outbox).
+    /// Foreign cold slots freed in phase B, rings addressed by the slot's
+    /// home shard and drained by that shard's next phase A into its own
+    /// pool (same parity scheme as outbox).
     std::array<std::vector<Ring<PacketRef>>, 2> released;
     /// Bit (u - begin) set iff node u may hold packets.
     /// Set on every queue push (mailbox drain, injection admit); cleared
@@ -277,16 +284,20 @@ class NetworkSim {
   /// balanced contiguous node ranges, empty queues, no pending fires.
   void configure_shards(unsigned shard_count);
   [[nodiscard]] unsigned shard_of(NodeId u) const noexcept;
-  [[nodiscard]] PacketHot& hot_of(PacketRef ref) noexcept {
-    return shards_[packet_ref_shard(ref)].pool.hot(packet_ref_slot(ref));
-  }
   [[nodiscard]] PacketCold& cold_of(PacketRef ref) noexcept {
     return shards_[packet_ref_shard(ref)].pool.cold(packet_ref_slot(ref));
   }
-  /// Frees a packet slot from worker w's phase B of the cycle with parity
-  /// `parity`: directly when w owns the slot's pool, via the released
-  /// ring (drained by the home shard's next phase A) when it does not.
-  void release_ref(unsigned w, PacketRef ref, unsigned parity);
+  /// Clears the hop lists of h's cold record when h's flags say it holds
+  /// some, so the slot is clean for its next tenant.
+  void clear_cold_hops(const PacketHot& h);
+  /// Removes packet h from the network on behalf of worker w: clears its
+  /// hop lists and frees its cold slot, directly when w owns the slot's
+  /// pool, via the released ring of parity `parity` (drained by the home
+  /// shard's next phase A) when it does not. In phase B, w is the serving
+  /// worker and parity the cycle's; at a serial point, where every pool
+  /// may be touched, callers pass the slot's home shard as w and any
+  /// parity.
+  void retire_packet(unsigned w, const PacketHot& h, unsigned parity);
 
   /// Applies every schedule event due at `now` (serial point), orphans
   /// packets queued at — or in a mailbox toward — nodes that just died,
@@ -328,24 +339,25 @@ class NetworkSim {
   /// Whether every hop of the fabric's table route u -> dst is usable
   /// under the current faults (true when u == dst). Requires fabric_.
   [[nodiscard]] bool table_route_clean(NodeId u, NodeId dst) const noexcept;
-  /// Sets up packet `ref` (hot record h, at plan.source()) to follow
-  /// `plan`: copies the plan's off-table prefix into its cold detour and
-  /// sets kPktDetour, or sets kPktTable when that prefix is empty. Without
-  /// a fabric the whole plan is the detour.
-  void adopt_detour(PacketRef ref, PacketHot& h, const Route& plan);
+  /// Sets up packet h (at plan.source()) to follow `plan`: copies the
+  /// plan's off-table prefix into its cold detour and sets kPktDetour, or
+  /// sets kPktTable when that prefix is empty. Without a fabric the whole
+  /// plan is the detour.
+  void adopt_detour(PacketHot& h, const Route& plan);
   /// Serves node u's queue for one cycle (the per-node body of phase B).
   /// `clean` is the hoisted table-steering precondition for u (a fabric
   /// and no fault within distance 1); `hint` applies to the FRONT packet
   /// only.
   void serve_node(unsigned w, NodeId u, Cycle now, bool measuring,
                   bool& moved, bool clean, std::uint32_t hint);
-  /// Delivers `ref`, the front of `queue`, at its destination: audited
-  /// path replay, measurement accounting, dequeue and slot release.
-  void deliver(unsigned w, Ring<PacketRef>& queue, PacketRef ref,
-               const PacketHot& h, Cycle now, bool measuring, bool& moved);
+  /// Delivers h, the front of `queue` (or a copy of it), at its
+  /// destination: audited path replay, measurement accounting, cold slot
+  /// release and dequeue.
+  void deliver(unsigned w, Ring<PacketHot>& queue, const PacketHot& h,
+               Cycle now, bool measuring, bool& moved);
   /// Batched phase-B advance over one active-bitmap word (see the header
-  /// comment): harvest + prefetch, classify, batched fabric lookups, then
-  /// apply via serve_node in ascending node order.
+  /// comment): harvest (a copy of each front record), classify, batched
+  /// fabric lookups, then apply via serve_node in ascending node order.
   void serve_word(unsigned w, std::size_t word_index, Cycle now,
                   bool measuring, bool& moved, bool retire);
   /// Releases every packet queued at or in transit to `u` (serial point).
@@ -381,12 +393,13 @@ class NetworkSim {
   /// mismatch or structural inconsistency.
   void apply_checkpoint(const SimCheckpoint& ck);
   /// Serializes / rematerializes one packet. `w` is the pool shard the
-  /// restored slot is acquired from (serial-point call, so touching any
-  /// pool is safe); `section` names the checkpoint section for errors.
-  [[nodiscard]] CheckpointPacket capture_packet(PacketRef ref);
-  [[nodiscard]] PacketRef restore_packet(unsigned w,
-                                         const CheckpointPacket& p,
-                                         const char* section);
+  /// restored cold slot is acquired from (serial-point call, so touching
+  /// any pool is safe); `section` names the checkpoint section for errors,
+  /// and a packet must have been created before `resume_cycle`.
+  [[nodiscard]] CheckpointPacket capture_packet(const PacketHot& h);
+  [[nodiscard]] PacketHot restore_packet(unsigned w, const CheckpointPacket& p,
+                                         const char* section,
+                                         Cycle resume_cycle);
 
   /// The fused per-cycle serial section, run by the LAST worker arriving
   /// at the end-of-cycle barrier (ShardPool::barrier_serial): collects
@@ -426,7 +439,7 @@ class NetworkSim {
   bool no_faults_ = false;
   Cycle total_cycles_ = 0;   // warmup + measure, for fire scheduling
   std::vector<Shard> shards_;
-  std::vector<Ring<PacketRef>> queues_;  // per-node FIFO, owner-shard only
+  std::vector<Ring<PacketHot>> queues_;  // per-node FIFO, owner-shard only
   std::vector<std::uint32_t> occ_;  // phase-A occupancy snapshot
   SimMetrics metrics_;  // serial/global fields; shard partials absorbed in
   std::uint64_t in_flight_ = 0;
@@ -435,9 +448,9 @@ class NetworkSim {
   // deterministic; parked packets stay counted in in_flight_.
   bool retries_ = false;  // retry_limit > 0 || retry_budget > 0
   struct Parked {
-    NodeId node = 0;     // where the packet resumes (strand node or src)
-    PacketRef ref = 0;
+    NodeId node = 0;       // where the packet resumes (strand node or src)
     bool respawn = false;  // end-to-end retransmit: reset route state
+    PacketHot hot;
   };
   std::multimap<Cycle, Parked> parked_;
   std::vector<std::uint16_t> parked_count_;  // per-node local-park depth

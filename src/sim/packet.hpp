@@ -1,14 +1,20 @@
-// Packet representation for the network simulator: a structure-of-arrays
-// hot/cold split.
+// Packet representation for the network simulator: a 16-byte record that
+// travels by value, and a cold record that stays where it was made.
 //
 // The cycle loop touches every in-flight packet once per hop, so the
-// fields it reads there are segregated into a 16-byte PacketHot record —
-// destination, hop count and a flag byte — four to a cache line in the
-// pool's hot lane. Everything else (identity, source, creation cycle, a
-// carried detour, retry/retransmit counters, the audit hop tail) lives in
-// a parallel PacketCold record touched only at injection, near faults, on
-// the audited delivery-replay sample, and at delivery accounting — never
-// on the fault-free table-steered fast path.
+// fields it reads or writes there form a 16-byte PacketHot record —
+// destination, creation cycle, hop count and flags packed in one word, and
+// the reference of the packet's cold record — and the simulator moves the
+// record itself: node queues, cross-shard mailboxes, the stranded ring and
+// parked retries hold records, not references to them. A packet's per-hop
+// state therefore always sits in memory owned by the shard serving it; a
+// packet that crosses a shard boundary is copied into a mailbox, and no
+// hop writes a line another core wrote last. Everything else (identity,
+// source, a carried detour, retry/retransmit counters, the audit hop tail)
+// lives in a PacketCold record in the injecting shard's PacketPool, touched
+// only at injection, near faults, on the audited delivery-replay sample and
+// when a packet with hop lists leaves — never on the fault-free
+// table-steered fast path, whose delivery reads the record alone.
 //
 // Every packet is injected with no routing state. At a node within
 // distance 1 of a fault, a packet whose fault-free table route to its
@@ -26,7 +32,7 @@
 // of small inline hop list, spilling to the heap only past kInlineHops
 // (deep detours under dense dynamic faults); the simulator replays that
 // tail at delivery as a safety check on the deterministic 1-in-64 audited
-// sample. Non-audited packets keep only the hop COUNT (PacketHot::hops),
+// sample. Non-audited packets keep only the hop COUNT (in the record),
 // eliminating a per-hop store plus potential heap spill from the common
 // case.
 #pragma once
@@ -96,24 +102,68 @@ class HopList {
   std::unique_ptr<std::uint8_t[]> heap_;
 };
 
-// PacketHot::flags bits, so the fast path can decide without touching the
-// cold record. kPktDetour mirrors !PacketCold::detour.empty(); kPktTable
-// marks table mode (never set together with kPktDetour, and only when the
-// router has a supported fabric); kPktAudited precomputes (id & 63) == 0.
+/// Pool-tagged reference to a packet's cold record: owning pool shard in
+/// the top bits, slot index below. 8 shard bits bound the simulator at 256
+/// worker shards and 16M in-flight packets per shard — both far beyond any
+/// simulated cell.
+using PacketRef = std::uint32_t;
+
+inline constexpr unsigned kPacketRefShardShift = 24;
+inline constexpr PacketRef kPacketRefSlotMask =
+    (PacketRef{1} << kPacketRefShardShift) - 1;
+inline constexpr unsigned kMaxPoolShards = 1u << (32 - kPacketRefShardShift);
+
+[[nodiscard]] constexpr PacketRef make_packet_ref(unsigned shard,
+                                                  std::uint32_t slot) noexcept {
+  return (static_cast<PacketRef>(shard) << kPacketRefShardShift) | slot;
+}
+[[nodiscard]] constexpr unsigned packet_ref_shard(PacketRef r) noexcept {
+  return r >> kPacketRefShardShift;
+}
+[[nodiscard]] constexpr std::uint32_t packet_ref_slot(PacketRef r) noexcept {
+  return r & kPacketRefSlotMask;
+}
+
+// Flag bits of PacketHot::hop_flags, so the fast path can decide without
+// touching the cold record. kPktDetour mirrors !PacketCold::detour.empty();
+// kPktTable marks table mode (never set together with kPktDetour, and only
+// when the router has a supported fabric); kPktAudited precomputes
+// (id & 63) == 0.
 inline constexpr std::uint32_t kPktDetour = 1u << 0;
 inline constexpr std::uint32_t kPktAudited = 1u << 1;
 inline constexpr std::uint32_t kPktTable = 1u << 2;
 
-/// The per-hop working set of one in-flight packet: everything the
-/// fault-free fast path reads or writes, and nothing else. Aligned to
-/// 16 bytes — four packets per cache line in the pool's hot lane, one per
-/// 128-bit half of the classify kernel's AVX2 loads.
-struct alignas(16) PacketHot {
-  NodeId dst = 0;
-  /// Hops already taken; arrival is positional (current node == dst).
-  std::uint32_t hops = 0;
-  std::uint32_t flags = 0;  // kPkt* bits
+/// PacketHot::hop_flags keeps the flags in its low kHopShift bits and the
+/// hop count above them, so adding kOneHop takes one hop and the record
+/// holds hop counts below kHopCountLimit (2^24). The simulator's livelock
+/// guard is therefore below that bound as well.
+inline constexpr unsigned kHopShift = 8;
+inline constexpr std::uint32_t kPktFlagMask = (1u << kHopShift) - 1;
+inline constexpr std::uint32_t kOneHop = 1u << kHopShift;
+inline constexpr std::uint32_t kHopCountLimit = 1u << (32 - kHopShift);
 
+/// The per-hop working set of one in-flight packet: everything the
+/// fault-free fast path reads or writes, and nothing else. The simulator
+/// moves it by value. Aligned to 16 bytes: four records per cache line of
+/// a queue ring, two per 256-bit load of the classify kernel. The fields
+/// have no default initializers, so the harvest window serve_word declares
+/// for 64 records costs no stores; every record is built whole.
+struct alignas(16) PacketHot {
+  NodeId dst;
+  /// Creation cycle. NetworkSim refuses runs of 2^32 cycles or more, so
+  /// 32 bits hold it.
+  std::uint32_t created;
+  /// (hops << kHopShift) | kPkt* flags. Hops already taken; arrival is
+  /// positional (current node == dst). With the count above the flags,
+  /// "hops < limit" is the one compare hop_flags < (limit << kHopShift).
+  std::uint32_t hop_flags;
+  /// This packet's PacketCold slot, in the pool of the shard that
+  /// injected it.
+  PacketRef cold;
+
+  [[nodiscard]] std::uint32_t hops() const noexcept {
+    return hop_flags >> kHopShift;
+  }
   /// Whether this packet participates in the delivery-replay audit (and so
   /// records its hops in cold.tail). A deterministic 1-in-64 sample
   /// keyed on the id — a pure function of (creation cycle, source), so the
@@ -121,16 +171,16 @@ struct alignas(16) PacketHot {
   /// continuously exercised without putting an O(path) replay plus a hop
   /// recording store on every packet of the hot path.
   [[nodiscard]] bool audited() const noexcept {
-    return (flags & kPktAudited) != 0;
+    return (hop_flags & kPktAudited) != 0;
   }
 };
-static_assert(sizeof(PacketHot) == 16, "hot lane record must stay 16 bytes");
+static_assert(sizeof(PacketHot) == 16, "the packet record must stay 16 bytes");
 
-/// Everything else: touched at injection, delivery, fault adjacency, and
-/// on the audited sample — off the per-hop fast path by construction.
+/// Everything else: touched at injection, near faults, on the audited
+/// sample and when a packet holding hop lists leaves — off the per-hop
+/// fast path by construction.
 struct PacketCold {
   std::uint64_t id = 0;
-  Cycle created = 0;
   NodeId src = 0;
   /// Transient-fault recovery state (SimConfig::retry_limit /
   /// retry_budget). How many times this packet has been parked in a retry

@@ -61,11 +61,8 @@ void set_simd_level(SimdLevel level) noexcept;
 /// constant so the scalar and SIMD paths keep the same memory schedule.
 inline constexpr std::size_t kPrefetchAhead = 4;
 
-/// The one prefetch spelling for all hot loops (ISSUE 9 cleanup): intent
-/// is named at the call site instead of a bare __builtin_prefetch flag.
-inline void prefetch_read(const void* p) noexcept {
-  __builtin_prefetch(p, 0);
-}
+/// The one prefetch spelling for the hot loops: intent is named at the
+/// call site instead of a bare __builtin_prefetch flag.
 inline void prefetch_write(void* p) noexcept { __builtin_prefetch(p, 1); }
 
 }  // namespace gcube

@@ -136,6 +136,14 @@ SimMetrics run_scenario(Scenario sc, std::uint32_t threads,
   return sim.run();
 }
 
+/// Parked entries in the checkpoint: source retransmits when `respawn`,
+/// local retries otherwise.
+std::size_t parked_of_kind(const SimCheckpoint& ck, bool respawn) {
+  return static_cast<std::size_t>(std::count_if(
+      ck.parked.begin(), ck.parked.end(),
+      [&](const CheckpointParked& pk) { return pk.respawn == respawn; }));
+}
+
 /// Packets in the checkpoint, queued or parked, whose flags hold `bit`.
 std::size_t packets_flagged(const SimCheckpoint& ck, std::uint32_t bit) {
   std::size_t n = 0;
@@ -166,6 +174,7 @@ TEST(Checkpoint, ResumeMatrixIsBitIdenticalToUninterruptedRun) {
   // The static run has packets mid-detour at cycle 290.
   const Leg legs[] = {{150, 1, 4}, {290, 4, 1}, {400, 2, 1}, {650, 4, 2}};
   std::size_t detours = 0;
+  bool parked_both = false;
   for (const Scenario sc :
        {Scenario::kStatic, Scenario::kScheduled, Scenario::kRetryRecovery}) {
     const SimMetrics uninterrupted = run_scenario(sc, 1);
@@ -183,6 +192,10 @@ TEST(Checkpoint, ResumeMatrixIsBitIdenticalToUninterruptedRun) {
         EXPECT_GT(packets_flagged(ck, kPktTable), 0u) << "halt=" << leg.halt;
       }
       detours += packets_flagged(ck, kPktDetour);
+      if (sc == Scenario::kRetryRecovery && parked_of_kind(ck, false) > 0 &&
+          parked_of_kind(ck, true) > 0) {
+        parked_both = true;
+      }
       const SimMetrics resumed =
           run_scenario(sc, leg.resume_threads, "", 0, path);
       EXPECT_EQ(resumed.interrupted_at, 0u);
@@ -194,6 +207,11 @@ TEST(Checkpoint, ResumeMatrixIsBitIdenticalToUninterruptedRun) {
   }
   // Some resume must carry detour hops still to take.
   EXPECT_GT(detours, 0u);
+  // Parked entries are the one place a packet record waits outside every
+  // queue and mailbox, so some recovery checkpoint must carry both kinds:
+  // a local retry and a source retransmit (the halt at 400 does).
+  EXPECT_TRUE(parked_both)
+      << "no recovery checkpoint holds a parked retry and a retransmit";
 }
 
 TEST(Checkpoint, PeriodicCheckpointRotationKeepsPreviousGeneration) {
@@ -298,6 +316,64 @@ TEST(Checkpoint, ConfigMismatchIsRefusedNamingTheField) {
     }
   }
   remove_generations(path);
+}
+
+TEST(Checkpoint, PacketsTheRecordCannotHoldAreRefusedNamingPackets) {
+  // A checkpoint stores packet fields, not records: a hop count above the
+  // record's 24-bit field, or a creation cycle at or after the resume
+  // cycle, must be refused at restore, naming the packets section. Each
+  // mutant is a real checkpoint with one packet edited and saved again, so
+  // its CRCs are valid and only the restore can refuse it.
+  const std::string path = tmp_path("record_limits");
+  const std::string edited = tmp_path("record_limits_edited");
+  remove_generations(path);
+  (void)run_scenario(Scenario::kStatic, 1, path, 300);
+  const SimCheckpoint good = load_checkpoint(path);
+  remove_generations(path);
+  // The first queued packet outside the audit sample (whose hop count
+  // need not match a recorded tail) that has not arrived yet.
+  std::size_t node = good.queues.size();
+  for (std::size_t u = 0; u < good.queues.size(); ++u) {
+    if (!good.queues[u].empty() &&
+        (good.queues[u].front().flags & kPktAudited) == 0 &&
+        good.queues[u].front().dst != u) {
+      node = u;
+      break;
+    }
+  }
+  ASSERT_LT(node, good.queues.size()) << "no queued packet at the halt";
+  const auto resume_edited = [&](const auto& edit) {
+    SimCheckpoint ck = good;
+    edit(ck.queues[node].front());
+    remove_generations(edited);
+    save_checkpoint(ck, edited);
+    const SimMetrics m = run_scenario(Scenario::kStatic, 2, "", 0, edited);
+    remove_generations(edited);
+    return m;
+  };
+  const auto expect_refused = [&](const auto& edit, const char* detail) {
+    try {
+      (void)resume_edited(edit);
+      FAIL() << "a packet with " << detail << " must be refused";
+    } catch (const CheckpointError& e) {
+      EXPECT_EQ(e.section(), "packets") << e.what();
+      EXPECT_NE(std::string(e.what()).find(detail), std::string::npos)
+          << e.what();
+    }
+  };
+  expect_refused([](CheckpointPacket& p) { p.hops = kHopCountLimit; },
+                 "hop count");
+  expect_refused([](CheckpointPacket& p) { p.hops = ~std::uint32_t{0}; },
+                 "hop count");
+  expect_refused([&](CheckpointPacket& p) { p.created = good.resume_cycle; },
+                 "created at or after the resume cycle");
+  expect_refused([](CheckpointPacket& p) { p.created = Cycle{1} << 32; },
+                 "created at or after the resume cycle");
+  // The largest hop count the record holds is restored; the packet is past
+  // the livelock guard, so the resumed run drops it there.
+  const SimMetrics kept = resume_edited(
+      [](CheckpointPacket& p) { p.hops = kHopCountLimit - 1; });
+  EXPECT_EQ(kept.dropped_hop_limit, 1u);
 }
 
 /// Rewrites a fresh checkpoint's format version to `version` and expects

@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
-"""sim_cli's error path: a refused setting prints one `error:` line on
-stderr and exits with status 2, before any simulation runs.
+"""sim_cli's error path: a refused setting prints one plain `error:` line
+on stderr (no source location, no C++ condition) and exits with status 2,
+before any simulation runs.
 
     python3 tests/sim_cli_errors_test.py path/to/sim_cli
 """
@@ -40,6 +41,10 @@ class SimCliErrorsTest(unittest.TestCase):
                 lines = out.stderr.splitlines()
                 self.assertEqual(len(lines), 1, out.stderr)
                 self.assertTrue(lines[0].startswith("error: "), out.stderr)
+                # The line is for the person who typed the flag: the
+                # library's location-tagged requirement text stays out.
+                for internal in (".cpp:", ".hpp:", "requirement failed"):
+                    self.assertNotIn(internal, lines[0])
                 self.assertEqual(out.stdout, "")
 
 

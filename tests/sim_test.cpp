@@ -22,6 +22,7 @@
 #include "sim/sweep.hpp"
 #include "sim/traffic.hpp"
 #include "topology/gaussian_cube.hpp"
+#include "util/error.hpp"
 #include "util/simd.hpp"
 
 namespace gcube {
@@ -135,6 +136,31 @@ TEST(NetworkSim, RejectsRunsBeyondTheCycleRange) {
   EXPECT_THROW(NetworkSim(gc, router, none, parks), std::invalid_argument);
   parks.park_capacity = 65535;
   EXPECT_NO_THROW(NetworkSim(gc, router, none, parks));
+}
+
+TEST(NetworkSim, RejectsHopLimitsThePacketRecordCannotHold) {
+  // The packet record keeps its hop count in the 24 bits above its flag
+  // byte, so the livelock guard must stay below 2^24 hops.
+  const GaussianCube gc(6, 2);
+  const FfgcrRouter router(gc);
+  const FaultSet none;
+  SimConfig refused = quick_config();
+  refused.reroute_hop_limit = kHopCountLimit;
+  try {
+    (void)NetworkSim(gc, router, none, refused);
+    FAIL() << "a hop limit of 2^24 must be refused";
+  } catch (const RequirementError& e) {
+    EXPECT_EQ(e.message(), "reroute hop limit must be below 2^24 hops");
+  }
+  refused.reroute_hop_limit = ~std::uint32_t{0};
+  EXPECT_THROW(NetworkSim(gc, router, none, refused), std::invalid_argument);
+  SimConfig accepted = quick_config();
+  accepted.reroute_hop_limit = kHopCountLimit - 1;
+  EXPECT_NO_THROW(NetworkSim(gc, router, none, accepted));
+  // The automatic limit, 16 * dims + 64, is far below the bound.
+  SimConfig automatic = quick_config();
+  automatic.reroute_hop_limit = 0;
+  EXPECT_NO_THROW(NetworkSim(gc, router, none, automatic));
 }
 
 TEST(NetworkSim, LatencyAtLeastHopsPlusOne) {
