@@ -79,7 +79,7 @@ struct CheckpointPacket {
   NodeId dst = 0;
   std::uint32_t hops = 0;
   std::uint32_t flags = 0;
-  std::uint64_t id = 0;
+  std::uint64_t id = 0;  // created * node_count + src, checked at restore
   NodeId src = 0;
   Cycle created = 0;
   std::uint16_t retry_attempts = 0;
@@ -98,8 +98,7 @@ struct CheckpointParked {
 };
 
 /// One pending injection fire, as the absolute cycle it is due. Stored
-/// sorted by node (at most one fire per node exists); whether an entry sat
-/// in the timing wheel or the far heap is unobservable and re-derived.
+/// sorted by node (at most one fire per node exists).
 struct CheckpointFire {
   Cycle at = 0;
   NodeId node = 0;

@@ -6,6 +6,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <thread>
@@ -33,13 +34,11 @@ NetworkSim::NetworkSim(const Topology& topo, const Router& router,
   GCUBE_REQUIRE(config.service_rate >= 1, "service rate must be positive");
   GCUBE_REQUIRE(config.measure_cycles >= 1, "nothing to measure");
   // A run must end below 2^32 cycles: the cycle-derived keys rely on it.
-  // A far-fire key puts the cycle above kFireNodeBits node bits, packet
-  // ids (now * node_count + u, node_count <= 2^kMaxDimension) fit in
+  // Fire slots and packet records hold cycles in 32 bits, packet ids
+  // (now * node_count + u, node_count <= 2^kMaxDimension) fit in
   // 32 + kMaxDimension = 58 bits, and the retry-delay bounds below keep
   // every wake cycle below 2^64 only because now is below 2^32.
-  constexpr unsigned kCycleBits = 32;
-  static_assert(kCycleBits + kFireNodeBits <= 64);
-  constexpr Cycle kCycleRange = Cycle{1} << kCycleBits;
+  constexpr Cycle kCycleRange = Cycle{1} << 32;
   GCUBE_REQUIRE(config.warmup_cycles < kCycleRange &&
                     config.measure_cycles < kCycleRange - config.warmup_cycles,
                 "warmup + measure cycles exceed the simulator's cycle range");
@@ -73,7 +72,6 @@ NetworkSim::NetworkSim(const Topology& topo, const Router& router,
   overlay_.attach(topo_);
   const NextHopFabric* fabric = router_.fabric();
   if (fabric != nullptr && fabric->supported()) fabric_ = fabric;
-  timing_ = config_.phase_timing;
   simd_ = simd_level();
 }
 
@@ -160,8 +158,7 @@ void NetworkSim::configure_shards(unsigned shard_count) {
     for (auto& parity : sh.released) parity.resize(count);
     sh.active.reset(sh.end - sh.begin);
     sh.wheel.assign(kWheelSize, kFireEnd);
-    sh.far_fires = {};
-    sh.fire_next.assign(sh.end - sh.begin, kFireIdle);
+    sh.fires.assign(sh.end - sh.begin, FireSlot{});
     begin = sh.end;
   }
   queues_.clear();
@@ -170,7 +167,6 @@ void NetworkSim::configure_shards(unsigned shard_count) {
   in_flight_ = 0;
   parked_.clear();
   parked_count_.assign(retries_ ? nodes : 0, 0);
-  parked_now_ = 0;
 }
 
 unsigned NetworkSim::shard_of(NodeId u) const noexcept {
@@ -279,12 +275,11 @@ void NetworkSim::apply_fault_events(Cycle now, bool measuring) {
   // Serial point: rebuild the clean-node bitmap before workers read it.
   // No-op (one version compare) when nothing changed.
   overlay_.refresh(faults_);
-  no_faults_ = faults_.empty();
 }
 
 void NetworkSim::rearm_injection(NodeId u, Cycle now) {
   Shard& sh = shards_[shard_of(u)];
-  if (sh.fire_next[u - sh.begin] != kFireIdle) return;  // a fire is pending
+  if (sh.fires[u - sh.begin].next != kFireIdle) return;  // a fire is pending
   if (!traffic_.eligible(u)) return;
   // Dedicated re-arm draw stream: keyed off a salted seed so it can never
   // collide with the per-(node, cycle) injection draws — and is a pure
@@ -297,15 +292,16 @@ void NetworkSim::rearm_injection(NodeId u, Cycle now) {
   if (gap == TrafficModel::kNeverGap || gap - 1 >= total_cycles_ - now) {
     return;
   }
-  schedule_fire(sh, now, now + gap - 1, u);
+  schedule_fire(sh, now + gap - 1, u);
 }
 
 void NetworkSim::commit_stranded(Cycle now, bool measuring,
-                                 std::uint64_t& gave_up_removed) {
+                                 std::uint64_t& dropped) {
   // Ascending shard order = ascending strand-node order (phase B serves
   // nodes in ascending order within each contiguous shard), so the park /
-  // retransmit / give-up decisions — which consume shared budgets like
-  // park_capacity — are identical for any shard count.
+  // retransmit / drop decisions — which consume shared budgets like
+  // park_capacity — are identical for any shard count. With recovery off
+  // both budgets are 0 and every stranded packet is dropped.
   for (Shard& sh : shards_) {
     while (!sh.stranded.empty()) {
       const Arrival s = sh.stranded.front();
@@ -317,7 +313,6 @@ void NetworkSim::commit_stranded(Cycle now, bool measuring,
         ++p.retry_attempts;
         parked_.emplace(now + delay, Parked{s.node, false, s.hot});
         ++parked_count_[s.node];
-        ++parked_now_;
         if (measuring) ++metrics_.parked_retries;
       } else if (p.retransmits_used < config_.retry_budget) {
         // End-to-end recovery: relaunch from the source after the timeout
@@ -326,12 +321,13 @@ void NetworkSim::commit_stranded(Cycle now, bool measuring,
         p.retry_attempts = 0;
         parked_.emplace(now + config_.retransmit_timeout,
                         Parked{p.src, true, s.hot});
-        ++parked_now_;
         if (measuring) ++metrics_.retransmits;
       } else {
         retire_packet(packet_ref_shard(s.hot.cold), s.hot, 0);
-        ++gave_up_removed;
-        if (measuring) ++metrics_.gave_up;
+        ++dropped;
+        if (measuring) {
+          ++(retries_ ? metrics_.gave_up : metrics_.dropped_no_route);
+        }
       }
     }
   }
@@ -341,7 +337,6 @@ void NetworkSim::wake_parked(Cycle now, bool measuring) {
   while (!parked_.empty() && parked_.begin()->first <= now) {
     Parked pk = parked_.begin()->second;
     parked_.erase(parked_.begin());
-    --parked_now_;
     if (!pk.respawn) --parked_count_[pk.node];
     if (faults_.node_faulty(pk.node)) {
       // The wake site died while the packet was parked: lost with it.
@@ -384,7 +379,6 @@ void NetworkSim::admit_packet(unsigned w, NodeId u, NodeId dst, Cycle now,
   const PacketIndex slot = sh.pool.acquire();
   PacketCold& c = sh.pool.cold(slot);
   const std::uint64_t id = now * node_count_ + u;  // unique, no shared ctr
-  c.id = id;
   c.src = u;
   c.retry_attempts = 0;
   c.retransmits_used = 0;
@@ -416,21 +410,14 @@ void NetworkSim::fire_injection(unsigned w, NodeId u, Cycle now,
   // the same reason.
   const std::uint64_t gap = traffic_.injection_gap(u, rng);
   if (gap == TrafficModel::kNeverGap || gap >= total_cycles_ - now) return;
-  schedule_fire(shards_[w], now, now + gap, u);
+  schedule_fire(shards_[w], now + gap, u);
 }
 
-void NetworkSim::schedule_fire(Shard& sh, Cycle now, Cycle at, NodeId u) {
-  NodeId& next = sh.fire_next[u - sh.begin];
-  if (at - now < kWheelSize) {
-    // Within the wheel's span the bucket index is unambiguous: no other
-    // pending cycle in [now, now + kWheelSize) shares it.
-    NodeId& head = sh.wheel[at & (kWheelSize - 1)];
-    next = head;
-    head = u;
-  } else {
-    next = kFireFar;
-    sh.far_fires.push((at << kFireNodeBits) | u);
-  }
+void NetworkSim::schedule_fire(Shard& sh, Cycle at, NodeId u) {
+  NodeId& head = sh.wheel[at & (kWheelSize - 1)];
+  sh.fires[u - sh.begin] = {.next = head,
+                            .at = static_cast<std::uint32_t>(at)};
+  head = u;
 }
 
 void NetworkSim::phase_inject(unsigned w, Cycle now, bool measuring) {
@@ -439,7 +426,7 @@ void NetworkSim::phase_inject(unsigned w, Cycle now, bool measuring) {
   sh.removed = 0;
   sh.moved = false;
   std::chrono::steady_clock::time_point t0, t1;
-  if (timing_) t0 = std::chrono::steady_clock::now();
+  if (config_.phase_timing) t0 = std::chrono::steady_clock::now();
   // Batch-drain the opposite-parity rings: cold slots other shards
   // released into this pool, then last cycle's arrivals in ascending
   // source-shard order; shards are contiguous and ascending, so that
@@ -470,28 +457,29 @@ void NetworkSim::phase_inject(unsigned w, Cycle now, bool measuring) {
     }
     box.clear();
   }
-  if (timing_) {
+  if (config_.phase_timing) {
     t1 = std::chrono::steady_clock::now();
     sh.metrics.phase_drain_ns += ns_between(t0, t1);
   }
-  // Event-driven injection: only nodes whose fire time is due do any work
-  // this cycle. Far-heap stragglers join the wheel bucket, whose list is
-  // then detached and fired in list order: the fires of one cycle touch
-  // disjoint state and no shared draw stream, so their order cannot reach
-  // a metric (see the header comment). A fire may file its node into a
-  // later bucket or the far heap (never the one being drained), which
-  // overwrites the node's fire_next, so its successor is read first.
+  // Event-driven injection: only nodes whose bucket comes up do any work
+  // this cycle. The bucket's list is detached and walked in list order:
+  // a node due now fires, and any other is due a later lap and goes back
+  // into the bucket. The fires of one cycle touch disjoint state and no
+  // shared draw stream, so their order cannot reach a metric (see the
+  // header comment). A fire files its node anew (possibly into this same
+  // bucket, a whole number of laps out), which overwrites its slot, so
+  // its successor is read first.
   NodeId& head = sh.wheel[now & (kWheelSize - 1)];
-  while (!sh.far_fires.empty() &&
-         (sh.far_fires.top() >> kFireNodeBits) <= now) {
-    const auto u = static_cast<NodeId>(sh.far_fires.top() & kFireNodeMask);
-    sh.far_fires.pop();
-    sh.fire_next[u - sh.begin] = head;
-    head = u;
-  }
   for (NodeId u = std::exchange(head, kFireEnd); u != kFireEnd;) {
-    const NodeId next = std::exchange(sh.fire_next[u - sh.begin], kFireIdle);
-    fire_injection(w, u, now, measuring);
+    FireSlot& slot = sh.fires[u - sh.begin];
+    const NodeId next = slot.next;
+    if (slot.at == now) {
+      slot.next = kFireIdle;
+      fire_injection(w, u, now, measuring);
+    } else {
+      slot.next = head;
+      head = u;
+    }
     u = next;
   }
   if (config_.buffer_limit != 0) {
@@ -510,7 +498,7 @@ void NetworkSim::phase_inject(unsigned w, Cycle now, bool measuring) {
       }
     });
   }
-  if (timing_) {
+  if (config_.phase_timing) {
     sh.metrics.phase_inject_ns +=
         ns_between(t1, std::chrono::steady_clock::now());
   }
@@ -617,18 +605,12 @@ void NetworkSim::serve_node(unsigned w, NodeId u, Cycle now, bool measuring,
       queue.pop_front();
       moved = true;
     };
-    // A packet with no usable continuation is dropped outright in legacy
-    // mode; in recovery mode it is handed to the serial commit, which
-    // decides between a parked retry, a source retransmit, and giving up.
-    // A stranded packet stays in flight (not counted in sh.removed).
+    // A packet with no usable continuation is handed to the serial
+    // commit, which decides between a parked retry, a source retransmit
+    // and a drop. It stays in flight until then (not counted in
+    // sh.removed).
     const auto strand = [&]() {
-      if (retries_) {
-        sh.stranded.push_back({u, h});
-      } else {
-        if (measuring) ++m.dropped_no_route;
-        ++sh.removed;
-        retire_packet(w, h, parity);
-      }
+      sh.stranded.push_back({u, h});
       queue.pop_front();
       moved = true;
     };
@@ -756,13 +738,10 @@ void NetworkSim::serve_word(unsigned w, std::size_t word_index, Cycle now,
     ++count;
   }
   if (count == 0) return;
-  // One overlay window answers all 64 clean-node questions (fault-free
-  // runs skip even that load). Without a fabric there is no table hop to
-  // take, so no node counts as clean.
+  // One overlay window answers all 64 clean-node questions. Without a
+  // fabric there is no table hop to take, so no node counts as clean.
   const std::uint64_t clean =
-      fabric_ == nullptr
-          ? 0
-          : (no_faults_ ? ~std::uint64_t{0} : overlay_.clean_window(base));
+      fabric_ == nullptr ? 0 : overlay_.clean_window(base);
   // Pass 2 (read-only): classify every front packet in SIMD lanes —
   // arrived, table fast path (no carried detour, clean node, under the
   // livelock guard), or "decide in full later" — then compact the fast
@@ -835,7 +814,7 @@ void NetworkSim::phase_forward(unsigned w, Cycle now, bool measuring) {
   Shard& sh = shards_[w];
   bool moved = false;
   std::chrono::steady_clock::time_point t0;
-  if (timing_) t0 = std::chrono::steady_clock::now();
+  if (config_.phase_timing) t0 = std::chrono::steady_clock::now();
   // Only nodes whose bit is set can hold packets (phase-A invariant), so
   // the ascending word scan serves exactly the canonical node order. With
   // unbounded buffers an emptied node is retired here on the spot; with
@@ -850,7 +829,7 @@ void NetworkSim::phase_forward(unsigned w, Cycle now, bool measuring) {
     }
   }
   sh.moved = moved;
-  if (timing_) {
+  if (config_.phase_timing) {
     sh.metrics.phase_advance_ns +=
         ns_between(t0, std::chrono::steady_clock::now());
   }
@@ -901,7 +880,6 @@ SimMetrics NetworkSim::run() {
     start = ck.resume_cycle;
   }
   overlay_.refresh(faults_);
-  no_faults_ = faults_.empty();
   if (start == 0) {
     // Seed every node's first fire from a dedicated pre-run draw stream
     // (cycle key ~0 cannot collide with a real cycle). First fire at
@@ -914,7 +892,7 @@ SimMetrics NetworkSim::run() {
         if (gap == TrafficModel::kNeverGap || gap - 1 >= total_cycles_) {
           continue;
         }
-        schedule_fire(sh, 0, gap - 1, u);
+        schedule_fire(sh, gap - 1, u);
       }
     }
   }
@@ -994,7 +972,7 @@ void NetworkSim::cycle_prework(Cycle now) {
   apply_fault_events(now, measuring);
   // Wake after fault application so a repair landing this cycle is
   // already visible to the retried packets.
-  if (retries_) wake_parked(now, measuring);
+  wake_parked(now, measuring);
 }
 
 void NetworkSim::serial_commit(Cycle now) noexcept {
@@ -1016,7 +994,7 @@ void NetworkSim::serial_commit(Cycle now) noexcept {
     ~TimerGuard() {
       if (on) *acc += ns_between(t0, std::chrono::steady_clock::now());
     }
-  } timer{timing_, &metrics_.phase_commit_ns};
+  } timer{config_.phase_timing, &metrics_.phase_commit_ns};
   try {
     for (Shard& sh : shards_) {
       if (sh.error != nullptr) {
@@ -1043,14 +1021,14 @@ void NetworkSim::serial_commit(Cycle now) noexcept {
       metrics_.peak_in_flight =
           std::max(metrics_.peak_in_flight, in_flight_ + injected);
     }
-    std::uint64_t gave_up_removed = 0;
-    if (retries_) commit_stranded(now, measuring, gave_up_removed);
-    in_flight_ = in_flight_ + injected - removed - gave_up_removed;
+    std::uint64_t dropped = 0;
+    commit_stranded(now, measuring, dropped);
+    in_flight_ = in_flight_ + injected - removed - dropped;
     // Packets parked for backoff are waiting on a timer, not on each
     // other: only unparked in-flight packets can indicate a stall. A
     // sustained global stall with finite buffers is a deadlock.
     constexpr Cycle kDeadlockThreshold = 200;
-    if (!moved && in_flight_ > parked_now_) {
+    if (!moved && in_flight_ > parked_.size()) {
       if (measuring) ++metrics_.stalled_cycles;
       if (++consecutive_stalls_ >= kDeadlockThreshold) {
         metrics_.deadlocked = true;
@@ -1108,7 +1086,9 @@ CheckpointPacket NetworkSim::capture_packet(const PacketHot& h) {
   p.dst = h.dst;
   p.hops = h.hops();
   p.flags = h.hop_flags & kPktFlagMask;
-  p.id = c.id;
+  // The id is not stored: it is the admission key, a pure function of
+  // (creation cycle, source).
+  p.id = h.created * node_count_ + c.src;
   p.src = c.src;
   p.created = h.created;
   p.retry_attempts = c.retry_attempts;
@@ -1156,11 +1136,17 @@ PacketHot NetworkSim::restore_packet(unsigned w, const CheckpointPacket& p,
   // The audited replay walks tail[0, hops).
   need((p.flags & kPktAudited) == 0 || p.hops == p.tail_hops.size(),
        "audited path length differs from hop count");
+  // The id is derived, not stored: a packet whose id is not its admission
+  // key, or whose audit flag does not follow from it, is no packet the
+  // simulator could have written.
+  need(p.id == p.created * node_count_ + p.src,
+       "packet id differs from created * node count + source");
+  need(((p.flags & kPktAudited) != 0) == ((p.id & 63) == 0),
+       "audit flag disagrees with packet id");
 
   Shard& sh = shards_[w];
   const PacketIndex slot = sh.pool.acquire();
   PacketCold& c = sh.pool.cold(slot);
-  c.id = p.id;
   c.src = p.src;
   c.retry_attempts = p.retry_attempts;
   c.retransmits_used = p.retransmits_used;
@@ -1250,39 +1236,14 @@ SimCheckpoint NetworkSim::capture_checkpoint(Cycle next) {
     ck.parked.push_back(std::move(cp));
   }
 
-  // Pending fires as absolute cycles. Wheel buckets are unambiguous
-  // within (now, now + kWheelSize); whether an entry sat in the wheel or
-  // the far heap is unobservable and re-derived at restore. The heap has no
-  // iterator, so it is drained and re-pushed (serial point, and far fires
-  // are rare by construction). At most one fire per node exists, so
-  // sorting by node is a canonical total order.
-  const Cycle now = next - 1;
-  const Cycle base = now & ~(kWheelSize - 1);
-  for (Shard& sh : shards_) {
-    for (std::uint64_t b = 0; b < kWheelSize; ++b) {
-      Cycle at = base | b;
-      if (at <= now) at += kWheelSize;
-      for (NodeId u = sh.wheel[b]; u != kFireEnd;
-           u = sh.fire_next[u - sh.begin]) {
-        ck.fires.push_back({at, u});
-      }
-    }
-    std::vector<std::uint64_t> far;
-    far.reserve(sh.far_fires.size());
-    while (!sh.far_fires.empty()) {
-      far.push_back(sh.far_fires.top());
-      sh.far_fires.pop();
-    }
-    for (const std::uint64_t key : far) {
-      ck.fires.push_back({key >> kFireNodeBits,
-                          static_cast<NodeId>(key & kFireNodeMask)});
-      sh.far_fires.push(key);
+  // Pending fires as absolute cycles, in node order: shards are
+  // contiguous and ascending, and each slot holds its node's due cycle.
+  for (const Shard& sh : shards_) {
+    for (NodeId u = sh.begin; u < sh.end; ++u) {
+      const FireSlot& slot = sh.fires[u - sh.begin];
+      if (slot.next != kFireIdle) ck.fires.push_back({slot.at, u});
     }
   }
-  std::sort(ck.fires.begin(), ck.fires.end(),
-            [](const CheckpointFire& a, const CheckpointFire& b) {
-              return a.node < b.node;
-            });
 
   // Fold every shard partial into the snapshot (commutative/associative
   // integer adds, same as the end-of-run reduction). The resumed run
@@ -1389,7 +1350,6 @@ void NetworkSim::apply_checkpoint(const SimCheckpoint& ck) {
                            restore_packet(shard_of(cp.node), cp.packet,
                                           "parked", ck.resume_cycle)});
     if (!cp.respawn) ++parked_count_[cp.node];
-    ++parked_now_;
   }
   // Closing the books: everything in flight is queued or parked, exactly.
   if (queued + parked_.size() != ck.in_flight) {
@@ -1405,10 +1365,10 @@ void NetworkSim::apply_checkpoint(const SimCheckpoint& ck) {
       throw CheckpointError("fires", "fire due in the past");
     }
     Shard& sh = shards_[shard_of(f.node)];
-    if (sh.fire_next[f.node - sh.begin] != kFireIdle) {
+    if (sh.fires[f.node - sh.begin].next != kFireIdle) {
       throw CheckpointError("fires", "duplicate fire for one node");
     }
-    schedule_fire(sh, ck.resume_cycle - 1, f.at, f.node);
+    schedule_fire(sh, f.at, f.node);
   }
 
   metrics_ = ck.metrics;

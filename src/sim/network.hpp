@@ -34,10 +34,10 @@
 // (retry_backoff_base << attempt cycles); a packet that exhausts its
 // attempts may consume one of retry_budget end-to-end retransmits — it is
 // relaunched from its source after retransmit_timeout cycles — and only
-// then counts as gave_up. Parking, waking, and retransmission all happen
-// at the serial points in canonical node order, so the determinism
-// contract below is unaffected. With both knobs at 0 the legacy
-// hard-drop behavior is reproduced bit for bit.
+// then counts as gave_up. Parking, waking, retransmission and the drop
+// itself (recovery on or off) all happen at the serial points in canonical
+// node order, so the determinism contract below is unaffected. With both
+// knobs at 0 the legacy hard-drop behavior is reproduced bit for bit.
 //
 // Execution model: node-sharded parallelism with a determinism contract.
 // Nodes are partitioned into S contiguous shards, one per worker of a
@@ -88,17 +88,20 @@
 //    receiving packets plus a timing wheel of pending injection fire times
 //    drawn from TrafficModel::injection_gap, so a cycle costs
 //    O(active nodes + handoffs + due injections) instead of O(all nodes).
-//    The wheel is intrusive — a list head per cycle bucket and one link
-//    word per node — so it costs 4 bytes per node whatever the load. Draws
-//    stay pure per-(node, cycle) functions and the bitmap scan is
-//    ascending, preserving the determinism contract. The due fires of a
-//    cycle run in list order, not node order, and no metric can tell: a
-//    fire at u reads only pure functions of (seed, u, now) and the fault
-//    set (fixed during phase A), and writes only u's queue, u's active
-//    bit, u's next fire, one pool slot and summed counters. Slot numbers
-//    reach no metric and no checkpoint. Each thread count splits the
-//    lists differently, and the determinism and reference suites (the
-//    reference fires in ascending node order) still match field by field.
+//    The wheel is a hashed one — a list head per cycle bucket and one
+//    8-byte slot per node holding its bucket link and its due cycle — so
+//    it costs 8 bytes per node whatever the load. A fire due d cycles out
+//    waits in bucket (due mod kWheelSize) and is passed over about
+//    d / kWheelSize times before its lap comes round. Draws stay pure
+//    per-(node, cycle) functions and the bitmap scan is ascending,
+//    preserving the determinism contract. The due fires of a cycle run in
+//    list order, not node order, and no metric can tell: a fire at u reads
+//    only pure functions of (seed, u, now) and the fault set (fixed during
+//    phase A), and writes only u's queue, u's active bit, u's fire slot,
+//    one pool slot and summed counters. Slot numbers reach no metric and
+//    no checkpoint. Each thread count splits the lists differently, and
+//    the determinism and reference suites (the reference fires in
+//    ascending node order) still match field by field.
 //  * Batched advance: phase B consumes the active bitmap a word at a time.
 //    Each 64-node window is harvested by copying its front packets'
 //    16-byte records into one contiguous window, classified (arrived /
@@ -150,9 +153,7 @@
 
 #include <array>
 #include <exception>
-#include <functional>
 #include <map>
-#include <queue>
 #include <string>
 #include <vector>
 
@@ -200,7 +201,8 @@ class NetworkSim {
 
   /// Span of the injection timing wheel in cycles: it covers the mean gap
   /// up to injection rates around 1/kWheelSize, and a fire filed further
-  /// out waits in a far heap. Public so tests can reach that heap.
+  /// out is passed over once per lap. Public so tests can file fires
+  /// several laps out.
   static constexpr std::uint64_t kWheelBits = 13;
   static constexpr std::uint64_t kWheelSize = std::uint64_t{1} << kWheelBits;
 
@@ -211,6 +213,23 @@ class NetworkSim {
   struct Arrival {
     NodeId node = 0;
     PacketHot hot;
+  };
+
+  /// FireSlot::next marks, above every NodeId (node_count <=
+  /// 2^kMaxDimension), so a wheel list link is never mistaken for one.
+  static constexpr NodeId kFireEnd = 0xFFFFFFFFu;
+  static constexpr NodeId kFireIdle = 0xFFFFFFFEu;
+  static_assert(kMaxDimension < 32);
+
+  /// A node's pending injection fire. `next` is the node after it in its
+  /// wheel bucket, kFireEnd (it is the bucket's last) or kFireIdle (no
+  /// pending fire; `at` is then stale). The idle mark lets a repair event
+  /// re-arm a node whose fire was consumed while it was ineligible without
+  /// ever double-scheduling one. `at` is the due cycle; runs end below
+  /// 2^32 cycles, so 32 bits hold it.
+  struct FireSlot {
+    NodeId next = kFireIdle;
+    std::uint32_t at = 0;
   };
 
   /// Everything one worker owns, cache-line-aligned so two workers'
@@ -240,31 +259,23 @@ class NetworkSim {
     /// by the phase-A maintenance scan (which must also publish occupancy)
     /// with finite ones. A non-empty queue always has its bit set.
     NodeBitmap active;
-    /// Pending injection fire times: a timing wheel of kWheelSize cycle
-    /// buckets (O(1) schedule/drain; unambiguous because every wheel entry
-    /// lies within kWheelSize cycles of now) with a far heap for the rare
-    /// fire scheduled further out, keyed (cycle << kFireNodeBits) | node.
-    /// Each bucket is an intrusive singly linked list of nodes: wheel[b]
-    /// holds its first node (kFireEnd when empty) and fire_next links the
-    /// rest. At most one entry per node across wheel and heap (a node
-    /// reschedules only when its fire is consumed); the order within a
-    /// bucket is unobservable (see the header comment).
+    /// Pending injection fire times: a hashed timing wheel of kWheelSize
+    /// cycle buckets. Bucket b is an intrusive singly linked list of the
+    /// nodes whose fire is due at a cycle congruent to b: wheel[b] holds
+    /// its first node (kFireEnd when empty) and the fire slots link the
+    /// rest. At most one fire per node (a node reschedules only when its
+    /// fire is consumed); the order within a bucket is unobservable (see
+    /// the header comment).
     std::vector<NodeId> wheel;
-    std::priority_queue<std::uint64_t, std::vector<std::uint64_t>,
-                        std::greater<>>
-        far_fires;
-    /// fire_next[u - begin]: the node after u in u's wheel bucket, or
-    /// kFireEnd (u is the bucket's last), kFireFar (u's fire sits in the
-    /// far heap) or kFireIdle (u has no pending fire). The idle mark lets a
-    /// repair event re-arm a node whose fire was consumed while it was
-    /// ineligible without ever double-scheduling one.
-    std::vector<NodeId> fire_next;
-    /// Recovery mode: packets that found no usable continuation this
-    /// cycle, in service order (= ascending node order). Drained at the
-    /// serial commit into the park / retransmit / give-up decision.
+    /// fires[u - begin]: node u's pending fire, link and due cycle side by
+    /// side so a fire touches one line.
+    std::vector<FireSlot> fires;
+    /// Packets that found no usable continuation this cycle, in service
+    /// order (= ascending node order). Drained at the serial commit into
+    /// the park / retransmit / drop decision.
     Ring<Arrival> stranded;
     std::uint64_t injected = 0;  // this cycle
-    std::uint64_t removed = 0;   // delivered + dropped this cycle
+    std::uint64_t removed = 0;   // delivered + hop-limit drops this cycle
     bool moved = false;          // any service progress this cycle
     std::exception_ptr error;    // first phase failure, rethrown serially
   };
@@ -310,10 +321,10 @@ class NetworkSim {
   /// apply_fault_events so same-cycle repairs are visible to the retry.
   void wake_parked(Cycle now, bool measuring);
   /// Serial point: drains the shards' stranded rings (ascending shard =
-  /// ascending node order) into parked retries, retransmits, or give-ups.
-  /// Adds packets permanently removed here to `gave_up_removed`.
-  void commit_stranded(Cycle now, bool measuring,
-                       std::uint64_t& gave_up_removed);
+  /// ascending node order) into parked retries, retransmits, or drops —
+  /// counted as gave_up with recovery on and as dropped_no_route with it
+  /// off. Adds the packets it drops to `dropped`.
+  void commit_stranded(Cycle now, bool measuring, std::uint64_t& dropped);
   /// Files a fresh injection fire for a just-repaired node whose previous
   /// fire was consumed while it was faulty.
   void rearm_injection(NodeId u, Cycle now);
@@ -363,22 +374,10 @@ class NetworkSim {
   /// Releases every packet queued at or in transit to `u` (serial point).
   std::size_t discard_packets_at(NodeId u);
 
-  /// Node index width inside a far-fire key; node_count <= 2^kMaxDimension
-  /// by construction, and the constructor keeps every cycle below 2^32, so
-  /// the cycle fits in the 64 - kFireNodeBits bits above it.
-  static constexpr unsigned kFireNodeBits = kMaxDimension;
-  static constexpr std::uint64_t kFireNodeMask =
-      (std::uint64_t{1} << kFireNodeBits) - 1;
-  /// Shard::fire_next marks, above every NodeId (node_count <=
-  /// 2^kMaxDimension), so a wheel list link is never mistaken for one.
-  static constexpr NodeId kFireEnd = 0xFFFFFFFFu;
-  static constexpr NodeId kFireFar = 0xFFFFFFFEu;
-  static constexpr NodeId kFireIdle = 0xFFFFFFFDu;
-  static_assert(kMaxDimension < 32);
-
-  /// Files a pending injection for node u at cycle `at` (> now except at
-  /// pre-run seeding, where `at` may equal cycle 0).
-  void schedule_fire(Shard& sh, Cycle now, Cycle at, NodeId u);
+  /// Files a pending injection for node u, which has none, at cycle `at`
+  /// (after the current cycle, or from cycle 0 on at pre-run seeding) in
+  /// bucket at mod kWheelSize.
+  void schedule_fire(Shard& sh, Cycle at, NodeId u);
 
   /// Captures the full run state at the serial point entering cycle
   /// `next`, in canonical shard-count-independent form: per-node
@@ -426,17 +425,12 @@ class NetworkSim {
   /// The router's table fabric when present AND supported; null otherwise
   /// (then every packet carries the router's whole plan from its source).
   const NextHopFabric* fabric_ = nullptr;
-  bool timing_ = false;      // config_.phase_timing
   /// Dispatch level for the vector kernels (classify, fabric batch
   /// lookup), snapshotted from simd_level() at construction so the hot
   /// loops take a plain branch instead of an atomic load. Both levels
   /// produce bit-identical metrics (GCUBE_SIMD / --simd / the determinism
   /// sweep select between them).
   SimdLevel simd_ = SimdLevel::kScalar;
-  /// True while the fault set is empty; refreshed at the serial points.
-  /// Lets table steering skip the clean-window loads entirely on
-  /// fault-free runs (every node is trivially clean).
-  bool no_faults_ = false;
   Cycle total_cycles_ = 0;   // warmup + measure, for fire scheduling
   std::vector<Shard> shards_;
   std::vector<Ring<PacketHot>> queues_;  // per-node FIFO, owner-shard only
@@ -454,7 +448,6 @@ class NetworkSim {
   };
   std::multimap<Cycle, Parked> parked_;
   std::vector<std::uint16_t> parked_count_;  // per-node local-park depth
-  std::uint64_t parked_now_ = 0;  // all parked entries (stall exemption)
   ShardPool* pool_ = nullptr;        // valid while run() is on the stack
   // Fused-loop control, written only in the serial section (or before the
   // dispatch) and read by workers after the barrier edge.

@@ -9,10 +9,10 @@
 // parked retries hold records, not references to them. A packet's per-hop
 // state therefore always sits in memory owned by the shard serving it; a
 // packet that crosses a shard boundary is copied into a mailbox, and no
-// hop writes a line another core wrote last. Everything else (identity,
-// source, a carried detour, retry/retransmit counters, the audit hop tail)
-// lives in a PacketCold record in the injecting shard's PacketPool, touched
-// only at injection, near faults, on the audited delivery-replay sample and
+// hop writes a line another core wrote last. Everything else (source, a
+// carried detour, retry/retransmit counters, the audit hop tail) lives in
+// a PacketCold record in the injecting shard's PacketPool, touched only at
+// injection, near faults, on the audited delivery-replay sample and
 // when a packet with hop lists leaves — never on the fault-free
 // table-steered fast path, whose delivery reads the record alone.
 //
@@ -128,7 +128,7 @@ inline constexpr unsigned kMaxPoolShards = 1u << (32 - kPacketRefShardShift);
 // touching the cold record. kPktDetour mirrors !PacketCold::detour.empty();
 // kPktTable marks table mode (never set together with kPktDetour, and only
 // when the router has a supported fabric); kPktAudited precomputes
-// (id & 63) == 0.
+// (id & 63) == 0 for the packet id created * node_count + src.
 inline constexpr std::uint32_t kPktDetour = 1u << 0;
 inline constexpr std::uint32_t kPktAudited = 1u << 1;
 inline constexpr std::uint32_t kPktTable = 1u << 2;
@@ -178,9 +178,9 @@ static_assert(sizeof(PacketHot) == 16, "the packet record must stay 16 bytes");
 
 /// Everything else: touched at injection, near faults, on the audited
 /// sample and when a packet holding hop lists leaves — off the per-hop
-/// fast path by construction.
+/// fast path by construction. A packet's id is not stored: it is
+/// created * node_count + src, derived where needed.
 struct PacketCold {
-  std::uint64_t id = 0;
   NodeId src = 0;
   /// Transient-fault recovery state (SimConfig::retry_limit /
   /// retry_budget). How many times this packet has been parked in a retry

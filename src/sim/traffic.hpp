@@ -20,7 +20,7 @@ namespace gcube {
 
 /// Injection + destination model consumed by the simulator.
 ///
-/// The rng handed to should_inject / pick_destination is a counter-based
+/// The rng handed to injection_gap / pick_destination is a counter-based
 /// per-(node, cycle) stream owned by the caller; the simulator constructs
 /// it from counter_key(seed, node, cycle), so draws are a pure function of
 /// that triple and independent of the order nodes are visited in — the
@@ -33,32 +33,17 @@ class TrafficModel {
  public:
   virtual ~TrafficModel() = default;
 
-  /// Sentinel gap: the node never injects again (rate 0, or no success
-  /// within the default implementation's scan horizon).
+  /// Sentinel gap: the node never injects again (rate 0, or too small
+  /// for any gap to be drawn).
   static constexpr std::uint64_t kNeverGap = ~std::uint64_t{0};
-
-  /// Should node u inject a packet this cycle?
-  [[nodiscard]] virtual bool should_inject(NodeId u, CounterRng& rng) const = 0;
 
   /// Cycles until node u's next injection, >= 1 (or kNeverGap) — the
   /// paper's injection process as the simulator realizes it. The simulator
-  /// schedules injections event-driven from this instead of drawing
-  /// should_inject for every (node, cycle) pair, so at low rates idle
-  /// nodes cost nothing per cycle. The default derives the gap by scanning
-  /// should_inject draws, which keeps any override of should_inject
-  /// distribution-consistent; models with a closed form (UniformTraffic's
-  /// geometric) override it.
+  /// schedules injections event-driven from this instead of drawing once
+  /// per (node, cycle) pair, so at low rates idle nodes cost nothing per
+  /// cycle.
   [[nodiscard]] virtual std::uint64_t injection_gap(NodeId u,
-                                                    CounterRng& rng) const {
-    // Bounded scan: past this many consecutive failures the node is
-    // treated as silent (at any practically measurable rate the bound is
-    // unreachable; it only guards rate ~ 0 from an unbounded loop).
-    constexpr std::uint64_t kScanLimit = std::uint64_t{1} << 20;
-    for (std::uint64_t gap = 1; gap <= kScanLimit; ++gap) {
-      if (should_inject(u, rng)) return gap;
-    }
-    return kNeverGap;
-  }
+                                                    CounterRng& rng) const = 0;
 
   /// A nonfaulty destination different from src.
   [[nodiscard]] virtual NodeId pick_destination(NodeId src,
@@ -84,11 +69,9 @@ class UniformTraffic : public TrafficModel {
   UniformTraffic(std::uint64_t node_count, double rate,
                  const FaultSet& faults, std::uint64_t seed);
 
-  [[nodiscard]] bool should_inject(NodeId, CounterRng& rng) const override {
-    return rng.chance(rate_);
-  }
   /// Closed-form geometric gap: P(gap = g) = rate * (1 - rate)^(g-1), the
-  /// exact distribution of the Bernoulli scan, in one draw.
+  /// gap between successes of per-cycle Bernoulli injection at `rate`, in
+  /// one draw.
   [[nodiscard]] std::uint64_t injection_gap(NodeId u,
                                             CounterRng& rng) const override;
   [[nodiscard]] NodeId pick_destination(NodeId src,

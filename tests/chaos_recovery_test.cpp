@@ -12,6 +12,7 @@
 //     fault-free baseline, while the same churn made permanent stays
 //     degraded — the qualitative curve bench/abl_recovery quantifies.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <string>
@@ -230,8 +231,10 @@ TEST(ChaosRecovery, CheckpointRoundTripPreservesRecoveryStateBitForBit) {
   ASSERT_GT(uninterrupted.parked_retries, 0u)
       << "the scenario must actually exercise the park machinery";
 
-  const std::string path =
-      testing::TempDir() + "gcube_chaos_roundtrip.ckpt";
+  // The process id keeps another build's binary run beside this one off
+  // the file.
+  const std::string path = testing::TempDir() + "gcube_chaos_roundtrip_" +
+                           std::to_string(::getpid()) + ".ckpt";
   std::remove(path.c_str());
   std::remove(checkpoint_previous_generation(path).c_str());
   // Cycle 300: victims 9/40/101 have flapped, 164's isolation is live,

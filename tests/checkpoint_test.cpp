@@ -10,6 +10,7 @@
 // halt_at_cycle knob (the same serial-point path a SIGINT takes); the CI
 // crash-replay job adds the true _exit(137) mid-run legs via sim_cli.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
@@ -21,18 +22,23 @@
 #include <vector>
 
 #include "fault/fault_set.hpp"
+#include "routing/ffgcr.hpp"
 #include "routing/ftgcr.hpp"
 #include "sim/checkpoint.hpp"
 #include "sim/fault_schedule.hpp"
 #include "sim/metrics.hpp"
 #include "sim/network.hpp"
+#include "sim_test_support.hpp"
 #include "topology/gaussian_cube.hpp"
 
 namespace gcube {
 namespace {
 
-std::string tmp_path(const std::string& name) {
-  return testing::TempDir() + "gcube_" + name + ".ckpt";
+/// The process id keeps two builds' test binaries run side by side off
+/// each other's files.
+std::string tmp_path(const std::string& name, pid_t pid = ::getpid()) {
+  return testing::TempDir() + "gcube_" + std::to_string(pid) + "_" + name +
+         ".ckpt";
 }
 
 void remove_generations(const std::string& path) {
@@ -320,8 +326,10 @@ TEST(Checkpoint, ConfigMismatchIsRefusedNamingTheField) {
 
 TEST(Checkpoint, PacketsTheRecordCannotHoldAreRefusedNamingPackets) {
   // A checkpoint stores packet fields, not records: a hop count above the
-  // record's 24-bit field, or a creation cycle at or after the resume
-  // cycle, must be refused at restore, naming the packets section. Each
+  // record's 24-bit field, a creation cycle at or after the resume cycle,
+  // an id that is not created * node_count + src (the simulator derives
+  // it, never stores it), or an audit flag that does not follow from the
+  // id must be refused at restore, naming the packets section. Each
   // mutant is a real checkpoint with one packet edited and saved again, so
   // its CRCs are valid and only the restore can refuse it.
   const std::string path = tmp_path("record_limits");
@@ -369,6 +377,16 @@ TEST(Checkpoint, PacketsTheRecordCannotHoldAreRefusedNamingPackets) {
                  "created at or after the resume cycle");
   expect_refused([](CheckpointPacket& p) { p.created = Cycle{1} << 32; },
                  "created at or after the resume cycle");
+  expect_refused([](CheckpointPacket& p) { ++p.id; },
+                 "packet id differs from created * node count + source");
+  // The audit flag on a packet outside the sample, with a hop tail as
+  // long as its hop count so the tail checks pass.
+  expect_refused(
+      [](CheckpointPacket& p) {
+        p.flags |= kPktAudited;
+        p.tail_hops.assign(p.hops, Dim{0});
+      },
+      "audit flag disagrees with packet id");
   // The largest hop count the record holds is restored; the packet is past
   // the livelock guard, so the resumed run drops it there.
   const SimMetrics kept = resume_edited(
@@ -420,9 +438,9 @@ TEST(Checkpoint, FormatVersionThreeIsRefusedAtTheHeader) {
 
 TEST(Checkpoint, ResumeCarriesFiresPendingInTheFarHeap) {
   // At rate 5e-4 the mean injection gap is 2,000 cycles, so at the halt
-  // some nodes' next fires lie more than a wheel span out, in the far
-  // heap. The checkpoint must carry them and the resume, at another
-  // thread count, must file them again.
+  // some nodes' next fires lie more than a wheel span out (where a far
+  // heap once kept them). The checkpoint must carry them and the resume,
+  // at another thread count, must file them again.
   const GaussianCube gc(10, 4);
   const auto run = [&](std::uint32_t threads, const std::string& path,
                        Cycle halt, const std::string& resume) {
@@ -449,6 +467,41 @@ TEST(Checkpoint, ResumeCarriesFiresPendingInTheFarHeap) {
         return f.at >= ck.resume_cycle + NetworkSim::kWheelSize;
       });
   EXPECT_GT(far, 0) << "no pending fire lies past the wheel's span";
+  const SimMetrics resumed = run(4, "", 0, path);
+  EXPECT_TRUE(resumed.deterministic_equals(uninterrupted));
+  remove_generations(path);
+}
+
+TEST(Checkpoint, ResumeCarriesFiresSeveralLapsOut) {
+  // Every fire lies two to three wheel spans out (LapTraffic). Halted
+  // mid-lap on one worker, the checkpoint must carry fires that are still
+  // two spans away, and the resume on four workers must file each in its
+  // bucket for the right lap.
+  const GaussianCube gc(8, 2);
+  const LapTraffic laps(gc.node_count());
+  const auto run = [&](std::uint32_t threads, const std::string& path,
+                       Cycle halt, const std::string& resume) {
+    SimConfig cfg = base_config();
+    cfg.measure_cycles = 40'000;
+    cfg.threads = threads;
+    cfg.checkpoint_path = path;
+    cfg.halt_at_cycle = halt;
+    cfg.resume_from = resume;
+    const FaultSet none;
+    const FfgcrRouter router(gc);
+    return NetworkSim(gc, router, none, cfg, laps).run();
+  };
+  const SimMetrics uninterrupted = run(1, "", 0, "");
+  EXPECT_GT(uninterrupted.delivered, 0u);
+  const std::string path = tmp_path("laps");
+  remove_generations(path);
+  ASSERT_EQ(run(1, path, 20'000, "").interrupted_at, 20'000u);
+  const SimCheckpoint ck = load_checkpoint(path);
+  const auto laps_out = std::count_if(
+      ck.fires.begin(), ck.fires.end(), [&](const CheckpointFire& f) {
+        return f.at >= ck.resume_cycle + 2 * NetworkSim::kWheelSize;
+      });
+  EXPECT_GT(laps_out, 0) << "no pending fire lies two spans out";
   const SimMetrics resumed = run(4, "", 0, path);
   EXPECT_TRUE(resumed.deterministic_equals(uninterrupted));
   remove_generations(path);
@@ -580,7 +633,8 @@ TEST(CheckpointDeathTest, CrashInjectionExitsWith137) {
         SimConfig cfg = base_config();
         cfg.threads = 1;
         cfg.checkpoint_every = 100;
-        cfg.checkpoint_path = path;
+        // The death test's child process writes where this one reads.
+        cfg.checkpoint_path = tmp_path("crash", ::getppid());
         cfg.crash_at_cycle = 250;
         FaultSet faults;
         const FtgcrRouter router(gc, faults);

@@ -3,7 +3,7 @@
 // NetworkSim must reproduce run_reference_sim (reference_sim.hpp) on every
 // deterministic metric, histogram buckets included, at 1 and 4 threads.
 // The reference shares none of the simulator's machinery, so a match pins
-// the active set, the timing wheel and its far heap, the batched advance
+// the active set, the timing wheel and its laps, the batched advance
 // at the running SIMD level, the shard mailboxes, the fault overlay and
 // the next-hop fabric to the model they implement. Cells named "Planned"
 // route traffic that adopts router plans: FTGCR packets at fault-adjacent
@@ -53,6 +53,8 @@ struct Cell {
   std::vector<NodeId> static_faults{};  // must satisfy FTGCR's precondition
   FaultSchedule schedule{};
   SimConfig sim = base_config();
+  /// Null: UniformTraffic at sim.injection_rate over the cell's faults.
+  const TrafficModel* traffic = nullptr;
 };
 
 /// Runs the cell on its own cube, fault set (scheduled events mutate it),
@@ -71,8 +73,10 @@ SimMetrics run_cell(const Cell& cell, std::uint32_t threads) {
   } else {
     router = std::make_unique<EcubeRouter>(gc);
   }
-  const UniformTraffic traffic(gc.node_count(), cell.sim.injection_rate,
+  const UniformTraffic uniform(gc.node_count(), cell.sim.injection_rate,
                                faults, cell.sim.seed);
+  const TrafficModel& traffic =
+      cell.traffic != nullptr ? *cell.traffic : uniform;
   if (threads == 0) {
     // Where the simulator steers by the router's fabric, the reference
     // takes the same fault-free hop from FFGCR's plans on the same cube.
@@ -196,7 +200,7 @@ TEST(ReferenceSim, SteeredFfgcrFaultFree) {
 
 /// Nodes whose first injection fire, drawn before cycle 0 from the same
 /// traffic model, lands a whole wheel span or more out yet inside the
-/// run: NetworkSim files each of those in its far heap.
+/// run: NetworkSim passes over each of those in its bucket at least once.
 std::size_t far_first_fires(const Cell& cell) {
   FaultSet faults;
   for (const NodeId u : cell.static_faults) faults.fail_node(u);
@@ -219,7 +223,8 @@ std::size_t far_first_fires(const Cell& cell) {
 
 TEST(ReferenceSim, PlannedFtgcrLowRateReachesTheFarHeap) {
   // A mean injection gap of 2,000 cycles files some fires past the timing
-  // wheel's span, so the far heap and its splice into the due bucket run.
+  // wheel's span (where a far heap once kept them), so the wheel's lap
+  // check runs on a random load.
   Cell cell{.label = "GC(10,4) rate 5e-4",
             .n = 10,
             .modulus = 4,
@@ -229,6 +234,29 @@ TEST(ReferenceSim, PlannedFtgcrLowRateReachesTheFarHeap) {
   cell.sim.measure_cycles = 12000;
   EXPECT_GT(far_first_fires(cell), 0u);
   EXPECT_GT(expect_matches_reference(cell).reroutes, 0u);
+}
+
+TEST(ReferenceSim, SteeredFfgcrFiresSeveralLapsOut) {
+  // Every fire lies two to three wheel spans out, so each is passed over
+  // twice before it is due. The run ends after some nodes' third fire and
+  // before the others', so `generated` depends on every fire's exact
+  // cycle: a fire taken a lap early or a node dropped while it waits
+  // shows.
+  const LapTraffic laps(pow2(8));
+  Cell cell{.label = "FFGCR GC(8,2) laps",
+            .router = RouterKind::kFfgcr,
+            .traffic = &laps};
+  cell.sim.warmup_cycles = 0;
+  cell.sim.measure_cycles = 54'000;
+  // Node u fires at k * gap(u) - 1 for k = 1, 2, ... while that cycle is
+  // inside the run.
+  std::uint64_t fires = 0;
+  for (NodeId u = 0; u < pow2(8); ++u) {
+    fires += cell.sim.measure_cycles / LapTraffic::gap(u);
+  }
+  ASSERT_GT(fires, 2 * pow2(8)) << "no node fires a third time";
+  ASSERT_LT(fires, 3 * pow2(8)) << "every node fires a third time";
+  EXPECT_EQ(expect_matches_reference(cell).generated, fires);
 }
 
 TEST(ReferenceSim, PlannedFtgcrUnsupportedFabricScheduledFaults) {

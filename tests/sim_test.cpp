@@ -1,6 +1,7 @@
 // Simulator tests: determinism, conservation, queueing sanity, traffic,
 // metrics arithmetic, dynamic-fault mode, and the parallel sweep helper.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <cmath>
@@ -476,7 +477,10 @@ TEST(NetworkSim, AuditedPathsStayWithinOptimalPlusTwoFUnderAOnlyFaults) {
   const std::size_t two_f = 2 * faults.link_fault_count();
   const FtgcrRouter router(gc, faults);
   const FfgcrRouter fault_free(gc);
-  const std::string path = testing::TempDir() + "gcube_two_f.ckpt";
+  // The process id keeps another build's binary run beside this one off
+  // the file.
+  const std::string path = testing::TempDir() + "gcube_two_f_" +
+                           std::to_string(::getpid()) + ".ckpt";
   SimConfig cfg = quick_config();
   cfg.warmup_cycles = 0;
   cfg.measure_cycles = 200;

@@ -1,5 +1,6 @@
 // Shared helpers for the simulator test suites: a field-by-field metrics
-// comparison and a fail-only mid-run fault schedule.
+// comparison, a fail-only mid-run fault schedule and a traffic model whose
+// every fire lies several timing-wheel laps out.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -10,6 +11,9 @@
 
 #include "sim/fault_schedule.hpp"
 #include "sim/metrics.hpp"
+#include "sim/network.hpp"
+#include "sim/traffic.hpp"
+#include "util/rng.hpp"
 
 namespace gcube {
 
@@ -61,5 +65,35 @@ inline FaultSchedule scheduled_faults(std::uint64_t node_count) {
   schedule.fail_node_at(140, 2 * nodes / 3);
   return schedule;
 }
+
+/// Every node injects once per fixed gap of two to three timing-wheel
+/// spans that differs by node, toward a uniform other node. So every fire
+/// is filed two or more laps out, and the wheel must pass it over in its
+/// bucket until its own lap comes round.
+class LapTraffic final : public TrafficModel {
+ public:
+  explicit LapTraffic(std::uint64_t node_count) : node_count_(node_count) {}
+
+  /// Node u's gap: 2 * kWheelSize + 1 + (97 u mod kWheelSize) cycles.
+  [[nodiscard]] static std::uint64_t gap(NodeId u) {
+    constexpr std::uint64_t kSpan = NetworkSim::kWheelSize;
+    return 2 * kSpan + 1 + (97 * std::uint64_t{u}) % kSpan;
+  }
+  [[nodiscard]] std::uint64_t injection_gap(NodeId u,
+                                            CounterRng&) const override {
+    return gap(u);
+  }
+  [[nodiscard]] NodeId pick_destination(NodeId src,
+                                        CounterRng& rng) const override {
+    while (true) {
+      const auto d = static_cast<NodeId>(rng.below(node_count_));
+      if (d != src) return d;
+    }
+  }
+  [[nodiscard]] bool eligible(NodeId) const override { return true; }
+
+ private:
+  std::uint64_t node_count_;
+};
 
 }  // namespace gcube

@@ -17,50 +17,30 @@
 namespace gcube {
 namespace {
 
-/// Overrides only should_inject, so injection_gap is TrafficModel's
-/// default scan over should_inject draws.
-struct BernoulliScanTraffic final : TrafficModel {
-  explicit BernoulliScanTraffic(double r) : rate(r) {}
-  bool should_inject(NodeId, CounterRng& rng) const override {
-    return rng.chance(rate);
-  }
-  NodeId pick_destination(NodeId u, CounterRng&) const override {
-    return u ^ 1;
-  }
-  bool eligible(NodeId) const override { return true; }
-  double rate;
-};
-
 TEST(InjectionGap, IsGeometricAtTheInjectionRate) {
-  // Over 100k counter-keyed streams the gap must follow per-cycle Bernoulli
-  // injection at `rate` — mean 1/rate and P(gap = 1) = rate, each within 4
-  // standard errors — for UniformTraffic's closed form and the default scan.
+  // Over 100k counter-keyed streams UniformTraffic's closed-form gap must
+  // follow per-cycle Bernoulli injection at `rate` — mean 1/rate and
+  // P(gap = 1) = rate, each within 4 standard errors.
   constexpr std::uint64_t kStreams = 100'000;
   const FaultSet none;
   for (const double rate : {0.01, 0.05, 0.5}) {
     const UniformTraffic uniform(64, rate, none, 1);
-    const BernoulliScanTraffic scan(rate);
-    const TrafficModel* models[] = {&uniform, &scan};
-    for (const TrafficModel* model : models) {
-      double sum = 0.0;
-      double ones = 0.0;
-      for (std::uint64_t i = 0; i < kStreams; ++i) {
-        CounterRng rng(counter_key(2024, i, 0));
-        const std::uint64_t gap = model->injection_gap(0, rng);
-        ASSERT_TRUE(gap >= 1 && gap != TrafficModel::kNeverGap);
-        sum += static_cast<double>(gap);
-        ones += gap == 1 ? 1.0 : 0.0;
-      }
-      const std::string label =
-          (model == &scan ? "scan rate " : "uniform rate ") +
-          std::to_string(rate);
-      const auto n = static_cast<double>(kStreams);
-      EXPECT_NEAR(sum / n, 1.0 / rate,
-                  4.0 * std::sqrt((1.0 - rate) / n) / rate)
-          << label;
-      EXPECT_NEAR(ones / n, rate, 4.0 * std::sqrt(rate * (1.0 - rate) / n))
-          << label;
+    double sum = 0.0;
+    double ones = 0.0;
+    for (std::uint64_t i = 0; i < kStreams; ++i) {
+      CounterRng rng(counter_key(2024, i, 0));
+      const std::uint64_t gap = uniform.injection_gap(0, rng);
+      ASSERT_TRUE(gap >= 1 && gap != TrafficModel::kNeverGap);
+      sum += static_cast<double>(gap);
+      ones += gap == 1 ? 1.0 : 0.0;
     }
+    const std::string label = "rate " + std::to_string(rate);
+    const auto n = static_cast<double>(kStreams);
+    EXPECT_NEAR(sum / n, 1.0 / rate,
+                4.0 * std::sqrt((1.0 - rate) / n) / rate)
+        << label;
+    EXPECT_NEAR(ones / n, rate, 4.0 * std::sqrt(rate * (1.0 - rate) / n))
+        << label;
   }
 }
 
@@ -70,9 +50,6 @@ TEST(InjectionGap, RateZeroNeverFiresAndRateOneFiresEveryCycle) {
   EXPECT_EQ(UniformTraffic(64, 0.0, none, 1).injection_gap(0, rng),
             TrafficModel::kNeverGap);
   EXPECT_EQ(UniformTraffic(64, 1.0, none, 1).injection_gap(0, rng), 1u);
-  EXPECT_EQ(BernoulliScanTraffic(0.0).injection_gap(0, rng),
-            TrafficModel::kNeverGap);  // scan horizon exhausted
-  EXPECT_EQ(BernoulliScanTraffic(1.0).injection_gap(0, rng), 1u);
 }
 
 TEST(PatternTraffic, BitComplement) {
