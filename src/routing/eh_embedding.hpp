@@ -32,9 +32,6 @@ class EhEmbedding {
   EhEmbedding(const GaussianCube& gc, NodeId p, NodeId q, NodeId anchor);
 
   [[nodiscard]] const ExchangedHypercube& eh() const noexcept { return eh_; }
-  /// The tree dimension realized by EH dimension 0.
-  [[nodiscard]] Dim cross_dim() const noexcept { return cross_dim_; }
-
   /// True iff the GC node belongs to this structure instance.
   [[nodiscard]] bool contains(NodeId gc_node) const noexcept;
 
@@ -44,7 +41,8 @@ class EhEmbedding {
   /// EH -> GC label.
   [[nodiscard]] NodeId from_eh(NodeId eh_node) const;
 
-  /// EH dimension -> GC dimension (0 maps to cross_dim()).
+  /// EH dimension -> GC dimension (0 maps to the tree dimension where p and
+  /// q differ).
   [[nodiscard]] Dim to_gc_dim(Dim eh_dim) const;
 
  private:

@@ -1,32 +1,38 @@
 #include "routing/ffgcr.hpp"
 
-#include <array>
-#include <utility>
-
 #include "fault/fault_set.hpp"
 #include "routing/tree_routing.hpp"
 #include "util/error.hpp"
 
 namespace gcube {
 
+namespace {
+
+/// The classes owning the high dimensions in which s and d differ, in
+/// ascending order: bit c belongs to class c mod 2^alpha, which is at most
+/// c < kMaxDimension, so one word holds the set.
+std::vector<NodeId> owning_classes(const GaussianCube& gc, NodeId s,
+                                   NodeId d) {
+  const Dim alpha = gc.alpha();
+  NodeId classes = 0;
+  for (NodeId m = (s ^ d) & ~low_mask(alpha); m != 0; m &= m - 1) {
+    classes |= NodeId{1} << (lsb_index(m) & low_mask(alpha));
+  }
+  std::vector<NodeId> owners;
+  for (; classes != 0; classes &= classes - 1) {
+    owners.push_back(lsb_index(classes));
+  }
+  return owners;
+}
+
+}  // namespace
+
 GcRoutePlan make_gc_route_plan(const GaussianCube& gc,
                                const GaussianTree& tree, NodeId s, NodeId d) {
   GCUBE_REQUIRE(s < gc.node_count() && d < gc.node_count(),
                 "node out of range");
-  GcRoutePlan plan;
-  const Dim alpha = gc.alpha();
-  NodeId high_diff = (s ^ d) & ~low_mask(alpha);
-  while (high_diff != 0) {
-    const Dim c = lsb_index(high_diff);
-    high_diff &= high_diff - 1;
-    plan.pending_high[c & low_mask(alpha)] |= NodeId{1} << c;
-  }
-  std::vector<NodeId> targets;
-  targets.reserve(plan.pending_high.size());
-  for (const auto& [k, mask] : plan.pending_high) targets.push_back(k);
-  plan.class_walk = plan_tree_walk(tree, gc.ending_class(s),
-                                   gc.ending_class(d), targets);
-  return plan;
+  return {plan_tree_walk(tree, gc.ending_class(s), gc.ending_class(d),
+                         owning_classes(gc, s, d))};
 }
 
 std::shared_ptr<const GcRoutePlan> GcItineraryCache::get(
@@ -63,22 +69,12 @@ std::optional<Route> FfgcrRouter::build_route(NodeId s, NodeId d,
     cur = flip_bit(cur, c);
     return true;
   };
-  // Pending masks copied to the stack (at most one entry per dimension) so
-  // first-visit consumption does not touch the shared itinerary.
-  std::array<std::pair<NodeId, NodeId>, kMaxDimension> pending;
-  std::size_t pending_count = 0;
-  for (const auto& [cls, mask] : plan->pending_high) {
-    pending[pending_count++] = {cls, mask};
-  }
+  // Class cls's high bits still differing from d's: all of them on the
+  // first visit, none after it (no other hop flips them).
   auto fix_high_bits = [&](NodeId cls) {
-    for (std::size_t i = 0; i < pending_count; ++i) {
-      if (pending[i].first != cls) continue;
-      const NodeId mask = pending[i].second;
-      pending[i] = pending[--pending_count];
-      for (NodeId m = mask; m != 0; m &= m - 1) {
-        if (!hop(lsb_index(m))) return false;
-      }
-      return true;
+    for (NodeId m = (cur ^ d) & gc_.high_dims_mask(cls); m != 0;
+         m &= m - 1) {
+      if (!hop(lsb_index(m))) return false;
     }
     return true;
   };
@@ -98,31 +94,19 @@ std::optional<Route> FfgcrRouter::build_route(NodeId s, NodeId d,
 
 RoutingResult FfgcrRouter::plan(NodeId s, NodeId d) const {
   RoutingResult result;
-  result.route = *plan_shared(s, d);
+  result.route = build_route(s, d);
   return result;
 }
 
-std::shared_ptr<const Route> FfgcrRouter::plan_shared(NodeId s,
-                                                      NodeId d) const {
-  const std::uint64_t key = pack_node_pair(s, d);
-  if (auto hit = plan_cache_.find(key, 0)) return *hit;
-  auto route = std::make_shared<const Route>(*build_route(s, d));
-  plan_cache_.insert(key, 0, route);
-  return route;
-}
-
 std::size_t FfgcrRouter::optimal_length(NodeId s, NodeId d) const {
-  const std::shared_ptr<const GcRoutePlan> plan = itinerary(s, d);
   const NodeId cs = gc_.ending_class(s);
   const NodeId cd = gc_.ending_class(d);
-  std::vector<NodeId> terminals{cs, cd};
-  Dim high_flips = 0;
-  for (const auto& [k, mask] : plan->pending_high) {
-    terminals.push_back(k);
-    high_flips += popcount(mask);
-  }
+  std::vector<NodeId> terminals = owning_classes(gc_, s, d);
+  terminals.push_back(cs);
+  terminals.push_back(cd);
   const std::size_t steiner = steiner_edge_count(tree_, terminals);
-  return 2 * steiner - tree_.distance(cs, cd) + high_flips;
+  return 2 * steiner - tree_.distance(cs, cd) +
+         popcount((s ^ d) & ~low_mask(gc_.alpha()));
 }
 
 }  // namespace gcube

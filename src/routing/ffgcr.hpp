@@ -19,9 +19,9 @@
 // Caching. The itinerary depends only on (class(s), s ^ d) — a key space
 // of 2^(alpha + n), far smaller than the (s, d) pair space — so itineraries
 // are memoized in a GcItineraryCache shared-ownership table and executed
-// without mutation. Full routes are memoized per (s, d) in a sharded
-// open-addressed table (util/flat_cache.hpp); FFGCR is fault-blind, so its
-// entries never go stale.
+// without mutation. Routes are not memoized: the simulator steers
+// fault-free packets through the table (next_hop_table.hpp), and building
+// a route from a cached itinerary is a walk of its hops.
 //
 // One route builder. build_route executes the itinerary hop by hop and is
 // the only place the fault-free route is assembled: FFGCR's own plans call
@@ -30,7 +30,6 @@
 // therefore keeps this route wherever no fault blocks it, by construction.
 #pragma once
 
-#include <map>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -46,12 +45,13 @@ namespace gcube {
 class FaultSet;
 
 /// The source-computed plan, exposed separately so tests and the
-/// fault-tolerant router can reuse the itinerary.
+/// fault-tolerant router can reuse the itinerary. The high bits to flip in
+/// class k are (s ^ d) & gc.high_dims_mask(k), fixed on the walk's first
+/// visit to k.
 struct GcRoutePlan {
-  /// class -> mask of high dimensions to flip there (nonzero masks only).
-  std::map<NodeId, NodeId> pending_high;
   /// The inter-class walk on T_alpha (front() == class(s), back() ==
-  /// class(d); consecutive entries are tree neighbors).
+  /// class(d); consecutive entries are tree neighbors), visiting every
+  /// class that owns a high bit in which s and d differ.
   std::vector<NodeId> class_walk;
 };
 
@@ -62,8 +62,7 @@ struct GcRoutePlan {
 
 /// Memoized itineraries, keyed on (class(s), s ^ d) — the pair the plan is
 /// actually a function of. Itineraries are fault-independent, so entries
-/// never expire; consumers treat them as immutable and track pending-mask
-/// consumption on their own stack.
+/// never expire; consumers treat them as immutable.
 class GcItineraryCache {
  public:
   [[nodiscard]] std::shared_ptr<const GcRoutePlan> get(const GaussianCube& gc,
@@ -80,13 +79,6 @@ class FfgcrRouter final : public Router {
   explicit FfgcrRouter(const GaussianCube& gc);
 
   [[nodiscard]] RoutingResult plan(NodeId s, NodeId d) const override;
-  /// Memoized shared route; FFGCR never fails, so the result is non-null.
-  [[nodiscard]] std::shared_ptr<const Route> plan_shared(
-      NodeId s, NodeId d) const override;
-  /// Counters for the (s, d) route cache.
-  [[nodiscard]] RouterCacheStats cache_stats() const override {
-    return {plan_cache_.stats()};
-  }
   [[nodiscard]] const NextHopFabric* fabric() const override {
     return &fabric_;
   }
@@ -105,7 +97,7 @@ class FfgcrRouter final : public Router {
   /// in the dimension (< alpha) where the adjacent classes differ. Without
   /// a fault set the route always exists. With one, nothing is returned as
   /// soon as a hop's link is unusable, so a route comes back only when
-  /// every hop of it is usable. Does not touch the (s, d) route cache.
+  /// every hop of it is usable.
   [[nodiscard]] std::optional<Route> build_route(
       NodeId s, NodeId d, const FaultSet* faults = nullptr) const;
 
@@ -114,7 +106,6 @@ class FfgcrRouter final : public Router {
   GaussianTree tree_;
   NextHopFabric fabric_;
   mutable GcItineraryCache itineraries_;
-  mutable ShardedVersionCache<std::shared_ptr<const Route>> plan_cache_;
 };
 
 }  // namespace gcube

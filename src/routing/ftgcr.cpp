@@ -87,19 +87,19 @@ RoutingResult FtgcrRouter::plan_with_stats(NodeId s, NodeId d,
     return result;
   }
 
-  GcRoutePlan itinerary = *ffgcr_.itinerary(s, d);
+  const std::shared_ptr<const GcRoutePlan> itinerary = ffgcr_.itinerary(s, d);
   Route route(s);
   NodeId cur = s;
   const auto usable = [this](NodeId u, Dim c) {
     return faults_.link_usable(u, c);
   };
 
-  /// Takes the pending high-bit mask of class `cls` out of the itinerary.
+  // The high bits still to fix; a class's bits are taken on its first
+  // visit.
+  NodeId pending = (s ^ d) & ~low_mask(gc_.alpha());
   auto take_pending = [&](NodeId cls) -> NodeId {
-    const auto it = itinerary.pending_high.find(cls);
-    if (it == itinerary.pending_high.end()) return 0;
-    const NodeId mask = it->second;
-    itinerary.pending_high.erase(it);
+    const NodeId mask = pending & gc_.high_dims_mask(cls);
+    pending &= ~mask;
     return mask;
   };
 
@@ -170,7 +170,7 @@ RoutingResult FtgcrRouter::plan_with_stats(NodeId s, NodeId d,
     return result;
   };
 
-  const auto& walk = itinerary.class_walk;
+  const std::vector<NodeId>& walk = itinerary->class_walk;
   // Degenerate itinerary: everything happens inside the source class.
   if (walk.size() == 1) {
     const NodeId mask = take_pending(walk.front());

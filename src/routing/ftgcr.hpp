@@ -96,8 +96,7 @@ class FtgcrRouter final : public Router {
  private:
   const GaussianCube& gc_;
   const FaultSet& faults_;
-  /// Itineraries, the fault-free route builder and the table. Its own
-  /// (s, d) route cache stays empty: only build_route is called.
+  /// Itineraries, the fault-free route builder and the table.
   FfgcrRouter ffgcr_;
   mutable ShardedVersionCache<std::shared_ptr<const Route>> plan_cache_;
 };

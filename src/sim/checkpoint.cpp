@@ -51,12 +51,22 @@ struct Buf {
   std::vector<std::uint8_t> bytes;
 
   void u8(std::uint8_t v) { bytes.push_back(v); }
-  void u16(std::uint16_t v) { le(v, 2); }
   void u32(std::uint32_t v) { le(v, 4); }
   void u64(std::uint64_t v) { le(v, 8); }
   void str(const std::string& s) {
     u32(static_cast<std::uint32_t>(s.size()));
     bytes.insert(bytes.end(), s.begin(), s.end());
+  }
+  // One overload per record field type, each at its stored width: a flag
+  // as one byte, integers at their own widths, a hop list as a 32-bit
+  // count and one byte per hop.
+  void put(bool v) { u8(v ? 1 : 0); }
+  void put(std::uint16_t v) { le(v, 2); }
+  void put(std::uint32_t v) { u32(v); }
+  void put(std::uint64_t v) { u64(v); }
+  void put(const std::vector<Dim>& hops) {
+    u32(static_cast<std::uint32_t>(hops.size()));
+    for (Dim d : hops) u8(static_cast<std::uint8_t>(d));
   }
 
  private:
@@ -76,13 +86,22 @@ class Cursor {
       : data_(data), size_(size), section_(section) {}
 
   [[nodiscard]] std::uint8_t u8() { return take(1)[0]; }
-  [[nodiscard]] std::uint16_t u16() { return static_cast<std::uint16_t>(le(2)); }
   [[nodiscard]] std::uint32_t u32() { return static_cast<std::uint32_t>(le(4)); }
   [[nodiscard]] std::uint64_t u64() { return le(8); }
   [[nodiscard]] std::string str() {
     const std::uint32_t n = u32();
     const std::uint8_t* p = take(n);
     return {reinterpret_cast<const char*>(p), n};
+  }
+  // Buf::put's counterparts.
+  void get(bool& v) { v = u8() != 0; }
+  void get(std::uint16_t& v) { v = static_cast<std::uint16_t>(le(2)); }
+  void get(std::uint32_t& v) { v = u32(); }
+  void get(std::uint64_t& v) { v = u64(); }
+  void get(std::vector<Dim>& hops) {
+    const std::uint64_t n = count(u32(), 1);
+    hops.reserve(n);
+    for (std::uint64_t i = 0; i < n; ++i) hops.push_back(u8());
   }
   /// Element-count guard: a count field may not promise more elements than
   /// the remaining payload could hold at `min_size` bytes each.
@@ -119,105 +138,34 @@ class Cursor {
   const char* section_;
 };
 
-/// Bytes of put_packet's fixed-size fields, the least one packet takes.
+/// Bytes of a packet's integers and hop-list counts, the least one packet
+/// takes.
 constexpr std::size_t kPacketMinBytes = 44;
 
-void put_packet(Buf& b, const CheckpointPacket& p) {
-  b.u32(p.dst);
-  b.u32(p.hops);
-  b.u32(p.flags);
-  b.u64(p.id);
-  b.u32(p.src);
-  b.u64(p.created);
-  b.u16(p.retry_attempts);
-  b.u16(p.retransmits_used);
-  b.u32(static_cast<std::uint32_t>(p.detour_hops.size()));
-  for (Dim d : p.detour_hops) b.u8(static_cast<std::uint8_t>(d));
-  b.u32(static_cast<std::uint32_t>(p.tail_hops.size()));
-  for (Dim d : p.tail_hops) b.u8(static_cast<std::uint8_t>(d));
+/// Writes every field of a listed record (CheckpointPacket,
+/// CheckpointConfig, SimMetrics) in its list's order.
+template <typename Record>
+void put_fields(Buf& b, const Record& r) {
+  Record::fields([&](const char*, auto field, auto...) { b.put(r.*field); });
 }
 
-[[nodiscard]] CheckpointPacket get_packet(Cursor& c) {
-  CheckpointPacket p;
-  p.dst = c.u32();
-  p.hops = c.u32();
-  p.flags = c.u32();
-  p.id = c.u64();
-  p.src = c.u32();
-  p.created = c.u64();
-  p.retry_attempts = c.u16();
-  p.retransmits_used = c.u16();
-  const std::uint64_t detour_n = c.count(c.u32(), 1);
-  p.detour_hops.reserve(detour_n);
-  for (std::uint64_t i = 0; i < detour_n; ++i) {
-    p.detour_hops.push_back(c.u8());
-  }
-  const std::uint64_t tail_n = c.count(c.u32(), 1);
-  p.tail_hops.reserve(tail_n);
-  for (std::uint64_t i = 0; i < tail_n; ++i) p.tail_hops.push_back(c.u8());
-  return p;
+/// Reads put_fields' bytes back into a fresh record.
+template <typename Record>
+[[nodiscard]] Record get_fields(Cursor& c) {
+  Record r;
+  Record::fields([&](const char*, auto field, auto...) { c.get(r.*field); });
+  return r;
 }
 
 void put_metrics(Buf& b, const SimMetrics& m) {
-  b.u64(m.measured_cycles);
-  b.u64(m.generated);
-  b.u64(m.delivered);
-  b.u64(m.carryover_delivered);
-  b.u64(m.dropped);
-  b.u64(m.total_latency);
-  b.u64(m.total_hops);
-  b.u64(m.service_ops);
-  b.u64(m.peak_in_flight);
-  b.u64(m.injections_blocked);
-  b.u64(m.stalled_cycles);
-  b.u8(m.deadlocked ? 1 : 0);
-  b.u64(m.fault_events);
-  b.u64(m.repairs_applied);
-  b.u64(m.reroutes);
-  b.u64(m.dropped_no_route);
-  b.u64(m.dropped_hop_limit);
-  b.u64(m.orphaned_by_node_fault);
-  b.u64(m.parked_retries);
-  b.u64(m.retransmits);
-  b.u64(m.gave_up);
-  b.u64(m.in_flight_at_end);
-  b.u64(m.phase_drain_ns);
-  b.u64(m.phase_inject_ns);
-  b.u64(m.phase_advance_ns);
-  b.u64(m.phase_commit_ns);
+  put_fields(b, m);
   for (std::size_t i = 0; i < LatencyHistogram::kBuckets; ++i) {
     b.u64(m.latency_histogram.bucket(i));
   }
 }
 
 [[nodiscard]] SimMetrics get_metrics(Cursor& c) {
-  SimMetrics m;
-  m.measured_cycles = c.u64();
-  m.generated = c.u64();
-  m.delivered = c.u64();
-  m.carryover_delivered = c.u64();
-  m.dropped = c.u64();
-  m.total_latency = c.u64();
-  m.total_hops = c.u64();
-  m.service_ops = c.u64();
-  m.peak_in_flight = c.u64();
-  m.injections_blocked = c.u64();
-  m.stalled_cycles = c.u64();
-  m.deadlocked = c.u8() != 0;
-  m.fault_events = c.u64();
-  m.repairs_applied = c.u64();
-  m.reroutes = c.u64();
-  m.dropped_no_route = c.u64();
-  m.dropped_hop_limit = c.u64();
-  m.orphaned_by_node_fault = c.u64();
-  m.parked_retries = c.u64();
-  m.retransmits = c.u64();
-  m.gave_up = c.u64();
-  m.in_flight_at_end = c.u64();
-  m.phase_drain_ns = c.u64();
-  m.phase_inject_ns = c.u64();
-  m.phase_advance_ns = c.u64();
-  m.phase_commit_ns = c.u64();
+  SimMetrics m = get_fields<SimMetrics>(c);
   for (std::size_t i = 0; i < LatencyHistogram::kBuckets; ++i) {
     m.latency_histogram.add_bucket(i, c.u64());
   }
@@ -254,25 +202,8 @@ void append_section(std::vector<std::uint8_t>& out, SectionId id,
     append_section(out, kSecProvenance, b);
   }
   {
-    const CheckpointConfig& c = ck.config;
     Buf b;
-    b.u64(c.seed);
-    b.u64(c.injection_rate_bits);
-    b.u64(c.warmup_cycles);
-    b.u64(c.measure_cycles);
-    b.u32(c.service_rate);
-    b.u32(c.buffer_limit);
-    b.u32(c.hop_limit);
-    b.u32(c.retry_limit);
-    b.u64(c.retry_backoff_base);
-    b.u32(c.park_capacity);
-    b.u32(c.retry_budget);
-    b.u64(c.retransmit_timeout);
-    b.u64(c.node_count);
-    b.u32(c.dims);
-    b.u64(c.traffic_fingerprint);
-    b.u64(c.schedule_fingerprint);
-    b.u64(c.schedule_events);
+    put_fields(b, ck.config);
     append_section(out, kSecConfig, b);
   }
   {
@@ -299,7 +230,7 @@ void append_section(std::vector<std::uint8_t>& out, SectionId id,
     b.u64(ck.queues.size());
     for (const std::vector<CheckpointPacket>& q : ck.queues) {
       b.u32(static_cast<std::uint32_t>(q.size()));
-      for (const CheckpointPacket& p : q) put_packet(b, p);
+      for (const CheckpointPacket& p : q) put_fields(b, p);
     }
     append_section(out, kSecPackets, b);
   }
@@ -310,7 +241,7 @@ void append_section(std::vector<std::uint8_t>& out, SectionId id,
       b.u64(p.wake);
       b.u32(p.node);
       b.u8(p.respawn ? 1 : 0);
-      put_packet(b, p.packet);
+      put_fields(b, p.packet);
     }
     append_section(out, kSecParked, b);
   }
@@ -392,23 +323,7 @@ struct SectionPayload {
   {
     const SectionPayload s = expect_section(file, off, kSecConfig, "config");
     Cursor c(s.data, s.size, "config");
-    ck.config.seed = c.u64();
-    ck.config.injection_rate_bits = c.u64();
-    ck.config.warmup_cycles = c.u64();
-    ck.config.measure_cycles = c.u64();
-    ck.config.service_rate = c.u32();
-    ck.config.buffer_limit = c.u32();
-    ck.config.hop_limit = c.u32();
-    ck.config.retry_limit = c.u32();
-    ck.config.retry_backoff_base = c.u64();
-    ck.config.park_capacity = c.u32();
-    ck.config.retry_budget = c.u32();
-    ck.config.retransmit_timeout = c.u64();
-    ck.config.node_count = c.u64();
-    ck.config.dims = c.u32();
-    ck.config.traffic_fingerprint = c.u64();
-    ck.config.schedule_fingerprint = c.u64();
-    ck.config.schedule_events = c.u64();
+    ck.config = get_fields<CheckpointConfig>(c);
     c.expect_end();
   }
   {
@@ -446,7 +361,7 @@ struct SectionPayload {
       const std::uint64_t depth = c.count(c.u32(), kPacketMinBytes);
       ck.queues[u].reserve(depth);
       for (std::uint64_t i = 0; i < depth; ++i) {
-        ck.queues[u].push_back(get_packet(c));
+        ck.queues[u].push_back(get_fields<CheckpointPacket>(c));
       }
     }
     c.expect_end();
@@ -462,7 +377,7 @@ struct SectionPayload {
       p.wake = c.u64();
       p.node = c.u32();
       p.respawn = c.u8() != 0;
-      p.packet = get_packet(c);
+      p.packet = get_fields<CheckpointPacket>(c);
       ck.parked.push_back(std::move(p));
     }
     c.expect_end();

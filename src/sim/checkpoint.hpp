@@ -86,6 +86,22 @@ struct CheckpointPacket {
   std::uint16_t retransmits_used = 0;
   std::vector<Dim> detour_hops;    // kPktDetour only
   std::vector<Dim> tail_hops;      // kPktAudited only
+
+  /// The fields in stored order, f(name, &CheckpointPacket::field) for
+  /// each; the packet encoder and decoder walk this list.
+  template <typename F>
+  static constexpr void fields(F&& f) {
+    f("dst", &CheckpointPacket::dst);
+    f("hops", &CheckpointPacket::hops);
+    f("flags", &CheckpointPacket::flags);
+    f("id", &CheckpointPacket::id);
+    f("src", &CheckpointPacket::src);
+    f("created", &CheckpointPacket::created);
+    f("retry_attempts", &CheckpointPacket::retry_attempts);
+    f("retransmits_used", &CheckpointPacket::retransmits_used);
+    f("detour_hops", &CheckpointPacket::detour_hops);
+    f("tail_hops", &CheckpointPacket::tail_hops);
+  }
 };
 
 /// One parked retry/retransmit entry, in multimap iteration order (wake
@@ -139,6 +155,30 @@ struct CheckpointConfig {
   std::uint64_t traffic_fingerprint = 0;
   std::uint64_t schedule_fingerprint = 0;
   std::uint64_t schedule_events = 0;
+
+  /// The fields in stored order, f(name, &CheckpointConfig::field) for
+  /// each, named as a refused resume names them. The config section's
+  /// encoder and decoder and the resume check walk this list.
+  template <typename F>
+  static constexpr void fields(F&& f) {
+    f("seed", &CheckpointConfig::seed);
+    f("injection_rate", &CheckpointConfig::injection_rate_bits);
+    f("warmup_cycles", &CheckpointConfig::warmup_cycles);
+    f("measure_cycles", &CheckpointConfig::measure_cycles);
+    f("service_rate", &CheckpointConfig::service_rate);
+    f("buffer_limit", &CheckpointConfig::buffer_limit);
+    f("reroute_hop_limit", &CheckpointConfig::hop_limit);
+    f("retry_limit", &CheckpointConfig::retry_limit);
+    f("retry_backoff_base", &CheckpointConfig::retry_backoff_base);
+    f("park_capacity", &CheckpointConfig::park_capacity);
+    f("retry_budget", &CheckpointConfig::retry_budget);
+    f("retransmit_timeout", &CheckpointConfig::retransmit_timeout);
+    f("node_count", &CheckpointConfig::node_count);
+    f("dims", &CheckpointConfig::dims);
+    f("traffic model", &CheckpointConfig::traffic_fingerprint);
+    f("fault schedule", &CheckpointConfig::schedule_fingerprint);
+    f("fault schedule events", &CheckpointConfig::schedule_events);
+  }
 };
 
 struct SimCheckpoint {

@@ -47,54 +47,30 @@ double SimMetrics::log2_throughput() const {
 }
 
 void SimMetrics::absorb(const SimMetrics& shard) noexcept {
-  generated += shard.generated;
-  delivered += shard.delivered;
-  carryover_delivered += shard.carryover_delivered;
-  dropped += shard.dropped;
-  total_latency += shard.total_latency;
-  total_hops += shard.total_hops;
-  service_ops += shard.service_ops;
-  peak_in_flight = std::max(peak_in_flight, shard.peak_in_flight);
-  injections_blocked += shard.injections_blocked;
-  stalled_cycles += shard.stalled_cycles;
-  deadlocked = deadlocked || shard.deadlocked;
-  fault_events += shard.fault_events;
-  repairs_applied += shard.repairs_applied;
-  reroutes += shard.reroutes;
-  dropped_no_route += shard.dropped_no_route;
-  dropped_hop_limit += shard.dropped_hop_limit;
-  orphaned_by_node_fault += shard.orphaned_by_node_fault;
-  parked_retries += shard.parked_retries;
-  retransmits += shard.retransmits;
-  gave_up += shard.gave_up;
-  in_flight_at_end += shard.in_flight_at_end;
-  phase_drain_ns += shard.phase_drain_ns;
-  phase_inject_ns += shard.phase_inject_ns;
-  phase_advance_ns += shard.phase_advance_ns;
-  phase_commit_ns += shard.phase_commit_ns;
+  fields([&](const char*, auto field, auto fold) {
+    auto& mine = this->*field;
+    const auto theirs = shard.*field;
+    constexpr Fold kFold = decltype(fold)::value;
+    if constexpr (kFold == Fold::kSum || kFold == Fold::kTiming) {
+      mine += theirs;
+    } else if constexpr (kFold == Fold::kMax) {
+      mine = std::max(mine, theirs);
+    } else if constexpr (kFold == Fold::kAny) {
+      mine = mine || theirs;
+    }
+  });
   latency_histogram.merge(shard.latency_histogram);
   plan_cache += shard.plan_cache;
 }
 
 bool SimMetrics::deterministic_equals(const SimMetrics& o) const noexcept {
-  return measured_cycles == o.measured_cycles && generated == o.generated &&
-         delivered == o.delivered &&
-         carryover_delivered == o.carryover_delivered &&
-         dropped == o.dropped &&
-         total_latency == o.total_latency && total_hops == o.total_hops &&
-         service_ops == o.service_ops &&
-         peak_in_flight == o.peak_in_flight &&
-         injections_blocked == o.injections_blocked &&
-         stalled_cycles == o.stalled_cycles && deadlocked == o.deadlocked &&
-         fault_events == o.fault_events &&
-         repairs_applied == o.repairs_applied && reroutes == o.reroutes &&
-         dropped_no_route == o.dropped_no_route &&
-         dropped_hop_limit == o.dropped_hop_limit &&
-         orphaned_by_node_fault == o.orphaned_by_node_fault &&
-         parked_retries == o.parked_retries &&
-         retransmits == o.retransmits && gave_up == o.gave_up &&
-         in_flight_at_end == o.in_flight_at_end &&
-         latency_histogram == o.latency_histogram;
+  bool equal = latency_histogram == o.latency_histogram;
+  fields([&](const char*, auto field, auto fold) {
+    if constexpr (decltype(fold)::value != Fold::kTiming) {
+      equal = equal && this->*field == o.*field;
+    }
+  });
+  return equal;
 }
 
 }  // namespace gcube

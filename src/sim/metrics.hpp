@@ -11,6 +11,7 @@
 
 #include <array>
 #include <cstdint>
+#include <type_traits>
 
 #include "sim/packet.hpp"
 #include "util/cache_stats.hpp"
@@ -172,19 +173,69 @@ struct SimMetrics {
   }
   [[nodiscard]] double log2_throughput() const;
 
-  /// Folds a per-shard partial into this run total: additive counters sum,
-  /// histograms merge bucket-wise, flags OR, peaks max, and
-  /// measured_cycles keeps this object's value (a shard partial describes
-  /// the same window, not an additional one). All operations are
-  /// associative and commutative over disjoint shard contributions, so the
-  /// reduction — performed in ascending shard order regardless — cannot
-  /// depend on shard count.
+  /// How absorb() combines a field of shard partials.
+  enum class Fold {
+    kKeep,    // every partial describes the same window: keep this value
+    kSum,     // additive counter
+    kMax,     // peak
+    kAny,     // flag: set when any partial set it
+    kTiming,  // wall-clock diagnostic: summed, never compared
+  };
+  template <Fold kFold>
+  using FoldAs = std::integral_constant<Fold, kFold>;
+
+  /// The scalar fields, each once, in checkpoint order: calls
+  /// f(name, &SimMetrics::field, FoldAs<fold>{}) for each. absorb,
+  /// deterministic_equals, the checkpoint's metrics section and the tests'
+  /// field-by-field comparison walk this list, so a field listed here is
+  /// folded, compared and stored everywhere. latency_histogram, plan_cache
+  /// and interrupted_at are handled outside it.
+  template <typename F>
+  static constexpr void fields(F&& f) {
+    constexpr FoldAs<Fold::kKeep> keep{};
+    constexpr FoldAs<Fold::kSum> sum{};
+    constexpr FoldAs<Fold::kMax> max{};
+    constexpr FoldAs<Fold::kAny> any{};
+    constexpr FoldAs<Fold::kTiming> timing{};
+    f("measured_cycles", &SimMetrics::measured_cycles, keep);
+    f("generated", &SimMetrics::generated, sum);
+    f("delivered", &SimMetrics::delivered, sum);
+    f("carryover_delivered", &SimMetrics::carryover_delivered, sum);
+    f("dropped", &SimMetrics::dropped, sum);
+    f("total_latency", &SimMetrics::total_latency, sum);
+    f("total_hops", &SimMetrics::total_hops, sum);
+    f("service_ops", &SimMetrics::service_ops, sum);
+    f("peak_in_flight", &SimMetrics::peak_in_flight, max);
+    f("injections_blocked", &SimMetrics::injections_blocked, sum);
+    f("stalled_cycles", &SimMetrics::stalled_cycles, sum);
+    f("deadlocked", &SimMetrics::deadlocked, any);
+    f("fault_events", &SimMetrics::fault_events, sum);
+    f("repairs_applied", &SimMetrics::repairs_applied, sum);
+    f("reroutes", &SimMetrics::reroutes, sum);
+    f("dropped_no_route", &SimMetrics::dropped_no_route, sum);
+    f("dropped_hop_limit", &SimMetrics::dropped_hop_limit, sum);
+    f("orphaned_by_node_fault", &SimMetrics::orphaned_by_node_fault, sum);
+    f("parked_retries", &SimMetrics::parked_retries, sum);
+    f("retransmits", &SimMetrics::retransmits, sum);
+    f("gave_up", &SimMetrics::gave_up, sum);
+    f("in_flight_at_end", &SimMetrics::in_flight_at_end, sum);
+    f("phase_drain_ns", &SimMetrics::phase_drain_ns, timing);
+    f("phase_inject_ns", &SimMetrics::phase_inject_ns, timing);
+    f("phase_advance_ns", &SimMetrics::phase_advance_ns, timing);
+    f("phase_commit_ns", &SimMetrics::phase_commit_ns, timing);
+  }
+
+  /// Folds a per-shard partial into this run total: each listed field by
+  /// its fold, histograms bucket-wise, plan_cache summed. All operations
+  /// are associative and commutative over disjoint shard contributions, so
+  /// the reduction — performed in ascending shard order regardless —
+  /// cannot depend on shard count.
   void absorb(const SimMetrics& shard) noexcept;
 
-  /// Equality over every deterministic field, including the latency
-  /// histogram. This is the parallel core's determinism contract: for a
-  /// fixed seed it must hold across any shard/thread-count combination.
-  /// plan_cache is excluded — the hit/miss split is a
+  /// Equality over every listed field but the timing ones, plus the
+  /// latency histogram. This is the parallel core's determinism contract:
+  /// for a fixed seed it must hold across any shard/thread-count
+  /// combination. plan_cache is excluded — the hit/miss split is a
   /// thread-interleaving diagnostic, not a simulation result.
   [[nodiscard]] bool deterministic_equals(const SimMetrics& o) const noexcept;
 };

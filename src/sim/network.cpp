@@ -66,7 +66,6 @@ NetworkSim::NetworkSim(const Topology& topo, const Router& router,
   GCUBE_REQUIRE(config.park_capacity <= 0xFFFF,
                 "park capacity above 65535 would overflow the per-node "
                 "park count");
-  retries_ = config.retry_limit > 0 || config.retry_budget > 0;
   dims_ = topo.dims();
   node_count_ = topo.node_count();
   overlay_.attach(topo_);
@@ -166,7 +165,7 @@ void NetworkSim::configure_shards(unsigned shard_count) {
   occ_.assign(config_.buffer_limit != 0 ? nodes : 0, 0);
   in_flight_ = 0;
   parked_.clear();
-  parked_count_.assign(retries_ ? nodes : 0, 0);
+  parked_count_.assign(retries() ? nodes : 0, 0);
 }
 
 unsigned NetworkSim::shard_of(NodeId u) const noexcept {
@@ -326,7 +325,7 @@ void NetworkSim::commit_stranded(Cycle now, bool measuring,
         retire_packet(packet_ref_shard(s.hot.cold), s.hot, 0);
         ++dropped;
         if (measuring) {
-          ++(retries_ ? metrics_.gave_up : metrics_.dropped_no_route);
+          ++(retries() ? metrics_.gave_up : metrics_.dropped_no_route);
         }
       }
     }
@@ -1039,7 +1038,7 @@ void NetworkSim::serial_commit(Cycle now) noexcept {
       consecutive_stalls_ = 0;
     }
     const Cycle next = now + 1;
-    const bool done = next >= config_.warmup_cycles + config_.measure_cycles;
+    const bool done = next >= total_cycles_;
     // Graceful halt: an external stop request (sim_cli's SIGINT/SIGTERM
     // flag) or the deterministic halt_at_cycle test knob, honored here so
     // the cycle just finished is committed cleanly. Checked BEFORE the
@@ -1158,6 +1157,27 @@ PacketHot NetworkSim::restore_packet(unsigned w, const CheckpointPacket& p,
           .cold = make_packet_ref(w, slot)};
 }
 
+CheckpointConfig NetworkSim::checkpoint_config() const {
+  return {.seed = config_.seed,
+          .injection_rate_bits =
+              std::bit_cast<std::uint64_t>(config_.injection_rate),
+          .warmup_cycles = config_.warmup_cycles,
+          .measure_cycles = config_.measure_cycles,
+          .service_rate = config_.service_rate,
+          .buffer_limit = config_.buffer_limit,
+          .hop_limit = hop_limit_,
+          .retry_limit = config_.retry_limit,
+          .retry_backoff_base = config_.retry_backoff_base,
+          .park_capacity = config_.park_capacity,
+          .retry_budget = config_.retry_budget,
+          .retransmit_timeout = config_.retransmit_timeout,
+          .node_count = node_count_,
+          .dims = dims_,
+          .traffic_fingerprint = traffic_.state_fingerprint(),
+          .schedule_fingerprint = fault_events_fingerprint(schedule_events_),
+          .schedule_events = schedule_events_.size()};
+}
+
 SimCheckpoint NetworkSim::capture_checkpoint(Cycle next) {
   SimCheckpoint ck;
   ck.resume_cycle = next;
@@ -1176,25 +1196,7 @@ SimCheckpoint NetworkSim::capture_checkpoint(Cycle next) {
   ck.provenance.build_type = "debug";
 #endif
 
-  CheckpointConfig& cc = ck.config;
-  cc.seed = config_.seed;
-  cc.injection_rate_bits =
-      std::bit_cast<std::uint64_t>(config_.injection_rate);
-  cc.warmup_cycles = config_.warmup_cycles;
-  cc.measure_cycles = config_.measure_cycles;
-  cc.service_rate = config_.service_rate;
-  cc.buffer_limit = config_.buffer_limit;
-  cc.hop_limit = hop_limit_;
-  cc.retry_limit = config_.retry_limit;
-  cc.retry_backoff_base = config_.retry_backoff_base;
-  cc.park_capacity = config_.park_capacity;
-  cc.retry_budget = config_.retry_budget;
-  cc.retransmit_timeout = config_.retransmit_timeout;
-  cc.node_count = node_count_;
-  cc.dims = dims_;
-  cc.traffic_fingerprint = traffic_.state_fingerprint();
-  cc.schedule_fingerprint = fault_events_fingerprint(schedule_events_);
-  cc.schedule_events = schedule_events_.size();
+  ck.config = checkpoint_config();
 
   ck.faulty_nodes = faults_.faulty_nodes();
   ck.faulty_links = faults_.faulty_links();
@@ -1266,30 +1268,10 @@ void NetworkSim::apply_checkpoint(const SimCheckpoint& ck) {
           "config", std::string("resume configuration mismatch: ") + field);
     }
   };
-  const CheckpointConfig& cc = ck.config;
-  match(cc.seed == config_.seed, "seed");
-  match(cc.injection_rate_bits ==
-            std::bit_cast<std::uint64_t>(config_.injection_rate),
-        "injection_rate");
-  match(cc.warmup_cycles == config_.warmup_cycles, "warmup_cycles");
-  match(cc.measure_cycles == config_.measure_cycles, "measure_cycles");
-  match(cc.service_rate == config_.service_rate, "service_rate");
-  match(cc.buffer_limit == config_.buffer_limit, "buffer_limit");
-  match(cc.hop_limit == hop_limit_, "reroute_hop_limit");
-  match(cc.retry_limit == config_.retry_limit, "retry_limit");
-  match(cc.retry_backoff_base == config_.retry_backoff_base,
-        "retry_backoff_base");
-  match(cc.park_capacity == config_.park_capacity, "park_capacity");
-  match(cc.retry_budget == config_.retry_budget, "retry_budget");
-  match(cc.retransmit_timeout == config_.retransmit_timeout,
-        "retransmit_timeout");
-  match(cc.node_count == node_count_, "node_count");
-  match(cc.dims == dims_, "dims");
-  match(cc.traffic_fingerprint == traffic_.state_fingerprint(),
-        "traffic model");
-  match(cc.schedule_fingerprint ==
-            fault_events_fingerprint(schedule_events_),
-        "fault schedule");
+  const CheckpointConfig live = checkpoint_config();
+  CheckpointConfig::fields([&](const char* name, auto field) {
+    match(ck.config.*field == live.*field, name);
+  });
   match(ck.resume_cycle >= 1 && ck.resume_cycle < total_cycles_,
         "resume cycle");
   match(ck.next_event <= schedule_events_.size(), "fault schedule cursor");
@@ -1338,7 +1320,7 @@ void NetworkSim::apply_checkpoint(const SimCheckpoint& ck) {
   }
 
   for (const CheckpointParked& cp : ck.parked) {
-    if (!retries_) {
+    if (!retries()) {
       throw CheckpointError("parked",
                             "parked entries without retry recovery enabled");
     }

@@ -379,6 +379,13 @@ class NetworkSim {
   /// bucket at mod kWheelSize.
   void schedule_fire(Shard& sh, Cycle at, NodeId u);
 
+  /// Retry recovery is on: a stranded packet may park or be retransmitted.
+  [[nodiscard]] bool retries() const noexcept {
+    return config_.retry_limit > 0 || config_.retry_budget > 0;
+  }
+  /// The semantic parameters of this run, as a checkpoint stores them and
+  /// a resume must match them.
+  [[nodiscard]] CheckpointConfig checkpoint_config() const;
   /// Captures the full run state at the serial point entering cycle
   /// `next`, in canonical shard-count-independent form: per-node
   /// effective queues (queue contents + pending mailbox arrivals in
@@ -440,7 +447,6 @@ class NetworkSim {
   // Transient-fault recovery state (all serial-point only). The multimap
   // preserves insertion order among equal wake cycles, so processing is
   // deterministic; parked packets stay counted in in_flight_.
-  bool retries_ = false;  // retry_limit > 0 || retry_budget > 0
   struct Parked {
     NodeId node = 0;       // where the packet resumes (strand node or src)
     bool respawn = false;  // end-to-end retransmit: reset route state

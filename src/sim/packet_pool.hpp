@@ -11,8 +11,8 @@
 // holds a reference into the router's plan cache and releasing one touches
 // no reference count.
 //
-// A PacketPool holds cold records only (PacketCold: identity, source,
-// retry counters, detour and audit tail), one pool per shard: each thread
+// A PacketPool holds cold records only (PacketCold: source, retry
+// counters, detour and audit tail), one pool per shard: each thread
 // acquires slots for the packets it injects from its own pool, and a
 // packet's record names its slot with a pool-tagged PacketRef. The slot is
 // dereferenced only at injection, near faults, on the audited sample and

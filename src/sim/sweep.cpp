@@ -38,10 +38,6 @@ void ThreadBudget::release(unsigned granted) noexcept {
   }
 }
 
-unsigned ThreadBudget::spare() const noexcept {
-  return state_->spare.load(std::memory_order_relaxed);
-}
-
 void parallel_for_index(std::size_t count,
                         const std::function<void(std::size_t)>& fn,
                         unsigned max_threads) {

@@ -32,7 +32,6 @@ class ThreadBudget {
   /// Grants min(want, spare threads left), deducting from the budget.
   [[nodiscard]] unsigned acquire(unsigned want) noexcept;
   void release(unsigned granted) noexcept;
-  [[nodiscard]] unsigned spare() const noexcept;
 
  private:
   explicit ThreadBudget(unsigned spare);

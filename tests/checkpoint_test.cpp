@@ -321,6 +321,27 @@ TEST(Checkpoint, ConfigMismatchIsRefusedNamingTheField) {
       EXPECT_NE(std::string(e.what()).find("schedule"), std::string::npos);
     }
   }
+
+  // Every stored parameter, one at a time: the checkpoint is edited and
+  // saved again (so its CRCs hold) and resumed under the configuration
+  // that wrote it, which must refuse it naming that parameter.
+  const SimCheckpoint good = load_checkpoint(path);
+  const std::string edited_path = tmp_path("mismatch_edited");
+  CheckpointConfig::fields([&](const char* name, auto field) {
+    SimCheckpoint edited = good;
+    ++(edited.config.*field);
+    remove_generations(edited_path);
+    save_checkpoint(edited, edited_path);
+    try {
+      (void)run_scenario(Scenario::kScheduled, 1, "", 0, edited_path);
+      ADD_FAILURE() << "edited " << name << " must be refused";
+    } catch (const CheckpointError& e) {
+      EXPECT_EQ(e.section(), "config") << name;
+      EXPECT_TRUE(std::string(e.what()).ends_with(std::string(": ") + name))
+          << "error must name the edited field " << name << ": " << e.what();
+    }
+  });
+  remove_generations(edited_path);
   remove_generations(path);
 }
 

@@ -4,7 +4,9 @@
 // every small GC, across moduli.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <tuple>
+#include <vector>
 
 #include "graph/algorithms.hpp"
 #include "topology/gaussian_tree.hpp"
@@ -108,11 +110,11 @@ TEST(GcRoutePlan, GroupsHighBitsByOwningClass) {
   const NodeId s = 0;
   const NodeId d = (NodeId{1} << 6) | (NodeId{1} << 7) | 1u;
   const auto plan = make_gc_route_plan(gc, tree, s, d);
-  // Bit 6 belongs to class 6 % 4 = 2; bit 7 to class 3; bit 0 is a tree
-  // dimension and appears in the walk, not in pending_high.
-  ASSERT_EQ(plan.pending_high.size(), 2u);
-  EXPECT_EQ(plan.pending_high.at(2), NodeId{1} << 6);
-  EXPECT_EQ(plan.pending_high.at(3), NodeId{1} << 7);
+  // Bit 6 belongs to class 6 % 4 = 2 and bit 7 to class 3, so the walk
+  // visits both; bit 0 is a tree dimension, crossed on the way to class 1.
+  const std::vector<NodeId>& walk = plan.class_walk;
+  EXPECT_NE(std::find(walk.begin(), walk.end(), 2u), walk.end());
+  EXPECT_NE(std::find(walk.begin(), walk.end(), 3u), walk.end());
   EXPECT_EQ(plan.class_walk.front(), gc.ending_class(s));
   EXPECT_EQ(plan.class_walk.back(), gc.ending_class(d));
 }

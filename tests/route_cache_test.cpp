@@ -1,12 +1,12 @@
 // Route-cache coherence tests (simulator hot-path support).
 //
-// The routers memoize plans in sharded version-stamped caches
-// (util/flat_cache.hpp) keyed on FaultSet::version(). The
-// property asserted here: a router that has been serving — and caching —
-// queries for a while is observationally identical to a freshly
-// constructed router over the same topology and fault set, before and
-// after arbitrary FaultSet mutations. Any stale entry surviving a version
-// bump, or any cache-key collision, breaks this.
+// FTGCR memoizes plans in a sharded version-stamped cache
+// (util/flat_cache.hpp) keyed on FaultSet::version(), and both routers
+// memoize itineraries. The property asserted here: a router that has been
+// serving — and caching — queries for a while is observationally identical
+// to a freshly constructed router over the same topology and fault set,
+// before and after arbitrary FaultSet mutations. Any stale entry surviving
+// a version bump, or any cache-key collision, breaks this.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -14,6 +14,7 @@
 #include <memory>
 #include <optional>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "fault/fault_set.hpp"
@@ -64,14 +65,16 @@ void expect_matches_fresh(const GaussianCube& gc, const RouterT& warm,
           << gc.name() << " s=" << s << " d=" << d;
     }
     // plan_shared must agree with plan (it is the cache the simulator
-    // actually consumes), and repeated calls must yield the same object,
-    // not just equal hop lists — that is what makes injection a refcount
-    // bump.
+    // actually consumes), and a router with a plan cache must yield the
+    // same object on repeated calls, not just equal hop lists — that is
+    // what makes a cached plan a refcount bump. FFGCR has no plan cache.
     const std::shared_ptr<const Route> shared = warm.plan_shared(s, d);
     ASSERT_EQ(shared != nullptr, warm_plan.delivered());
     if (shared != nullptr) {
       EXPECT_EQ(shared->hops(), warm_plan.route->hops());
-      EXPECT_EQ(shared.get(), warm.plan_shared(s, d).get());
+      if constexpr (!std::is_same_v<RouterT, FfgcrRouter>) {
+        EXPECT_EQ(shared.get(), warm.plan_shared(s, d).get());
+      }
     }
     const std::optional<Dim> warm_hop = warm.next_hop(s, d);
     const std::optional<Dim> fresh_hop = fresh.next_hop(s, d);
@@ -157,17 +160,15 @@ TEST(RouteCacheTest, CountersTallyHitsMissesAndStale) {
 }
 
 TEST(RouteCacheTest, FfgcrCountersNeverGoStale) {
+  // FFGCR keeps no plan cache, so it reports all-zero counters however
+  // often it plans.
   const GaussianCube gc(8, 2);
   const FfgcrRouter router(gc);
   for (int pass = 0; pass < 3; ++pass) {
     (void)router.plan_shared(1, 77);
     (void)router.next_hop(1, 77);
   }
-  const RouterCacheStats stats = router.cache_stats();
-  EXPECT_EQ(stats.plan.misses, 1u);
-  // 5 hits: passes 2 and 3 of plan_shared, and next_hop on every pass.
-  EXPECT_EQ(stats.plan.hits, 5u);
-  EXPECT_EQ(stats.plan.stale, 0u);  // fault-blind: no version to outdate
+  EXPECT_EQ(router.cache_stats(), RouterCacheStats{});
 }
 
 TEST(RouteCacheTest, FtgcrRepeatedQueriesAreStableWithinVersion) {

@@ -22,28 +22,11 @@ namespace gcube {
 inline void expect_identical(const SimMetrics& got,
                              const SimMetrics& want,
                              const std::string& label) {
-  EXPECT_EQ(got.generated, want.generated) << label;
-  EXPECT_EQ(got.delivered, want.delivered) << label;
-  EXPECT_EQ(got.carryover_delivered, want.carryover_delivered) << label;
-  EXPECT_EQ(got.dropped, want.dropped) << label;
-  EXPECT_EQ(got.total_latency, want.total_latency) << label;
-  EXPECT_EQ(got.total_hops, want.total_hops) << label;
-  EXPECT_EQ(got.service_ops, want.service_ops) << label;
-  EXPECT_EQ(got.peak_in_flight, want.peak_in_flight) << label;
-  EXPECT_EQ(got.injections_blocked, want.injections_blocked) << label;
-  EXPECT_EQ(got.stalled_cycles, want.stalled_cycles) << label;
-  EXPECT_EQ(got.deadlocked, want.deadlocked) << label;
-  EXPECT_EQ(got.fault_events, want.fault_events) << label;
-  EXPECT_EQ(got.reroutes, want.reroutes) << label;
-  EXPECT_EQ(got.dropped_no_route, want.dropped_no_route) << label;
-  EXPECT_EQ(got.dropped_hop_limit, want.dropped_hop_limit) << label;
-  EXPECT_EQ(got.repairs_applied, want.repairs_applied) << label;
-  EXPECT_EQ(got.parked_retries, want.parked_retries) << label;
-  EXPECT_EQ(got.retransmits, want.retransmits) << label;
-  EXPECT_EQ(got.gave_up, want.gave_up) << label;
-  EXPECT_EQ(got.in_flight_at_end, want.in_flight_at_end) << label;
-  EXPECT_EQ(got.orphaned_by_node_fault, want.orphaned_by_node_fault)
-      << label;
+  SimMetrics::fields([&](const char* name, auto field, auto fold) {
+    if constexpr (decltype(fold)::value != SimMetrics::Fold::kTiming) {
+      EXPECT_EQ(got.*field, want.*field) << label << " " << name;
+    }
+  });
   for (std::size_t i = 0; i < LatencyHistogram::kBuckets; ++i) {
     EXPECT_EQ(got.latency_histogram.bucket(i),
               want.latency_histogram.bucket(i))
