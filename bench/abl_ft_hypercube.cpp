@@ -71,10 +71,10 @@ void hypercube_comparison() {
       } while (faults.node_faulty(d));
       const auto dist = bfs_distances(h, s, usable);
       if (dist[d] == kUnreachable) continue;
-      const auto a = adaptive_subcube_route(s, d, low_mask(n), usable);
+      const auto a = adaptive_subcube_route(s, d, low_mask(n), faults);
       adaptive.note(a.delivered(), a.delivered() ? a.route->length() : 0,
                     dist[d]);
-      const auto inf = informed_subcube_route(s, d, low_mask(n), usable);
+      const auto inf = informed_subcube_route(s, d, low_mask(n), faults);
       informed.note(inf.delivered(),
                     inf.delivered() ? inf.route->length() : 0, dist[d]);
       const auto w = wu.plan(s, d);
@@ -104,7 +104,6 @@ void eh_comparison() {
       faults.fail_node(static_cast<NodeId>(rng.below(eh.node_count())));
     }
     if (!theorem4_holds(eh, faults)) continue;
-    const EhFaultOracle oracle = make_eh_oracle(faults);
     for (int i = 0; i < 200; ++i) {
       NodeId r, d;
       do {
@@ -117,10 +116,10 @@ void eh_comparison() {
           eh, r,
           [&faults](NodeId u, Dim c) { return faults.link_usable(u, c); });
       if (dist[d] == kUnreachable) continue;
-      const auto a = freh_route(eh, oracle, r, d);
+      const auto a = freh_route(eh, faults, r, d);
       dance.note(a.delivered(), a.delivered() ? a.route->length() : 0,
                  dist[d]);
-      const auto b = informed_eh_route(eh, oracle, r, d);
+      const auto b = informed_eh_route(eh, faults, r, d);
       informed.note(b.delivered(), b.delivered() ? b.route->length() : 0,
                     dist[d]);
     }

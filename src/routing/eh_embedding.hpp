@@ -12,8 +12,10 @@
 //   GC links in tree dimension c <->  EH dimension-0 (cross) links
 //
 // EhEmbedding realizes the bijection in both directions and translates
-// dimensions, so FREH can run in clean EH coordinates while faults are
-// queried in GC coordinates.
+// dimensions. Dimensions map to dimensions in ascending order within each
+// class, so FTGCR searches the structure directly on GC labels and never
+// translates (ftgcr.hpp); the tests use this embedding to check that
+// search against FREH's informed route in EH coordinates.
 #pragma once
 
 #include <vector>

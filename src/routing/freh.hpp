@@ -20,50 +20,31 @@
 // at most H(r, d) + 2(F_s + F_t) + 2 hops (verified exhaustively in tests).
 #pragma once
 
-#include <functional>
-
 #include "fault/fault_set.hpp"
 #include "routing/route.hpp"
 #include "topology/exchanged_hypercube.hpp"
 
 namespace gcube {
 
-/// Fault knowledge in EH coordinates. link_usable must already account for
-/// endpoint node faults (a faulty node kills its incident links).
-struct EhFaultOracle {
-  std::function<bool(NodeId)> node_faulty;
-  std::function<bool(NodeId, Dim)> link_usable;
-};
-
-/// Oracle reading a FaultSet expressed directly in EH labels.
-[[nodiscard]] EhFaultOracle make_eh_oracle(const FaultSet& faults);
-
-/// In-cube legs run informed_subcube_route, which has no safeguard to
-/// report: it is a BFS already.
-struct FrehStats {
-  std::size_t crossings = 0;        // dimension-0 hops taken
-  std::size_t spare_hops = 0;       // displacement + in-cube spare hops
-  std::size_t faults_encountered = 0;
-};
-
-/// Routes r -> d in EH(s, t) under the oracle's faults. Fails with a reason
-/// if no usable crossing or in-cube path exists (i.e., when the Theorem-4
-/// precondition is violated).
+/// Routes r -> d in EH(s, t) under `faults`, given on EH labels. Fails with
+/// a reason if no usable crossing or in-cube path exists (i.e., when the
+/// Theorem-4 precondition is violated).
 [[nodiscard]] RoutingResult freh_route(const ExchangedHypercube& eh,
-                                       const EhFaultOracle& oracle, NodeId r,
-                                       NodeId d, FrehStats* stats = nullptr);
+                                       const FaultSet& faults, NodeId r,
+                                       NodeId d);
 
-/// Fault-aware optimal routing within the EH structure: BFS from the
-/// destination over usable links. Models the initialization phase of
-/// Algorithm 4 (nodes learn which cross links are dead before routing), so
-/// the route commits to the right crossing positions up front instead of
-/// discovering dead ends mid-dance. This is what FTGCR uses for crossing
-/// legs; freh_route remains the paper's step-by-step mechanism and is
-/// compared against this one in bench/abl_ft_hypercube.
+/// Fault-aware optimal routing within the EH structure: fault_aware_search
+/// (hypercube_ft.hpp) over EH's links in ascending dimension order. Models
+/// the initialization phase of Algorithm 4 (nodes learn which cross links
+/// are dead before routing), so the route commits to the right crossing
+/// positions up front instead of discovering dead ends mid-dance. FTGCR runs
+/// the same search on GC labels over the crossing structure, which
+/// eh_embedding_test checks hop for hop against this route; freh_route
+/// remains the paper's step-by-step mechanism and is compared against this
+/// one in bench/abl_ft_hypercube.
 [[nodiscard]] RoutingResult informed_eh_route(const ExchangedHypercube& eh,
-                                              const EhFaultOracle& oracle,
-                                              NodeId r, NodeId d,
-                                              FrehStats* stats = nullptr);
+                                              const FaultSet& faults,
+                                              NodeId r, NodeId d);
 
 /// Theorem-4 fault counts for a concrete FaultSet on EH labels:
 /// f_s / f_t — faulty components among the c==0 / c==1 side nodes and their

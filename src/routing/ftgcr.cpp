@@ -2,11 +2,10 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
-#include "routing/eh_embedding.hpp"
-#include "routing/freh.hpp"
 #include "routing/hypercube_ft.hpp"
 #include "util/error.hpp"
 
@@ -16,63 +15,52 @@ FtgcrRouter::FtgcrRouter(const GaussianCube& gc, const FaultSet& faults)
     : gc_(gc), faults_(faults), ffgcr_(gc) {}
 
 RoutingResult FtgcrRouter::plan(NodeId s, NodeId d) const {
-  FtgcrStats stats;
-  return plan_with_stats(s, d, stats);
+  return plan_route(s, d, nullptr);
 }
-
-namespace {
-
-/// Fault-aware BFS over the whole cube — the strategy's last-resort global
-/// re-plan. Returns the hop sequence from `start` to `dest`, or nothing.
-/// Neighbors are visited in ascending dimension order, so the path is the
-/// first shortest one in that order.
-std::optional<std::vector<Dim>> global_bfs(const GaussianCube& gc,
-                                           const FaultSet& faults,
-                                           NodeId start, NodeId dest) {
-  if (start == dest) return std::vector<Dim>{};
-  // The dimension each reached node was first entered along; the source
-  // and unreached nodes get sentinels no dimension can take.
-  constexpr std::uint8_t kUnreached = 0xff;
-  constexpr std::uint8_t kSource = 0xfe;
-  std::vector<std::uint8_t> arrival(gc.node_count(), kUnreached);
-  std::vector<NodeId> queue{start};
-  arrival[start] = kSource;
-  for (std::size_t head = 0; head < queue.size(); ++head) {
-    const NodeId u = queue[head];
-    // The cube's links at u: Dim(k) of u's ending class k, plus the tree
-    // dimensions below alpha whose link u carries.
-    NodeId links = gc.high_dims_mask(gc.ending_class(u));
-    for (Dim c = 0; c < gc.alpha(); ++c) {
-      if (gc.has_link(u, c)) links |= NodeId{1} << c;
-    }
-    for (; links != 0; links &= links - 1) {
-      const Dim c = lsb_index(links);
-      const NodeId v = flip_bit(u, c);
-      if (arrival[v] != kUnreached || !faults.link_usable(u, c)) continue;
-      arrival[v] = static_cast<std::uint8_t>(c);
-      if (v == dest) {
-        std::vector<Dim> hops;
-        for (NodeId w = dest; w != start; w = flip_bit(w, arrival[w])) {
-          hops.push_back(arrival[w]);
-        }
-        std::reverse(hops.begin(), hops.end());
-        return hops;
-      }
-      queue.push_back(v);
-    }
-  }
-  return std::nullopt;
-}
-
-}  // namespace
 
 RoutingResult FtgcrRouter::plan_with_stats(NodeId s, NodeId d,
                                            FtgcrStats& stats) const {
   stats = FtgcrStats{};
+  return plan_route(s, d, &stats);
+}
+
+namespace {
+
+/// FtgcrStats' tallies for one in-class leg, read off its path: hops along
+/// dimensions where the node already matched the destination, and the
+/// distinct unusable `mask` links at the leg's nodes before its last. The
+/// clean dimension-ordered path counts neither.
+void tally_in_class_leg(const FaultSet& faults, NodeId start, NodeId dest,
+                        NodeId mask, std::span<const Dim> hops,
+                        FtgcrStats& stats) {
+  if (hops.size() == hamming(start, dest) &&
+      std::is_sorted(hops.begin(), hops.end())) {
+    return;
+  }
+  std::vector<std::uint64_t> unusable;  // LinkId keys, with repeats
+  NodeId cur = start;
+  for (const Dim h : hops) {
+    for (NodeId m = mask; m != 0; m &= m - 1) {
+      const Dim c = lsb_index(m);
+      if (faults.link_usable(cur, c)) continue;
+      const LinkId l = LinkId::of(cur, c);
+      unusable.push_back((std::uint64_t{l.lo} << 6) | l.dim);
+    }
+    if (bit(cur ^ dest, h) == 0) ++stats.spare_hops;
+    cur = flip_bit(cur, h);
+  }
+  std::sort(unusable.begin(), unusable.end());
+  stats.faults_encountered += static_cast<std::size_t>(
+      std::unique(unusable.begin(), unusable.end()) - unusable.begin());
+}
+
+}  // namespace
+
+RoutingResult FtgcrRouter::plan_route(NodeId s, NodeId d,
+                                      FtgcrStats* stats) const {
   RoutingResult result;
   auto fail = [&](std::string why) {
     result.failure = std::move(why);
-    result.faults_hit = stats.faults_encountered;
     return result;
   };
   if (faults_.node_faulty(s) || faults_.node_faulty(d)) {
@@ -93,6 +81,11 @@ RoutingResult FtgcrRouter::plan_with_stats(NodeId s, NodeId d,
   const auto usable = [this](NodeId u, Dim c) {
     return faults_.link_usable(u, c);
   };
+  // Every detour is one fault_aware_search. A GEEC has every link of its
+  // class's Dim(k); the crossings and the global re-plan read the cube's
+  // links at each node.
+  const auto every_link = [](NodeId) { return ~NodeId{0}; };
+  const auto cube_links = [this](NodeId u) { return gc_.link_mask(u); };
 
   // The high bits still to fix; a class's bits are taken on its first
   // visit.
@@ -103,48 +96,42 @@ RoutingResult FtgcrRouter::plan_with_stats(NodeId s, NodeId d,
     return mask;
   };
 
-  // Fault-tolerant unicast inside the current GEEC (Theorem 3 mechanism).
+  // Fault-tolerant unicast inside the current GEEC (Theorem 3 mechanism):
+  // the fault-aware shortest path, toward-destination dimensions first.
   auto in_class_route = [&](NodeId target) -> bool {
     if (target == cur) return true;
-    const NodeId cls = gc_.ending_class(cur);
-    SubcubeFtStats cube_stats;
-    RoutingResult leg = informed_subcube_route(
-        cur, target, gc_.high_dims_mask(cls), usable, &cube_stats);
-    stats.spare_hops += cube_stats.spare_hops;
-    stats.faults_encountered += cube_stats.faults_encountered;
-    if (!leg.delivered()) return false;
-    route.append(*leg.route);
+    const NodeId mask = gc_.high_dims_mask(gc_.ending_class(cur));
+    const std::size_t first = route.length();
+    if (!fault_aware_search(cur, target, mask, SearchOrder::kTowardFirst,
+                            faults_, every_link, route)) {
+      return false;
+    }
+    if (stats != nullptr) {
+      tally_in_class_leg(faults_, cur, target, mask,
+                         std::span(route.hops()).subspan(first), *stats);
+    }
     cur = target;
     return true;
   };
 
-  // One FREH instance over the crossing structure of classes (p, q); the
-  // destination may sit on either side, so this covers folded fixes,
-  // displaced crossings, and leaf detours (Cases I-IV of Algorithm 4).
+  // A detour through the crossing structure of classes (p, q): the nodes
+  // that agree with cur outside Dim(p) | Dim(q) | the tree bit, which is
+  // G(p, q, ·) ≅ EH(|Dim(p)|, |Dim(q)|) (eh_embedding.hpp). The target may
+  // sit on either side, so this covers folded fixes, displaced crossings,
+  // and leaf detours (Cases I-IV of Algorithm 4).
   auto freh_leg = [&](NodeId p, NodeId q, NodeId target) -> bool {
     if (gc_.high_dim_count(p) == 0 || gc_.high_dim_count(q) == 0) {
       return false;  // no EH structure to detour through (Theorem 5 limit)
     }
-    const EhEmbedding emb(gc_, p, q, cur);
-    if (!emb.contains(target)) return false;
-    const EhFaultOracle oracle{
-        [&](NodeId u) { return faults_.node_faulty(emb.from_eh(u)); },
-        [&](NodeId u, Dim eh_dim) {
-          return usable(emb.from_eh(u), emb.to_gc_dim(eh_dim));
-        }};
-    FrehStats freh_stats;
-    RoutingResult leg = informed_eh_route(emb.eh(), oracle, emb.to_eh(cur),
-                                          emb.to_eh(target), &freh_stats);
-    stats.spare_hops += freh_stats.spare_hops;
-    stats.faults_encountered += freh_stats.faults_encountered;
-    ++stats.freh_crossings;
-    if (!leg.delivered()) return false;
-    for (const Dim eh_dim : leg.route->hops()) {
-      const Dim gc_dim = emb.to_gc_dim(eh_dim);
-      route.append(gc_dim);
-      cur = flip_bit(cur, gc_dim);
+    const NodeId structure =
+        gc_.high_dims_mask(p) | gc_.high_dims_mask(q) | (p ^ q);
+    if (((cur ^ target) & ~structure) != 0) return false;
+    if (stats != nullptr) ++stats->freh_crossings;
+    if (!fault_aware_search(cur, target, structure, SearchOrder::kAscending,
+                            faults_, cube_links, route)) {
+      return false;
     }
-    GCUBE_REQUIRE(cur == target, "FREH leg must land on its target");
+    cur = target;
     return true;
   };
 
@@ -153,19 +140,18 @@ RoutingResult FtgcrRouter::plan_with_stats(NodeId s, NodeId d,
   // intermediate at a pass-through class) without hiding it: counted in
   // stats.global_replans.
   auto global_replan = [&]() -> bool {
-    const auto tail = global_bfs(gc_, faults_, cur, d);
-    if (!tail) return false;
-    ++stats.global_replans;
-    for (const Dim c : *tail) {
-      route.append(c);
-      cur = flip_bit(cur, c);
+    if (!fault_aware_search(cur, d, low_mask(gc_.dims()),
+                            SearchOrder::kAscending, faults_, cube_links,
+                            route)) {
+      return false;
     }
+    if (stats != nullptr) ++stats->global_replans;
+    cur = d;
     return true;
   };
 
   auto finish = [&]() {
     GCUBE_REQUIRE(cur == d, "FTGCR route must terminate at the destination");
-    result.faults_hit = stats.faults_encountered;
     result.route = std::move(route);
     return result;
   };
@@ -207,24 +193,25 @@ RoutingResult FtgcrRouter::plan_with_stats(NodeId s, NodeId d,
       // only if every piece works, so nothing needs undoing. This is the
       // optimal detour and the common case; the EH machinery below only
       // engages when a fault obstructs it.
-      if (usable(cur, c)) {
-        const NodeId over = flip_bit(cur, c);
-        const NodeId fixed = (over & ~mask_b) | (d & mask_b);
-        SubcubeFtStats cube_stats;
-        RoutingResult mid = informed_subcube_route(
-            over, fixed, gc_.high_dims_mask(b), usable, &cube_stats);
-        if (mid.delivered() && usable(fixed, c)) {
-          stats.spare_hops += cube_stats.spare_hops;
-          stats.faults_encountered += cube_stats.faults_encountered;
-          route.append(c);
-          for (const Dim h : mid.route->hops()) route.append(h);
-          route.append(c);
-          cur = flip_bit(fixed, c);
-          GCUBE_REQUIRE(cur == detour_target,
-                        "plain detour must land on its target");
-          i += 2;
-          continue;
+      const NodeId over = flip_bit(cur, c);
+      const NodeId fixed = (over & ~mask_b) | (d & mask_b);
+      Route mid(over);
+      if (usable(cur, c) && usable(fixed, c) &&
+          fault_aware_search(over, fixed, gc_.high_dims_mask(b),
+                             SearchOrder::kTowardFirst, faults_, every_link,
+                             mid)) {
+        if (stats != nullptr) {
+          tally_in_class_leg(faults_, over, fixed, gc_.high_dims_mask(b),
+                             mid.hops(), *stats);
         }
+        route.append(c);
+        route.append(mid);
+        route.append(c);
+        cur = flip_bit(fixed, c);
+        GCUBE_REQUIRE(cur == detour_target,
+                      "plain detour must land on its target");
+        i += 2;
+        continue;
       }
       // Blocked detour: same-side FREH instance (Algorithm 4 Case III/IV),
       // which tolerates a faulty natural intermediate by crossing

@@ -13,15 +13,19 @@
 //
 //  * in-class fixes (A-category faults, Theorem 3): setting the pending
 //    Dim(k) bits is fault-tolerant unicast inside the current GEEC
-//    hypercube — informed_subcube_route (hypercube_ft.hpp), the
-//    fault-aware shortest path, which succeeds while each GEEC holds fewer
-//    than N(k) = |Dim(k)| faults;
+//    hypercube — the fault-aware shortest path over mask Dim(k), which
+//    succeeds while each GEEC holds fewer than N(k) = |Dim(k)| faults;
 //
 //  * tree crossings (B/C-category faults, Theorem 5): when the dimension-c
-//    link at the current node is unusable, the crossing runs FREH over the
-//    crossing structure G(p, q, ·) ≅ EH(|Dim(p)|, |Dim(q)|) via the
-//    explicit embedding (eh_embedding.hpp), detouring through sibling nodes
-//    of both classes.
+//    link at the current node is unusable, the crossing takes the
+//    fault-aware shortest path over the crossing structure G(p, q, ·) ≅
+//    EH(|Dim(p)|, |Dim(q)|), on GC labels with mask Dim(p) | Dim(q) | {c},
+//    detouring through sibling nodes of both classes. That is FREH's
+//    informed route (freh.hpp) read through the embedding
+//    (eh_embedding.hpp), which eh_embedding_test checks hop for hop.
+//
+// Both, and the global re-plan below, are one fault_aware_search
+// (hypercube_ft.hpp).
 //
 // Invariant maintained throughout: every bit of Dim(k) not pending for
 // class k already equals the destination's bit. Each crossing into class k
@@ -30,9 +34,13 @@
 // crossing — which also lets a crossing land around a faulty ideal
 // neighbor.
 //
-// Guarantees (tested): under check_ftgcr_precondition the route is always
-// found, is cycle-free in the fault-free case, and is at most 2F hops
-// longer than FfgcrRouter::optimal_length when F faults are encountered.
+// Guarantees (tested in tests/ftgcr_test.cpp): under
+// check_ftgcr_precondition the route is always found and is cycle-free in
+// the fault-free case. With A-category faults only (the Theorem-3 regime)
+// it is at most 2F hops longer than FfgcrRouter::optimal_length for F
+// faults. With B/C faults that bound cannot hold (EXPERIMENTS.md); the
+// route stays within 2F plus 6 per crossing-structure search of the
+// fault-aware shortest path.
 //
 // Every fault test on the planning path reads the FaultSet directly: its
 // dense store answers a link test in two loads, so the planner keeps no
@@ -54,12 +62,15 @@
 
 namespace gcube {
 
-/// Every in-cube leg is an informed route, so there is no safeguard to
-/// report (SubcubeFtStats::used_fallback belongs to the adaptive route).
+/// What plan_with_stats reports, derived from the legs' paths. The two
+/// in-class tallies sum over the in-class legs that are not the clean
+/// dimension-ordered path: faults_encountered counts each leg's distinct
+/// unusable Dim(k) links at its nodes before the last (F), spare_hops its
+/// hops along dimensions where the node already matched the leg's target.
 struct FtgcrStats {
-  std::size_t faults_encountered = 0;  // distinct unusable links met (F)
+  std::size_t faults_encountered = 0;
   std::size_t spare_hops = 0;
-  std::size_t freh_crossings = 0;  // crossings that needed the EH machinery
+  std::size_t freh_crossings = 0;  // searches over a crossing structure
   /// Times the strategy re-planned the remaining route with a global
   /// fault-aware search. This covers the one case the paper's §5 outline
   /// does not: a pass-through class whose forced intermediate node is
@@ -94,6 +105,11 @@ class FtgcrRouter final : public Router {
   [[nodiscard]] std::string name() const override { return "FTGCR"; }
 
  private:
+  /// plan and plan_with_stats: the tallies are derived only when `stats` is
+  /// given.
+  [[nodiscard]] RoutingResult plan_route(NodeId s, NodeId d,
+                                         FtgcrStats* stats) const;
+
   const GaussianCube& gc_;
   const FaultSet& faults_;
   /// Itineraries, the fault-free route builder and the table.

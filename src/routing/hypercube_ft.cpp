@@ -1,32 +1,14 @@
 #include "routing/hypercube_ft.hpp"
 
 #include <algorithm>
-#include <cstdint>
-#include <unordered_set>
 #include <vector>
 
 #include "util/error.hpp"
 
 namespace gcube {
 
-namespace {
-
-/// u's bits at the dims_mask positions, packed ascending into the low bits:
-/// u's slot in a flat array over the subcube spanned by dims_mask.
-std::size_t subcube_slot(NodeId u, NodeId dims_mask) noexcept {
-  std::size_t slot = 0;
-  std::size_t slot_bit = 1;
-  for (NodeId m = dims_mask; m != 0; m &= m - 1, slot_bit <<= 1) {
-    if ((u & m & (~m + 1)) != 0) slot |= slot_bit;
-  }
-  return slot;
-}
-
-}  // namespace
-
 RoutingResult adaptive_subcube_route(NodeId start, NodeId dest,
-                                     NodeId dims_mask,
-                                     const LinkUsablePredicate& usable,
+                                     NodeId dims_mask, const FaultSet& faults,
                                      SubcubeFtStats* stats) {
   GCUBE_REQUIRE(((start ^ dest) & ~dims_mask) == 0,
                 "start and dest must agree outside the subcube dimensions");
@@ -39,13 +21,6 @@ RoutingResult adaptive_subcube_route(NodeId start, NodeId dest,
   NodeId cur = start;
   NodeId masked = 0;  // spare dimensions already used (paper's mask)
   Dim last_dim = kMaxDimension + 1;  // no 180-degree turns (see below)
-  std::unordered_set<std::uint64_t> faults_seen;
-  auto note_fault = [&](NodeId u, Dim c) {
-    const LinkId l = LinkId::of(u, c);
-    if (faults_seen.insert((std::uint64_t{l.lo} << 6) | l.dim).second) {
-      ++st.faults_encountered;
-    }
-  };
 
   // Hop budget: optimal + two per possible detour. Exceeding it means the
   // greedy is wandering; switch to the BFS safeguard.
@@ -69,15 +44,14 @@ RoutingResult adaptive_subcube_route(NodeId start, NodeId dest,
     for (NodeId m = pref; m != 0; m &= m - 1) {
       const Dim c = lsb_index(m);
       if (c == last_dim) {
-        last_dim_usable_pref = usable(cur, c);
+        last_dim_usable_pref = faults.link_usable(cur, c);
         continue;
       }
-      if (usable(cur, c)) {
+      if (faults.link_usable(cur, c)) {
         move_along(c);
         moved = true;
         break;
       }
-      note_fault(cur, c);
     }
     if (!moved && last_dim_usable_pref) {
       move_along(last_dim);
@@ -90,19 +64,19 @@ RoutingResult adaptive_subcube_route(NodeId start, NodeId dest,
     for (NodeId m = dims_mask & ~pref & ~masked; m != 0; m &= m - 1) {
       const Dim c = lsb_index(m);
       if (c == last_dim) continue;  // would undo the previous hop
-      if (usable(cur, c)) {
+      if (faults.link_usable(cur, c)) {
         masked |= NodeId{1} << c;
         move_along(c);
         ++st.spare_hops;
         moved = true;
         break;
       }
-      note_fault(cur, c);
     }
     // Last resort: backtrack along the arrival dimension (the one move the
     // no-180 rule withheld). The next node then re-chooses with this
     // dimension masked, so the walk cannot oscillate.
-    if (!moved && last_dim <= kMaxDimension && usable(cur, last_dim)) {
+    if (!moved && last_dim <= kMaxDimension &&
+        faults.link_usable(cur, last_dim)) {
       masked |= NodeId{1} << last_dim;
       move_along(last_dim);
       ++st.spare_hops;
@@ -112,7 +86,6 @@ RoutingResult adaptive_subcube_route(NodeId start, NodeId dest,
   }
 
   if (cur == dest) {
-    result.faults_hit = st.faults_encountered;
     result.route = std::move(route);
     return result;
   }
@@ -120,114 +93,31 @@ RoutingResult adaptive_subcube_route(NodeId start, NodeId dest,
   // Safeguard: complete the route with the informed route, a shortest path
   // over usable links. Under the Theorem-3 precondition (< dim faults per
   // GEEC) this is unreachable; tests assert used_fallback stays false
-  // there. spare_hops and faults_encountered count the local walk only, so
-  // the tail's own stats are not added.
+  // there. spare_hops counts the local walk only.
   st.used_fallback = true;
   const RoutingResult tail =
-      informed_subcube_route(cur, dest, dims_mask, usable);
+      informed_subcube_route(cur, dest, dims_mask, faults);
   if (!tail.delivered()) {
     result.failure = "subcube disconnected between current node and target";
-    result.faults_hit = st.faults_encountered;
     return result;
   }
   route.append(*tail.route);
-  result.faults_hit = st.faults_encountered;
   result.route = std::move(route);
   return result;
 }
 
 RoutingResult informed_subcube_route(NodeId start, NodeId dest,
                                      NodeId dims_mask,
-                                     const LinkUsablePredicate& usable,
-                                     SubcubeFtStats* stats) {
-  GCUBE_REQUIRE(((start ^ dest) & ~dims_mask) == 0,
-                "start and dest must agree outside the subcube dimensions");
-  SubcubeFtStats local_stats;
-  SubcubeFtStats& st = stats != nullptr ? *stats : local_stats;
-  st = SubcubeFtStats{};
+                                     const FaultSet& faults) {
   RoutingResult result;
-
-  // Fast path: the plain dimension-ordered path, taken when every link on
-  // it is usable (the overwhelmingly common case — faults are sparse).
-  {
-    Route direct(start);
-    NodeId cur = start;
-    bool clean = true;
-    for (NodeId m = (start ^ dest) & dims_mask; m != 0; m &= m - 1) {
-      const Dim c = lsb_index(m);
-      if (!usable(cur, c)) {
-        clean = false;
-        break;
-      }
-      direct.append(c);
-      cur = flip_bit(cur, c);
-    }
-    if (clean) {
-      result.route = std::move(direct);
-      return result;
-    }
-  }
-
-  // Fault-aware distances to the destination, learned by BFS over usable
-  // links — the planner-side model of the paper's fault-status exchange
-  // rounds within a class. Flat over the subcube: a node's slot is its
-  // dims_mask bits gathered into 0 .. 2^|dims_mask| - 1, and flipping the
-  // k-th dimension of the mask flips bit k of the slot.
-  constexpr std::uint32_t kUnreached = ~std::uint32_t{0};
-  std::vector<std::uint32_t> dist(std::size_t{1} << popcount(dims_mask),
-                                  kUnreached);
-  std::vector<NodeId> queue{dest};
-  dist[subcube_slot(dest, dims_mask)] = 0;
-  for (std::size_t head = 0; head < queue.size(); ++head) {
-    const NodeId u = queue[head];
-    const std::size_t u_slot = subcube_slot(u, dims_mask);
-    std::size_t slot_bit = 1;
-    for (NodeId m = dims_mask; m != 0; m &= m - 1, slot_bit <<= 1) {
-      const Dim c = lsb_index(m);
-      if (!usable(u, c)) continue;
-      std::uint32_t& v_dist = dist[u_slot ^ slot_bit];
-      if (v_dist != kUnreached) continue;
-      v_dist = dist[u_slot] + 1;
-      queue.push_back(flip_bit(u, c));
-    }
-  }
-  if (dist[subcube_slot(start, dims_mask)] == kUnreached) {
-    result.failure = "subcube disconnected between start and destination";
-    return result;
-  }
-
-  std::unordered_set<std::uint64_t> faults_seen;
   Route route(start);
-  NodeId cur = start;
-  while (cur != dest) {
-    Dim chosen = kMaxDimension + 1;
-    const std::size_t cur_slot = subcube_slot(cur, dims_mask);
-    const std::uint32_t here = dist[cur_slot];
-    std::size_t slot_bit = 1;
-    for (NodeId m = dims_mask; m != 0; m &= m - 1, slot_bit <<= 1) {
-      const Dim c = lsb_index(m);
-      if (!usable(cur, c)) {  // an encountered fault, for the stats
-        const LinkId l = LinkId::of(cur, c);
-        if (faults_seen.insert((std::uint64_t{l.lo} << 6) | l.dim).second) {
-          ++st.faults_encountered;
-        }
-        continue;
-      }
-      if (dist[cur_slot ^ slot_bit] != here - 1) continue;
-      // Downhill neighbor; prefer a preferred dimension on ties.
-      if (chosen > kMaxDimension || (bit(cur ^ dest, c) == 1 &&
-                                     bit(cur ^ dest, chosen) == 0)) {
-        chosen = c;
-      }
-    }
-    GCUBE_REQUIRE(chosen <= kMaxDimension,
-                  "downhill neighbor must exist on a shortest path");
-    if (bit(cur ^ dest, chosen) == 0) ++st.spare_hops;
-    route.append(chosen);
-    cur = flip_bit(cur, chosen);
+  // Every node of the subcube has a link in every dims_mask dimension.
+  if (fault_aware_search(start, dest, dims_mask, SearchOrder::kTowardFirst,
+                         faults, [](NodeId) { return ~NodeId{0}; }, route)) {
+    result.route = std::move(route);
+  } else {
+    result.failure = "subcube disconnected between start and destination";
   }
-  result.faults_hit = st.faults_encountered;
-  result.route = std::move(route);
   return result;
 }
 

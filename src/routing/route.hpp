@@ -73,8 +73,7 @@ struct RouteCheck {
 /// must look.
 struct RoutingResult {
   std::optional<Route> route;
-  std::string failure;         // why planning failed, when !route
-  std::size_t faults_hit = 0;  // faults encountered (the paper's F)
+  std::string failure;  // why planning failed, when !route
 
   [[nodiscard]] bool delivered() const noexcept { return route.has_value(); }
 };

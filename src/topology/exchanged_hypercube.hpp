@@ -39,6 +39,13 @@ class ExchangedHypercube final : public Topology {
   [[nodiscard]] Dim s() const noexcept { return s_; }
   [[nodiscard]] Dim t() const noexcept { return t_; }
 
+  /// The dimensions of u's links as a bitmask: the cross link, plus the
+  /// b-part when c == 1 or the a-part when c == 0.
+  [[nodiscard]] NodeId link_mask(NodeId u) const noexcept {
+    return c_bit(u) == 1 ? low_mask(t_ + 1)
+                         : (low_mask(dims()) & ~low_mask(t_ + 1)) | 1u;
+  }
+
   /// The exchange bit c of node u.
   [[nodiscard]] std::uint32_t c_bit(NodeId u) const noexcept {
     return bit(u, 0);

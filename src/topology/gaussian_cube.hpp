@@ -76,6 +76,16 @@ class GaussianCube final : public Topology {
     return popcount(high_dims_mask_[k]);
   }
 
+  /// The dimensions of u's links as a bitmask: Dim(k) of u's ending class
+  /// k, plus the tree dimensions below alpha whose link u carries.
+  [[nodiscard]] NodeId link_mask(NodeId u) const noexcept {
+    NodeId links = high_dims_mask(ending_class(u));
+    for (Dim c = 0; c < alpha_; ++c) {
+      if (has_link(u, c)) links |= NodeId{1} << c;
+    }
+    return links;
+  }
+
   /// Bits that identify which GEEC hypercube of its class a node lies in:
   /// everything outside the low alpha bits and outside Dim(k).
   [[nodiscard]] NodeId geec_fixed_mask(NodeId k) const noexcept {

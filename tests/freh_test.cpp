@@ -39,7 +39,6 @@ struct PairStats {
 // aggregate. EXPERIMENTS.md discusses the discrepancy.
 void check_all_pairs(const ExchangedHypercube& eh, const FaultSet& faults,
                      PairStats& tally) {
-  const EhFaultOracle oracle = make_eh_oracle(faults);
   const auto link_ok = [&faults](NodeId u, Dim c) {
     return faults.link_usable(u, c);
   };
@@ -51,11 +50,10 @@ void check_all_pairs(const ExchangedHypercube& eh, const FaultSet& faults,
     for (NodeId d = 0; d < eh.node_count(); ++d) {
       if (faults.node_faulty(d)) continue;
       ++tally.pairs;
-      FrehStats stats;
-      const RoutingResult result = freh_route(eh, oracle, r, d, &stats);
+      const RoutingResult result = freh_route(eh, faults, r, d);
       if (!result.delivered()) {
         ++tally.dead_ends;
-        ASSERT_TRUE(informed_eh_route(eh, oracle, r, d).delivered())
+        ASSERT_TRUE(informed_eh_route(eh, faults, r, d).delivered())
             << "dance dead-end must not be a real disconnect: " << eh.name()
             << " r=" << r << " d=" << d;
         continue;
@@ -77,12 +75,11 @@ void check_all_pairs(const ExchangedHypercube& eh, const FaultSet& faults,
 TEST(Freh, FaultFreeIsNearOptimal) {
   const ExchangedHypercube eh(3, 2);
   const FaultSet none;
-  const EhFaultOracle oracle = make_eh_oracle(none);
   const Graph g(eh);
   for (NodeId r = 0; r < eh.node_count(); ++r) {
     const auto dist = bfs_distances(g, r);
     for (NodeId d = 0; d < eh.node_count(); ++d) {
-      const auto result = freh_route(eh, oracle, r, d);
+      const auto result = freh_route(eh, none, r, d);
       ASSERT_TRUE(result.delivered());
       ASSERT_EQ(result.route->destination(), d);
       // Without faults the driver takes the paper's canonical path, which
@@ -183,14 +180,13 @@ TEST_P(InformedEhTest, ExactlyFaultAwareOptimal) {
     }
     if (!theorem4_holds(eh, f)) continue;
     ++accepted;
-    const EhFaultOracle oracle = make_eh_oracle(f);
     for (NodeId r = 0; r < eh.node_count(); ++r) {
       if (f.node_faulty(r)) continue;
       const auto dist = bfs_distances(
           eh, r, [&f](NodeId u, Dim c) { return f.link_usable(u, c); });
       for (NodeId d = 0; d < eh.node_count(); ++d) {
         if (f.node_faulty(d)) continue;
-        const auto result = informed_eh_route(eh, oracle, r, d);
+        const auto result = informed_eh_route(eh, f, r, d);
         ASSERT_TRUE(result.delivered())
             << eh.name() << " r=" << r << " d=" << d;
         ASSERT_EQ(result.route->destination(), d);
@@ -212,18 +208,16 @@ TEST(InformedEh, ReportsDisconnectionAndFaultyEndpoints) {
   const ExchangedHypercube eh(2, 2);
   FaultSet f;
   f.fail_node(0b00010);
-  const auto oracle = make_eh_oracle(f);
-  EXPECT_FALSE(informed_eh_route(eh, oracle, 0b00010, 0).delivered());
-  EXPECT_FALSE(informed_eh_route(eh, oracle, 0, 0b00010).delivered());
+  EXPECT_FALSE(informed_eh_route(eh, f, 0b00010, 0).delivered());
+  EXPECT_FALSE(informed_eh_route(eh, f, 0, 0b00010).delivered());
 }
 
 TEST(Freh, FaultySourceOrDestinationRejected) {
   const ExchangedHypercube eh(2, 2);
   FaultSet f;
   f.fail_node(0);
-  const auto oracle = make_eh_oracle(f);
-  EXPECT_FALSE(freh_route(eh, oracle, 0, 5).delivered());
-  EXPECT_FALSE(freh_route(eh, oracle, 5, 0).delivered());
+  EXPECT_FALSE(freh_route(eh, f, 0, 5).delivered());
+  EXPECT_FALSE(freh_route(eh, f, 5, 0).delivered());
 }
 
 TEST(Freh, CountsMatchDefinition) {

@@ -6,12 +6,14 @@
 //    stay below the cube dimension; its length is exactly H + 2*spares, and
 //    with only local knowledge spares can exceed the distinct fault count.
 //  * informed_subcube_route — models the paper's fault-status exchange:
-//    fault-aware BFS from the destination, walk downhill. Must produce the
-//    exact fault-aware shortest path, which is within 2 hops per fault of
-//    the fault-free optimum — the guarantee Theorem 3 builds on.
+//    the fault-aware search from the start. Must produce the exact
+//    fault-aware shortest path, which is within 2 hops per fault of the
+//    fault-free optimum — the guarantee Theorem 3 builds on.
 // Checked exhaustively over all link-fault sets of size < n on H_3 and a
 // wide random sample on H_4/H_5, plus node faults and non-contiguous
-// dimension sets; Wu's safety levels are validated against first principles.
+// dimension sets. The search's tie rule (which shortest path it returns) is
+// checked against brute force; Wu's safety levels are validated against
+// first principles.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -20,15 +22,13 @@
 #include "fault/fault_set.hpp"
 #include "graph/algorithms.hpp"
 #include "routing/hypercube_ft.hpp"
+#include "topology/exchanged_hypercube.hpp"
+#include "topology/gaussian_cube.hpp"
 #include "topology/topology.hpp"
 #include "util/rng.hpp"
 
 namespace gcube {
 namespace {
-
-LinkUsablePredicate usable_of(const FaultSet& faults) {
-  return [&faults](NodeId u, Dim c) { return faults.link_usable(u, c); };
-}
 
 /// All links of H_n as (node, dim) with node's bit dim == 0.
 std::vector<std::pair<NodeId, Dim>> all_links(Dim n) {
@@ -52,21 +52,20 @@ std::vector<std::uint32_t> true_distances(Dim n, const FaultSet& faults,
 void check_adaptive_all_pairs(Dim n, const FaultSet& faults,
                               bool expect_no_fallback) {
   const NodeId dims_mask = low_mask(n);
-  const auto pred = usable_of(faults);
   for (NodeId s = 0; s < pow2(n); ++s) {
     if (faults.node_faulty(s)) continue;
     for (NodeId d = 0; d < pow2(n); ++d) {
       if (faults.node_faulty(d)) continue;
       SubcubeFtStats stats;
       const RoutingResult result =
-          adaptive_subcube_route(s, d, dims_mask, pred, &stats);
+          adaptive_subcube_route(s, d, dims_mask, faults, &stats);
       ASSERT_TRUE(result.delivered())
           << "n=" << n << " s=" << s << " d=" << d << ": " << result.failure;
       const Route& route = *result.route;
       ASSERT_EQ(route.destination(), d);
       NodeId cur = s;
       for (const Dim c : route.hops()) {
-        ASSERT_TRUE(pred(cur, c));
+        ASSERT_TRUE(faults.link_usable(cur, c));
         cur = flip_bit(cur, c);
       }
       if (expect_no_fallback) {
@@ -81,22 +80,20 @@ void check_adaptive_all_pairs(Dim n, const FaultSet& faults,
 
 void check_informed_all_pairs(Dim n, const FaultSet& faults) {
   const NodeId dims_mask = low_mask(n);
-  const auto pred = usable_of(faults);
   for (NodeId s = 0; s < pow2(n); ++s) {
     if (faults.node_faulty(s)) continue;
     const auto dist = true_distances(n, faults, s);
     for (NodeId d = 0; d < pow2(n); ++d) {
       if (faults.node_faulty(d)) continue;
-      SubcubeFtStats stats;
       const RoutingResult result =
-          informed_subcube_route(s, d, dims_mask, pred, &stats);
+          informed_subcube_route(s, d, dims_mask, faults);
       ASSERT_TRUE(result.delivered())
           << "n=" << n << " s=" << s << " d=" << d << ": " << result.failure;
       const Route& route = *result.route;
       ASSERT_EQ(route.destination(), d);
       NodeId cur = s;
       for (const Dim c : route.hops()) {
-        ASSERT_TRUE(pred(cur, c));
+        ASSERT_TRUE(faults.link_usable(cur, c));
         cur = flip_bit(cur, c);
       }
       // Exactly the fault-aware shortest path.
@@ -224,19 +221,19 @@ TEST(AdaptiveSubcube, SafeguardDeliversExactlyWhenReachable) {
         const auto& [u, c] = links[rng.below(links.size())];
         f.fail_link(u, c);
       }
-      const auto pred = usable_of(f);
       for (NodeId s = 0; s < pow2(n); ++s) {
         const auto dist = true_distances(n, f, s);
         for (NodeId d = 0; d < pow2(n); ++d) {
           SubcubeFtStats stats;
           const RoutingResult result =
-              adaptive_subcube_route(s, d, dims_mask, pred, &stats);
+              adaptive_subcube_route(s, d, dims_mask, f, &stats);
           ASSERT_EQ(result.delivered(), dist[d] != kUnreachable)
               << "n=" << n << " s=" << s << " d=" << d;
           if (!result.delivered()) continue;
           NodeId cur = s;
           for (const Dim c : result.route->hops()) {
-            ASSERT_TRUE(pred(cur, c)) << "n=" << n << " s=" << s << " d=" << d;
+            ASSERT_TRUE(f.link_usable(cur, c))
+                << "n=" << n << " s=" << s << " d=" << d;
             cur = flip_bit(cur, c);
           }
           ASSERT_EQ(cur, d);
@@ -257,15 +254,14 @@ TEST(AdaptiveSubcube, SafeguardFinishesAStrandedWalk) {
   f.fail_link(2, 0);
   f.fail_link(0, 1);
   f.fail_link(5, 1);
-  const auto pred = usable_of(f);
   SubcubeFtStats stats;
   const RoutingResult result =
-      adaptive_subcube_route(3, 6, low_mask(3), pred, &stats);
+      adaptive_subcube_route(3, 6, low_mask(3), f, &stats);
   ASSERT_TRUE(result.delivered()) << result.failure;
   EXPECT_TRUE(stats.used_fallback);
   NodeId cur = 3;
   for (const Dim c : result.route->hops()) {
-    ASSERT_TRUE(pred(cur, c));
+    ASSERT_TRUE(f.link_usable(cur, c));
     cur = flip_bit(cur, c);
   }
   EXPECT_EQ(cur, 6u);
@@ -276,7 +272,6 @@ TEST(InformedSubcube, WorksOnNonContiguousDimensionSets) {
   const NodeId dims_mask = 0b01001010;
   FaultSet f;
   f.fail_link(0b00000000, 3);
-  const auto pred = usable_of(f);
   for (const NodeId base : {NodeId{0}, NodeId{0b10100101u & ~dims_mask}}) {
     for (NodeId a = 0; a < 8; ++a) {
       for (NodeId b = 0; b < 8; ++b) {
@@ -285,9 +280,9 @@ TEST(InformedSubcube, WorksOnNonContiguousDimensionSets) {
         };
         const NodeId s = base | spread(a);
         const NodeId d = base | spread(b);
-        for (const auto& route_fn :
-             {&adaptive_subcube_route, &informed_subcube_route}) {
-          const auto result = route_fn(s, d, dims_mask, pred, nullptr);
+        for (const RoutingResult& result :
+             {adaptive_subcube_route(s, d, dims_mask, f),
+              informed_subcube_route(s, d, dims_mask, f)}) {
           ASSERT_TRUE(result.delivered());
           ASSERT_EQ(result.route->destination(), d);
           for (const Dim c : result.route->hops()) {
@@ -301,10 +296,10 @@ TEST(InformedSubcube, WorksOnNonContiguousDimensionSets) {
 }
 
 TEST(SubcubeRouters, RejectMismatchedEndpoints) {
-  const auto always = [](NodeId, Dim) { return true; };
-  EXPECT_THROW((void)adaptive_subcube_route(0b100, 0b001, 0b001, always),
+  const FaultSet none;
+  EXPECT_THROW((void)adaptive_subcube_route(0b100, 0b001, 0b001, none),
                std::invalid_argument);
-  EXPECT_THROW((void)informed_subcube_route(0b100, 0b001, 0b001, always),
+  EXPECT_THROW((void)informed_subcube_route(0b100, 0b001, 0b001, none),
                std::invalid_argument);
 }
 
@@ -313,12 +308,120 @@ TEST(SubcubeRouters, ReportDisconnection) {
   FaultSet f;
   f.fail_link(0, 0);
   f.fail_link(0, 1);
-  for (const auto& route_fn :
-       {&adaptive_subcube_route, &informed_subcube_route}) {
-    const auto result = route_fn(0, 3, 0b11, usable_of(f), nullptr);
+  for (const RoutingResult& result : {adaptive_subcube_route(0, 3, 0b11, f),
+                                      informed_subcube_route(0, 3, 0b11, f)}) {
     EXPECT_FALSE(result.delivered());
     EXPECT_FALSE(result.failure.empty());
   }
+}
+
+/// Every fault-aware shortest path from s to d in `topo`, enumerated
+/// exhaustively: each is a hop sequence that enters one BFS layer from s
+/// further per hop over a usable link and ends at d.
+std::vector<std::vector<Dim>> all_shortest_paths(const Topology& topo,
+                                                 const FaultSet& faults,
+                                                 NodeId s, NodeId d) {
+  const auto dist = bfs_distances(
+      topo, s, [&faults](NodeId u, Dim c) { return faults.link_usable(u, c); });
+  std::vector<std::vector<Dim>> paths;
+  if (dist[d] == kUnreachable) return paths;
+  std::vector<Dim> hops;
+  const std::function<void(NodeId)> extend = [&](NodeId u) {
+    if (hops.size() == dist[d]) {
+      if (u == d) paths.push_back(hops);
+      return;
+    }
+    for (Dim c = 0; c < topo.dims(); ++c) {
+      const NodeId v = flip_bit(u, c);
+      if (!topo.has_link(u, c) || !faults.link_usable(u, c) ||
+          dist[v] != dist[u] + 1) {
+        continue;
+      }
+      hops.push_back(c);
+      extend(v);
+      hops.pop_back();
+    }
+  };
+  extend(s);
+  return paths;
+}
+
+/// True iff path a comes before path b (same source and destination) in
+/// the search's order: at the first hop where they part, from the node they
+/// share, a takes the earlier link.
+bool earlier(const std::vector<Dim>& a, const std::vector<Dim>& b, NodeId s,
+             NodeId d, SearchOrder order) {
+  NodeId u = s;
+  for (std::size_t i = 0; i < a.size() && i < b.size(); ++i) {
+    if (a[i] != b[i]) {
+      auto rank = [&](Dim c) {
+        const bool later =
+            order == SearchOrder::kTowardFirst && bit(u ^ d, c) == 0;
+        return (later ? kMaxDimension : 0) + c;
+      };
+      return rank(a[i]) < rank(b[i]);
+    }
+    u = flip_bit(u, a[i]);
+  }
+  return false;
+}
+
+// The search's tie rule, against brute force: for every pair it returns
+// the first of all fault-aware shortest paths under its stated order.
+// Under either order on H_4, GC(6,2) and EH(2,2), with seeded node and link
+// faults.
+TEST(FaultAwareSearch, TieRuleMatchesBruteForce) {
+  const Hypercube h4(4);
+  const GaussianCube gc(6, 2);
+  const ExchangedHypercube eh(2, 2);
+  const auto all_links = [](NodeId) { return ~NodeId{0}; };
+  const auto gc_links = [&gc](NodeId u) { return gc.link_mask(u); };
+  const auto eh_links = [&eh](NodeId u) { return eh.link_mask(u); };
+  Xoshiro256 rng(48);
+  std::size_t tied_pairs = 0;  // pairs with more than one shortest path
+  auto check = [&](const Topology& topo, const auto& links_at) {
+    for (int trial = 0; trial < 4; ++trial) {
+      FaultSet f;
+      const std::uint64_t nodes = rng.below(3);
+      const std::uint64_t links = 1 + rng.below(4);
+      while (f.node_fault_count() < nodes) {
+        f.fail_node(static_cast<NodeId>(rng.below(topo.node_count())));
+      }
+      while (f.link_fault_count() < links) {
+        const auto u = static_cast<NodeId>(rng.below(topo.node_count()));
+        const auto c = static_cast<Dim>(rng.below(topo.dims()));
+        if (topo.has_link(u, c)) f.fail_link(u, c);
+      }
+      for (NodeId s = 0; s < topo.node_count(); ++s) {
+        if (f.node_faulty(s)) continue;
+        for (NodeId d = 0; d < topo.node_count(); ++d) {
+          const auto paths = all_shortest_paths(topo, f, s, d);
+          tied_pairs += paths.size() > 1 ? 1u : 0u;
+          for (const SearchOrder order :
+               {SearchOrder::kAscending, SearchOrder::kTowardFirst}) {
+            Route route(s);
+            const bool found =
+                fault_aware_search(s, d, low_mask(topo.dims()), order, f,
+                                   links_at, route);
+            ASSERT_EQ(found, !paths.empty())
+                << topo.name() << " s=" << s << " d=" << d;
+            if (!found) continue;
+            std::vector<Dim> first = paths.front();
+            for (const auto& path : paths) {
+              if (earlier(path, first, s, d, order)) first = path;
+            }
+            ASSERT_EQ(route.hops(), first)
+                << topo.name() << " s=" << s << " d=" << d << " order="
+                << static_cast<int>(order);
+          }
+        }
+      }
+    }
+  };
+  check(h4, all_links);
+  check(gc, gc_links);
+  check(eh, eh_links);
+  EXPECT_GT(tied_pairs, 0u) << "the sweep must reach ties";
 }
 
 TEST(SafetyLevels, FaultFreeAllSafe) {
